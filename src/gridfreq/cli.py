@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .controllers import IDroop, NoStorage, VirtualInertia
-from .model import Disturbance, Scenario, SimOptions, gb_reference_params, pu_disturbance
+from .model import Disturbance, GridParams, Scenario, gb_reference_params, pu_disturbance
 from .scenariofile import ScenarioParseError, load_scenario
 from .simulate import (
     IntegrationError,
@@ -26,6 +26,7 @@ from .simulate import (
     write_trajectory_csv,
 )
 from .sweeps import (
+    TRANSIENT_OPTIONS,
     SweepSpec,
     capacity_curve,
     sweep,
@@ -115,28 +116,28 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         print("error: give --step-gw or --step-pu, not both", file=sys.stderr)
         return EXIT_USAGE
 
-    grid = scenario.grid
-    if args.inertia_h is not None:
-        grid = replace(grid, inertia_h=args.inertia_h)
-    if args.deadband_mhz is not None:
-        grid = replace(grid, deadband_omega_db=args.deadband_mhz / 1000.0 / grid.nominal_freq)
-    disturbance = scenario.disturbance
-    if args.step_pu is not None:
-        disturbance = replace(disturbance, step_pu=args.step_pu)
-    elif args.step_gw is not None:
-        disturbance = replace(disturbance, step_pu=pu_disturbance(args.step_gw, grid))
-    sim = scenario.sim
-    if args.dt is not None:
-        sim = replace(sim, dt=args.dt)
-    if args.horizon is not None:
-        sim = replace(sim, horizon=args.horizon)
-    if args.freeze_secondary is not None:
-        sim = replace(sim, freeze_secondary=args.freeze_secondary)
     try:
-        scenario = Scenario(grid=grid, controller=scenario.controller, disturbance=disturbance, sim=sim)
+        grid = scenario.grid
+        if args.inertia_h is not None:
+            grid = replace(grid, inertia_h=args.inertia_h)
+        if args.deadband_mhz is not None:
+            grid = replace(grid, deadband_omega_db=args.deadband_mhz / 1000.0 / grid.nominal_freq)
+        disturbance = scenario.disturbance
+        if args.step_pu is not None:
+            disturbance = replace(disturbance, step_pu=args.step_pu)
+        elif args.step_gw is not None:
+            disturbance = replace(disturbance, step_pu=pu_disturbance(args.step_gw, grid))
+        sim = scenario.sim
+        if args.dt is not None:
+            sim = replace(sim, dt=args.dt)
+        if args.horizon is not None:
+            sim = replace(sim, horizon=args.horizon)
+        if args.freeze_secondary is not None:
+            sim = replace(sim, freeze_secondary=args.freeze_secondary)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    scenario = Scenario(grid=grid, controller=scenario.controller, disturbance=disturbance, sim=sim)
 
     try:
         traj = simulate(scenario)
@@ -203,50 +204,38 @@ def _cmd_tune(args: argparse.Namespace) -> int:
 # sweep
 
 
-def _transient_options(dt: float = 1e-3) -> SimOptions:
-    return SimOptions(dt=dt, horizon=30.0, freeze_secondary=True)
+# file stem and value column of each sweep kind
+_SWEEP_NAMES = {"mv": ("mv", "m_v"), "alpha-b": ("alpha_b", "alpha_b"), "tau-t": ("tau_t", "tau_t")}
 
 
-def _cmd_sweep(args: argparse.Namespace) -> int:
-    grid = gb_reference_params()
-    delta_p = pu_disturbance(args.step_gw, grid)
+def _sweep_spec(kind: str, grid: GridParams, delta_p: float, alpha_b: float) -> SweepSpec:
+    """The standard sweep ``kind``; ``alpha_b`` is the storage droop of the mv sweep."""
     disturbance = Disturbance(step_pu=delta_p)
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
-    if args.kind == "mv":
-        base = Scenario(
-            grid=grid,
-            controller=VirtualInertia(m_v=0.0, alpha_b=args.alpha_b),
-            disturbance=disturbance,
-            sim=_transient_options(),
-        )
-        spec = SweepSpec(base=base, parameter="controller.m_v", values=_grid_values(0.0, 150.0, 1.0))
-        name, value_name = "mv", "m_v"
-    elif args.kind == "alpha-b":
-        base = Scenario(
-            grid=grid,
-            controller=VirtualInertia(m_v=0.0, alpha_b=0.0),
-            disturbance=disturbance,
-            sim=_transient_options(),
-        )
-        spec = SweepSpec(
+    if kind == "mv":
+        base = Scenario(grid, VirtualInertia(m_v=0.0, alpha_b=alpha_b), disturbance, TRANSIENT_OPTIONS)
+        return SweepSpec(base=base, parameter="controller.m_v", values=_grid_values(0.0, 150.0, 1.0))
+    if kind == "alpha-b":
+        base = Scenario(grid, VirtualInertia(m_v=0.0, alpha_b=0.0), disturbance, TRANSIENT_OPTIONS)
+        return SweepSpec(
             base=base,
             parameter="controller.alpha_b",
             values=_grid_values(0.0, 15.0, 0.25),
             retune=vi_min_retune,
         )
-        name, value_name = "alpha_b", "alpha_b"
-    else:
-        base = Scenario(
-            grid=grid,
-            controller=IDroop.nadir_tuned(grid, 0.0),
-            disturbance=disturbance,
-            sim=_transient_options(),
-        )
-        spec = SweepSpec(base=base, parameter="grid.turbine_tau", values=_grid_values(0.25, 3.0, 0.05))
-        name, value_name = "tau_t", "tau_t"
+    base = Scenario(grid, IDroop.nadir_tuned(grid, 0.0), disturbance, TRANSIENT_OPTIONS)
+    return SweepSpec(base=base, parameter="grid.turbine_tau", values=_grid_values(0.25, 3.0, 0.05))
 
+
+def _cmd_sweep(args: argparse.Namespace) -> int:
+    grid = gb_reference_params()
+    try:
+        spec = _sweep_spec(args.kind, grid, pu_disturbance(args.step_gw, grid), args.alpha_b)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    out_dir = Path(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    name, value_name = _SWEEP_NAMES[args.kind]
     points = sweep(spec)
     out_path = out_dir / f"{name}.csv"
     with out_path.open("w") as stream:
@@ -268,10 +257,6 @@ def _decimate(arr: np.ndarray) -> np.ndarray:
     return arr[::_TRAJ_STRIDE]
 
 
-def _run(scenario: Scenario):
-    return simulate(scenario)
-
-
 def _fig2_rows(grid, delta_p):
     cols = ["t"]
     data = []
@@ -280,9 +265,9 @@ def _fig2_rows(grid, delta_p):
             grid=replace(grid, inertia_h=h),
             controller=NoStorage(),
             disturbance=Disturbance(step_pu=delta_p),
-            sim=_transient_options(),
+            sim=TRANSIENT_OPTIONS,
         )
-        traj = _run(sc)
+        traj = simulate(sc)
         cols.append(f"omega_hz_h{str(h).replace('.', 'p')}")
         data.append(_decimate(traj.omega) * grid.nominal_freq)
     t = _decimate(traj.t)
@@ -305,35 +290,24 @@ def _fig4_rows(grid, delta_p):
             grid=grid,
             controller=VirtualInertia(m_v=m_v, alpha_b=0.0),
             disturbance=Disturbance(step_pu=delta_p),
-            sim=_transient_options(),
+            sim=TRANSIENT_OPTIONS,
         )
-        traj = _run(sc)
+        traj = simulate(sc)
         cols.append(f"omega_pu_{tag}")
         data.append(_decimate(traj.omega))
     return cols, [_decimate(traj.t)] + data
 
 
 def _fig5_rows(grid, delta_p):
-    mv_grid = _grid_values(0.0, 150.0, 1.0)
     cols = ["m_v"]
-    data: list = [mv_grid]
+    data: list = []
     for alpha_b in (0.0, 5.0, 10.0):
-        maxdev = []
-        pbmax = []
-        for m_v in mv_grid:
-            sc = Scenario(
-                grid=grid,
-                controller=VirtualInertia(m_v=m_v, alpha_b=alpha_b),
-                disturbance=Disturbance(step_pu=delta_p),
-                sim=_transient_options(),
-            )
-            m = extract_metrics(_run(sc))
-            maxdev.append(abs(m.nadir_deviation))
-            pbmax.append(m.p_b_max_norm)
+        spec = _sweep_spec("mv", grid, delta_p, alpha_b)
+        metrics = [pt.metrics for pt in sweep(spec)]
         tag = f"ab{int(alpha_b)}"
         cols.extend([f"max_deviation_pu_{tag}", f"p_b_max_norm_{tag}"])
-        data.extend([maxdev, pbmax])
-    return cols, data
+        data.extend([[abs(m.nadir_deviation) for m in metrics], [m.p_b_max_norm for m in metrics]])
+    return cols, [spec.values] + data
 
 
 def _fig7_rows(grid, delta_p):
@@ -347,8 +321,8 @@ def _fig7_rows(grid, delta_p):
     data = []
     t = None
     for tag, ctrl in runs.items():
-        sc = Scenario(grid=grid, controller=ctrl, disturbance=Disturbance(step_pu=delta_p), sim=_transient_options())
-        traj = _run(sc)
+        sc = Scenario(grid=grid, controller=ctrl, disturbance=Disturbance(step_pu=delta_p), sim=TRANSIENT_OPTIONS)
+        traj = simulate(sc)
         t = _decimate(traj.t)
         cols.append(f"omega_pu_{tag}")
         data.append(_decimate(traj.omega))
@@ -376,19 +350,9 @@ def _fig8_rows(grid, delta_p):
 
 
 def _fig9_rows(grid, delta_p):
-    tau_grid = _grid_values(0.25, 3.0, 0.05)
-    controller = IDroop.nadir_tuned(grid, 0.0)  # tuned for the nominal 1 s turbine
-    maxdev = []
-    for tau_t in tau_grid:
-        sc = Scenario(
-            grid=replace(grid, turbine_tau=tau_t),
-            controller=controller,
-            disturbance=Disturbance(step_pu=delta_p),
-            sim=_transient_options(),
-        )
-        m = extract_metrics(_run(sc))
-        maxdev.append(abs(m.nadir_deviation))
-    return ["tau_t", "max_deviation_pu"], [tau_grid, maxdev]
+    spec = _sweep_spec("tau-t", grid, delta_p, 0.0)  # lag tuned for the nominal 1 s turbine
+    maxdev = [abs(pt.metrics.nadir_deviation) for pt in sweep(spec)]
+    return ["tau_t", "max_deviation_pu"], [spec.values, maxdev]
 
 
 def _fig10_rows(grid, delta_p):
@@ -400,9 +364,9 @@ def _fig10_rows(grid, delta_p):
             grid=replace(grid, turbine_tau=tau_t),
             controller=controller,
             disturbance=Disturbance(step_pu=delta_p),
-            sim=_transient_options(),
+            sim=TRANSIENT_OPTIONS,
         )
-        traj = _run(sc)
+        traj = simulate(sc)
         cols.append(f"omega_pu_taut{str(tau_t).replace('.', 'p')}")
         data.append(_decimate(traj.omega))
     return cols, [_decimate(traj.t)] + data
@@ -417,8 +381,8 @@ def _fig11_rows(grid, delta_p):
         ("vi", VirtualInertia(m_v=mv_crit, alpha_b=0.0)),
         ("idroop", IDroop.nadir_tuned(grid, 0.0)),
     ):
-        sc = Scenario(grid=db_grid, controller=ctrl, disturbance=Disturbance(step_pu=delta_p), sim=_transient_options())
-        traj = _run(sc)
+        sc = Scenario(grid=db_grid, controller=ctrl, disturbance=Disturbance(step_pu=delta_p), sim=TRANSIENT_OPTIONS)
+        traj = simulate(sc)
         cols.append(f"omega_pu_{tag}")
         data.append(_decimate(traj.omega))
     return cols, [_decimate(traj.t)] + data

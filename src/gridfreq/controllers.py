@@ -1,13 +1,20 @@
 """Storage control laws: droop, virtual inertia, and lag-compensated droop.
 
 Each law maps the measured frequency deviation to a storage power command,
-``p_b = c(omega)``.  Laws are exposed two ways:
+``p_b = c(omega)``.  Every law is a case of one transfer function,
 
-* :meth:`StorageController.transfer` evaluates the transfer function c(s)
-  at a complex frequency, for algebraic analysis;
-* :meth:`StorageController.dynamics` is the state-space realization the
-  simulator integrates: it returns the internal-state derivative and the
-  instantaneous output.
+    c(s) = -(m_v s + nu) + g / (tau_i s + 1),
+
+and is exposed two ways:
+
+* :meth:`StorageController.transfer` evaluates the law's own transfer
+  function at a complex frequency, for algebraic analysis;
+* :attr:`StorageController.realization` gives the coefficients
+  ``(m_v, nu, g, tau_i)`` of the generic law, which the simulator
+  integrates through one realization for every law.
+
+Droop is ``nu = alpha_b``; virtual inertia adds ``m_v``; the lag droop sets
+``g = nu - alpha_b``, so every DC gain is ``-alpha_b``.
 
 The dynamic droop law ("iDroop") pairs a first-order lag with direct
 proportional feedthrough,
@@ -25,7 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .model import GridParams
+from .model import GridParams, require_finite
 
 __all__ = [
     "StorageController",
@@ -45,12 +52,13 @@ class StorageController:
         """Evaluate the law's transfer function c(s) from omega to p_b."""
         raise NotImplementedError
 
-    def dynamics(self, x_c: float, omega: float, omega_dot: float) -> tuple[float, float]:
-        """One evaluation of the realized law.
+    @property
+    def realization(self) -> tuple[float, float, float, float]:
+        """Coefficients ``(m_v, nu, g, tau_i)`` of the generic law.
 
-        Returns ``(x_c_dot, p_b)``.  ``omega_dot`` is the exact algebraic
-        frequency derivative supplied by the simulator; only the
-        virtual-inertia law uses it.
+        Realized with one lag state x_c and direct feedthrough as
+        ``tau_i dx_c/dt = g omega - x_c`` and
+        ``p_b = x_c - nu omega - m_v domega/dt``.
         """
         raise NotImplementedError
 
@@ -66,8 +74,9 @@ class NoStorage(StorageController):
     def transfer(self, s: complex) -> complex:
         return 0.0 + 0.0j
 
-    def dynamics(self, x_c: float, omega: float, omega_dot: float) -> tuple[float, float]:
-        return 0.0, 0.0
+    @property
+    def realization(self) -> tuple[float, float, float, float]:
+        return 0.0, 0.0, 0.0, 1.0
 
 
 @dataclass(frozen=True)
@@ -77,14 +86,16 @@ class Droop(StorageController):
     alpha_b: float
 
     def __post_init__(self) -> None:
+        require_finite(self)
         if self.alpha_b < 0:
             raise ValueError(f"alpha_b must be >= 0, got {self.alpha_b}")
 
     def transfer(self, s: complex) -> complex:
         return complex(-self.alpha_b)
 
-    def dynamics(self, x_c: float, omega: float, omega_dot: float) -> tuple[float, float]:
-        return 0.0, -self.alpha_b * omega
+    @property
+    def realization(self) -> tuple[float, float, float, float]:
+        return 0.0, self.alpha_b, 0.0, 1.0
 
 
 @dataclass(frozen=True)
@@ -94,14 +105,14 @@ class VirtualInertia(StorageController):
     The derivative term imitates inertial response with virtual inertia
     constant ``m_v`` [pu*s].  The simulator realizes it exactly by inertia
     augmentation (m_v moves into the swing equation), so no numerical
-    differentiation of omega is ever performed; ``dynamics`` reconstructs
-    p_b from the algebraic omega_dot it is handed.
+    differentiation of omega is ever performed.
     """
 
     m_v: float
     alpha_b: float = 0.0
 
     def __post_init__(self) -> None:
+        require_finite(self)
         if self.m_v < 0:
             raise ValueError(f"m_v must be >= 0, got {self.m_v}")
         if self.alpha_b < 0:
@@ -110,8 +121,9 @@ class VirtualInertia(StorageController):
     def transfer(self, s: complex) -> complex:
         return -(self.m_v * s + self.alpha_b)
 
-    def dynamics(self, x_c: float, omega: float, omega_dot: float) -> tuple[float, float]:
-        return 0.0, -self.m_v * omega_dot - self.alpha_b * omega
+    @property
+    def realization(self) -> tuple[float, float, float, float]:
+        return self.m_v, self.alpha_b, 0.0, 1.0
 
 
 @dataclass(frozen=True)
@@ -134,6 +146,7 @@ class IDroop(StorageController):
     alpha_b: float = 0.0
 
     def __post_init__(self) -> None:
+        require_finite(self)
         if self.nu <= 0:
             raise ValueError(f"nu must be > 0, got {self.nu}")
         if self.tau_i <= 0:
@@ -163,6 +176,6 @@ class IDroop(StorageController):
             raise ValueError(f"transfer function pole at s = {s!r} (s = -1/tau_i)")
         return (self.nu - self.alpha_b) / den - self.nu
 
-    def dynamics(self, x_c: float, omega: float, omega_dot: float) -> tuple[float, float]:
-        x_c_dot = (-x_c + (self.nu - self.alpha_b) * omega) / self.tau_i
-        return x_c_dot, x_c - self.nu * omega
+    @property
+    def realization(self) -> tuple[float, float, float, float]:
+        return 0.0, self.nu, self.nu - self.alpha_b, self.tau_i

@@ -21,7 +21,7 @@ generation) drives ``omega`` negative.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # avoids a runtime import cycle with controllers
@@ -38,6 +38,14 @@ __all__ = [
     "omega_pu_to_hz",
     "hz_to_omega_pu",
 ]
+
+
+def require_finite(obj: object) -> None:
+    """Reject a dataclass whose numeric fields are not all finite."""
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if not math.isfinite(value):
+            raise ValueError(f"{f.name} must be finite, got {value}")
 
 
 @dataclass(frozen=True)
@@ -64,6 +72,7 @@ class GridParams:
     deadband_omega_db: float = 0.0
 
     def __post_init__(self) -> None:
+        require_finite(self)
         if self.base_power <= 0:
             raise ValueError(f"base_power must be > 0, got {self.base_power}")
         if self.nominal_freq <= 0:
@@ -142,6 +151,7 @@ class Disturbance:
     step_time: float = 0.0
 
     def __post_init__(self) -> None:
+        require_finite(self)
         if self.step_time < 0:
             raise ValueError(f"step_time must be >= 0, got {self.step_time}")
 
@@ -164,9 +174,7 @@ class SystemState:
     x_c: float = 0.0
 
     def __post_init__(self) -> None:
-        for name in ("theta", "omega", "p_m", "e_b", "x_c"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"state field {name} is not finite")
+        require_finite(self)
 
     @classmethod
     def zeros(cls) -> "SystemState":
@@ -196,6 +204,7 @@ class SimOptions:
     freeze_secondary: bool = False
 
     def __post_init__(self) -> None:
+        require_finite(self)
         if not 0 < self.dt <= self.horizon:
             raise ValueError(f"need 0 < dt <= horizon, got dt={self.dt}, horizon={self.horizon}")
         if not 0 < self.settling_band < 1:

@@ -1,21 +1,22 @@
 """Fixed-step integrator for the closed frequency-control loop.
 
-Dynamics (all per-unit, time in seconds):
+Every storage law is integrated through one realization of the generic law
+c(s) = -(m_v s + nu) + g / (tau_i s + 1), whose coefficients come from
+:attr:`~gridfreq.controllers.StorageController.realization`.  Dynamics (all
+per-unit, time in seconds):
 
     d theta / dt = omega
-    M d omega / dt = p_m - p_L(t) - alpha_l * omega + p_b'
+    (2H + m_v) d omega / dt = p_m - p_L(t) - alpha_l * omega + x_c - nu * omega
     tau_T d p_m / dt = -p_m + phi(omega) - k_i * theta
-    d e_b / dt = p_b
-    tau_i d x_c / dt = -x_c + (nu - alpha_b) * omega        (lag-droop only)
+    d e_b / dt = p_b = x_c - nu * omega - m_v * d omega / dt
+    tau_i d x_c / dt = -x_c + g * omega
 
 where phi is the governor response with an optional dead-band
 (:func:`deadband_response`), and p_L is a step of ``step_pu`` at
-``step_time``.  For the virtual-inertia law the derivative term is realized
-by inertia augmentation: M = 2H + m_v, p_b' keeps only the droop part, and
-the recorded storage output is reconstructed afterward as
-p_b = -m_v * domega/dt - alpha_b * omega.  This is algebraically identical
-to the ideal law and avoids numerical differentiation.  For every other law
-M = 2H and p_b' = p_b.
+``step_time``.  The derivative term of the law is realized by inertia
+augmentation: m_v moves into the swing equation, and the recorded storage
+output is reconstructed from the algebraic omega_dot.  This is identical
+to the ideal law and avoids numerical differentiation.
 
 The integrator is explicit fourth-order Runge-Kutta with a fixed step
 (default 1 ms).  The smallest closed-loop time constant in the parameter
@@ -42,7 +43,6 @@ from typing import Callable, TextIO
 
 import numpy as np
 
-from .controllers import Droop, IDroop, NoStorage, VirtualInertia
 from .model import Scenario, SystemState
 
 __all__ = [
@@ -177,72 +177,29 @@ METRIC_FIELDS = (
 
 
 def _make_deriv(scenario: Scenario, k_i: float) -> Callable:
-    """Build the stage-derivative closure for the scenario's control law.
+    """Build the stage-derivative closure of the generic law's realization.
 
-    The closure maps (p_l, theta, omega, p_m, e_b, x_c) to the five state
-    derivatives; d(e_b)/dt is the storage output p_b, which the main loop
-    also records.  The imbalance p_l is passed in per step: it is piecewise
-    constant, so holding the step-start value across all stages integrates
-    it exactly (the switch lands on a sample instant).
+    The closure maps (p_l, theta, omega, p_m, x_c) to (d omega/dt,
+    d p_m/dt, p_b, d x_c/dt), where p_b = d(e_b)/dt; the main loop uses the
+    stage omega as d(theta)/dt and never feeds e_b back.  The
+    imbalance p_l is passed in per step: it is piecewise constant, so
+    holding the step-start value across all stages integrates it exactly
+    (the switch lands on a sample instant).
     """
     g = scenario.grid
-    ctrl = scenario.controller
+    m_v, nu, gain, tau_i = scenario.controller.realization
+    m = 2.0 * g.inertia_h + m_v
     tau_t = g.turbine_tau
     a_l = g.load_damping_alpha_l
     a_g = g.gen_inv_droop_alpha_g
+    neg_a_g = -a_g  # the linear governor path costs no call and no negation per stage
     w_db = g.deadband_omega_db
-    two_h = 2.0 * g.inertia_h
 
-    def turbine_forcing(om: float) -> float:
-        if w_db == 0.0:
-            return -a_g * om
-        if om <= -w_db:
-            return -a_g * (om + w_db)
-        if om >= w_db:
-            return -a_g * (om - w_db)
-        return 0.0
-
-    if isinstance(ctrl, VirtualInertia):
-        m = two_h + ctrl.m_v
-        m_v = ctrl.m_v
-        a_b = ctrl.alpha_b
-
-        def deriv(p_l, th, om, pm, eb, xc):
-            om_dot = (pm - p_l - a_l * om - a_b * om) / m
-            p_b = -m_v * om_dot - a_b * om
-            return om, om_dot, (-pm + turbine_forcing(om) - k_i * th) / tau_t, p_b, 0.0
-
-    elif isinstance(ctrl, IDroop):
-        nu = ctrl.nu
-        tau_i = ctrl.tau_i
-        a_b = ctrl.alpha_b
-        gain = nu - a_b
-
-        def deriv(p_l, th, om, pm, eb, xc):
-            p_b = xc - nu * om
-            om_dot = (pm - p_l - a_l * om + p_b) / two_h
-            return (
-                om,
-                om_dot,
-                (-pm + turbine_forcing(om) - k_i * th) / tau_t,
-                p_b,
-                (-xc + gain * om) / tau_i,
-            )
-
-    elif isinstance(ctrl, Droop):
-        a_b = ctrl.alpha_b
-
-        def deriv(p_l, th, om, pm, eb, xc):
-            p_b = -a_b * om
-            return om, (pm - p_l - a_l * om + p_b) / two_h, (-pm + turbine_forcing(om) - k_i * th) / tau_t, p_b, 0.0
-
-    elif isinstance(ctrl, NoStorage):
-
-        def deriv(p_l, th, om, pm, eb, xc):
-            return om, (pm - p_l - a_l * om) / two_h, (-pm + turbine_forcing(om) - k_i * th) / tau_t, 0.0, 0.0
-
-    else:
-        raise TypeError(f"unsupported controller type: {type(ctrl).__name__}")
+    def deriv(p_l, th, om, pm, xc):
+        s = xc - nu * om
+        om_dot = (pm - p_l - a_l * om + s) / m
+        phi = deadband_response(om, w_db, a_g) if w_db else neg_a_g * om
+        return om_dot, (phi - pm - k_i * th) / tau_t, s - m_v * om_dot, (gain * om - xc) / tau_i
 
     return deriv
 
@@ -276,45 +233,37 @@ def simulate(scenario: Scenario) -> Trajectory:
     for k in range(n):
         t = k * dt
         p_l = d_p if t >= t_on else 0.0
-        dth1, dom1, dpm1, deb1, dxc1 = deriv(p_l, th, om, pm, eb, xc)
+        dom1, dpm1, pb1, dxc1 = deriv(p_l, th, om, pm, xc)
         theta[k] = th
         omega[k] = om
         p_m[k] = pm
         e_b[k] = eb
         x_c[k] = xc
-        p_b[k] = deb1
+        p_b[k] = pb1
         omega_dot[k] = dom1
 
-        dth2, dom2, dpm2, deb2, dxc2 = deriv(
-            p_l, th + half * dth1, om + half * dom1, pm + half * dpm1,
-            eb + half * deb1, xc + half * dxc1,
-        )
-        dth3, dom3, dpm3, deb3, dxc3 = deriv(
-            p_l, th + half * dth2, om + half * dom2, pm + half * dpm2,
-            eb + half * deb2, xc + half * dxc2,
-        )
-        dth4, dom4, dpm4, deb4, dxc4 = deriv(
-            p_l, th + dt * dth3, om + dt * dom3, pm + dt * dpm3,
-            eb + dt * deb3, xc + dt * dxc3,
-        )
-        th += sixth * (dth1 + 2.0 * (dth2 + dth3) + dth4)
+        om2 = om + half * dom1
+        dom2, dpm2, pb2, dxc2 = deriv(p_l, th + half * om, om2, pm + half * dpm1, xc + half * dxc1)
+        om3 = om + half * dom2
+        dom3, dpm3, pb3, dxc3 = deriv(p_l, th + half * om2, om3, pm + half * dpm2, xc + half * dxc2)
+        om4 = om + dt * dom3
+        dom4, dpm4, pb4, dxc4 = deriv(p_l, th + dt * om3, om4, pm + dt * dpm3, xc + dt * dxc3)
+        th += sixth * (om + 2.0 * (om2 + om3) + om4)
         om += sixth * (dom1 + 2.0 * (dom2 + dom3) + dom4)
         pm += sixth * (dpm1 + 2.0 * (dpm2 + dpm3) + dpm4)
-        eb += sixth * (deb1 + 2.0 * (deb2 + deb3) + deb4)
+        eb += sixth * (pb1 + 2.0 * (pb2 + pb3) + pb4)
         xc += sixth * (dxc1 + 2.0 * (dxc2 + dxc3) + dxc4)
 
         if not (-_DIVERGENCE_LIMIT < om < _DIVERGENCE_LIMIT):
             raise IntegrationError(last_valid_time=t)
 
-    dth_f, dom_f, dpm_f, deb_f, dxc_f = deriv(
-        d_p if n * dt >= t_on else 0.0, th, om, pm, eb, xc
-    )
+    dom_f, _, pb_f, _ = deriv(d_p if n * dt >= t_on else 0.0, th, om, pm, xc)
     theta[n] = th
     omega[n] = om
     p_m[n] = pm
     e_b[n] = eb
     x_c[n] = xc
-    p_b[n] = deb_f
+    p_b[n] = pb_f
     omega_dot[n] = dom_f
 
     return Trajectory(

@@ -15,7 +15,7 @@ timescales, ~seconds versus ~minutes).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Callable, Iterable, Optional, Sequence, TextIO
 
 from .controllers import Droop, IDroop, VirtualInertia
@@ -42,7 +42,9 @@ __all__ = [
 # default at 1/10 the cost.
 ENERGY_RUN_DT = 1e-2
 ENERGY_RUN_HORIZON = 1200.0
-TRANSIENT_RUN_HORIZON = 30.0
+# Transient runs (sweeps, figures, the power half of capacity curves): 30 s
+# resolves the nadir and the turbine response with the secondary frozen.
+TRANSIENT_OPTIONS = SimOptions(dt=1e-3, horizon=30.0, freeze_secondary=True)
 
 
 @dataclass(frozen=True)
@@ -79,7 +81,7 @@ class SweepPoint:
 def _with_value(scenario: Scenario, parameter: str, value: float) -> Scenario:
     section, _, field_name = parameter.partition(".")
     target = getattr(scenario, section)
-    if not hasattr(target, field_name):
+    if field_name not in {f.name for f in fields(target)}:
         raise ValueError(f"{type(target).__name__} has no field {field_name!r}")
     return replace(scenario, **{section: replace(target, **{field_name: value})})
 
@@ -160,7 +162,6 @@ def capacity_curve(
     strategy: str,
     delta_omega_grid: Sequence[float],
     delta_p: float,
-    transient_dt: float = 1e-3,
 ) -> list[CapacityPoint]:
     """Power and energy requirements versus the deviation cap |delta_omega| [pu].
 
@@ -198,7 +199,7 @@ def capacity_curve(
             grid=params,
             controller=controller,
             disturbance=disturbance,
-            sim=SimOptions(dt=transient_dt, horizon=TRANSIENT_RUN_HORIZON, freeze_secondary=True),
+            sim=TRANSIENT_OPTIONS,
         )
         energy_run = Scenario(
             grid=params,

@@ -2,10 +2,11 @@
 
 Covers:
  - simulate on the bundled scenarios: outputs, metrics content, overrides
- - exit code 2 for usage/parse problems, 3 for numerical failure
+ - exit code 2 for usage/parse problems and for overrides or sweep values the
+   value types reject (including nan/inf), 3 for numerical failure
  - tune report values for the worked 0.2 Hz example and the clamped case
  - figure datasets: fig3 content and byte-identical reruns
- - one standard sweep end to end
+ - one standard sweep end to end, and fig9 built from the same sweep
 """
 
 from pathlib import Path
@@ -118,6 +119,27 @@ def test_simulate_numerical_failure(tmp_path, capsys):
     assert "diverged" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--dt", "-1"],
+        ["--dt", "100"],
+        ["--horizon", "0"],
+        ["--horizon", "inf"],
+        ["--inertia-h", "-1"],
+        ["--inertia-h", "nan"],
+        ["--deadband-mhz", "-5"],
+        ["--step-pu", "nan"],
+    ],
+)
+def test_simulate_rejected_override_is_usage_error(tmp_path, capsys, flags):
+    """An override the value types reject is a usage error, not a crash or a divergence."""
+    argv = ["simulate", str(SCENARIO_DIR / "gb-idroop.scn"), "--out", str(tmp_path / "o.csv")]
+    assert main(argv + flags) == 2
+    assert "error:" in capsys.readouterr().err
+    assert not (tmp_path / "o.csv").exists()
+
+
 # -------------------------------------------------------------------- tune
 
 
@@ -184,11 +206,25 @@ def test_figure_unknown_id(tmp_path, capsys):
 
 
 def test_sweep_tau_t(tmp_path):
+    """The tau-t sweep, and fig9 built from the same sweep: |nadir| per row."""
     rc = main(["sweep", "tau-t", "--out-dir", str(tmp_path)])
     assert rc == 0
     lines = (tmp_path / "tau_t.csv").read_text().splitlines()
     assert lines[0].startswith("tau_t,nadir_deviation,")
     assert len(lines) == 1 + 56  # 0.25 .. 3.0 step 0.05
+    assert main(["figure", "fig9", "--out-dir", str(tmp_path)]) == 0
+    fig9 = (tmp_path / "fig9.csv").read_text().splitlines()
+    assert fig9[0] == "tau_t,max_deviation_pu"
+    assert len(fig9) == len(lines)
+    for sweep_row, fig_row in zip(lines[1:], fig9[1:]):
+        tau_t, nadir = sweep_row.split(",")[:2]
+        assert fig_row == f"{tau_t},{abs(float(nadir)):.12g}"
+
+
+@pytest.mark.parametrize("flags", [["mv", "--alpha-b", "-1"], ["mv", "--alpha-b", "nan"], ["tau-t", "--step-gw", "inf"]])
+def test_sweep_rejected_value_is_usage_error(tmp_path, capsys, flags):
+    assert main(["sweep"] + flags + ["--out-dir", str(tmp_path)]) == 2
+    assert "error:" in capsys.readouterr().err
 
 
 def test_sweep_unknown_kind():

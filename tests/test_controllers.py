@@ -3,7 +3,8 @@
 Covers:
  - transfer-function spot values (DC gains, the droop constant, the lag pole)
  - the nadir-elimination tuning of the lag droop
- - state-space realizations and their equilibria
+ - the coefficients (m_v, nu, g, tau_i) each law gives the generic realization,
+   and the realization's equilibria
  - DC-gain consistency between the realization and the transfer function
  - frequency-response consistency at three frequencies per law (<= 1%)
  - the lag state's exponential decay toward (nu - alpha_b) * omega
@@ -19,8 +20,16 @@ from gridfreq import Droop, IDroop, NoStorage, VirtualInertia, gb_reference_para
 GB = gb_reference_params()
 
 
+def _realized(ctrl, x_c, omega, omega_dot):
+    """``(x_c_dot, p_b)`` of the generic law realized from ``ctrl.realization``:
+    tau_i dx_c/dt = g omega - x_c, p_b = x_c - nu omega - m_v domega/dt.
+    """
+    m_v, nu, g, tau_i = ctrl.realization
+    return (g * omega - x_c) / tau_i, x_c - nu * omega - m_v * omega_dot
+
+
 def _integrate_lag(ctrl, omega_of_t, omega_dot_of_t, t_end, dt):
-    """RK4 on the controller's internal state driven by a given omega(t).
+    """RK4 on the realization's internal state driven by a given omega(t).
 
     Returns (times, x_c series, p_b series); independent of the plant
     simulator, so controller tests stand on their own.
@@ -33,14 +42,14 @@ def _integrate_lag(ctrl, omega_of_t, omega_dot_of_t, t_end, dt):
     for k in range(n):
         tk = t[k]
         xs[k] = x
-        ps[k] = ctrl.dynamics(x, omega_of_t(tk), omega_dot_of_t(tk))[1]
-        k1 = ctrl.dynamics(x, omega_of_t(tk), omega_dot_of_t(tk))[0]
-        k2 = ctrl.dynamics(x + dt / 2 * k1, omega_of_t(tk + dt / 2), omega_dot_of_t(tk + dt / 2))[0]
-        k3 = ctrl.dynamics(x + dt / 2 * k2, omega_of_t(tk + dt / 2), omega_dot_of_t(tk + dt / 2))[0]
-        k4 = ctrl.dynamics(x + dt * k3, omega_of_t(tk + dt), omega_dot_of_t(tk + dt))[0]
+        ps[k] = _realized(ctrl, x, omega_of_t(tk), omega_dot_of_t(tk))[1]
+        k1 = _realized(ctrl, x, omega_of_t(tk), omega_dot_of_t(tk))[0]
+        k2 = _realized(ctrl, x + dt / 2 * k1, omega_of_t(tk + dt / 2), omega_dot_of_t(tk + dt / 2))[0]
+        k3 = _realized(ctrl, x + dt / 2 * k2, omega_of_t(tk + dt / 2), omega_dot_of_t(tk + dt / 2))[0]
+        k4 = _realized(ctrl, x + dt * k3, omega_of_t(tk + dt), omega_dot_of_t(tk + dt))[0]
         x += dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
     xs[n] = x
-    ps[n] = ctrl.dynamics(x, omega_of_t(t[n]), omega_dot_of_t(t[n]))[1]
+    ps[n] = _realized(ctrl, x, omega_of_t(t[n]), omega_dot_of_t(t[n]))[1]
     return t, xs, ps
 
 
@@ -97,17 +106,21 @@ def test_parameter_validation():
         IDroop(nu=15.0, tau_i=1.0, alpha_b=-2.0)
 
 
-# ---------------------------------------------------------------- dynamics
+# ---------------------------------------------------------------- realization
 
 
-def test_dynamics_spot_values():
-    assert NoStorage().dynamics(0.0, -0.01, 0.5) == (0.0, 0.0)
-    x_dot, p_b = Droop(alpha_b=2.0).dynamics(0.0, -0.003, 0.123)
+def test_realization_spot_values():
+    assert NoStorage().realization == (0.0, 0.0, 0.0, 1.0)
+    assert Droop(alpha_b=2.0).realization == (0.0, 2.0, 0.0, 1.0)
+    assert VirtualInertia(m_v=10.0, alpha_b=2.0).realization == (10.0, 2.0, 0.0, 1.0)
+    assert IDroop(nu=16.875, tau_i=0.7, alpha_b=1.875).realization == (0.0, 16.875, 15.0, 0.7)
+    assert _realized(NoStorage(), 0.0, -0.01, 0.5) == (0.0, 0.0)
+    x_dot, p_b = _realized(Droop(alpha_b=2.0), 0.0, -0.003, 0.123)
     assert x_dot == 0.0
     assert p_b == pytest.approx(0.006, rel=1e-15)
-    x_dot, p_b = VirtualInertia(m_v=10.0, alpha_b=2.0).dynamics(0.0, -0.003, -0.01)
+    x_dot, p_b = _realized(VirtualInertia(m_v=10.0, alpha_b=2.0), 0.0, -0.003, -0.01)
     assert p_b == pytest.approx(10.0 * 0.01 + 2.0 * 0.003, rel=1e-15)
-    assert IDroop(nu=15.0, tau_i=1.0).dynamics(0.0, 0.0, 0.0) == (0.0, 0.0)
+    assert _realized(IDroop(nu=15.0, tau_i=1.0), 0.0, 0.0, 0.0) == (0.0, 0.0)
 
 
 def test_idroop_equilibrium_output():
@@ -115,7 +128,7 @@ def test_idroop_equilibrium_output():
     c = IDroop(nu=16.875, tau_i=1.0, alpha_b=1.875)
     omega = -0.0021
     x_star = (c.nu - c.alpha_b) * omega
-    x_dot, p_b = c.dynamics(x_star, omega, 0.0)
+    x_dot, p_b = _realized(c, x_star, omega, 0.0)
     assert x_dot == pytest.approx(0.0, abs=1e-18)
     assert p_b == pytest.approx(-c.alpha_b * omega, rel=1e-12)
 

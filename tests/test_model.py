@@ -5,6 +5,7 @@ Covers:
  - GW -> pu disturbance conversion
  - pu <-> Hz round trips to machine precision
  - invariant enforcement (positivity/sign constraints raise ValueError)
+ - every numeric field of every value type rejects nan and +-inf
  - immutability of the value types
 """
 
@@ -15,10 +16,13 @@ import pytest
 
 from gridfreq import (
     Disturbance,
+    Droop,
     GridParams,
+    IDroop,
     SimOptions,
     SystemState,
     gb_reference_params,
+    VirtualInertia,
     hz_to_omega_pu,
     omega_pu_to_hz,
     pu_disturbance,
@@ -111,6 +115,28 @@ def test_sim_options_validation():
         SimOptions(settling_band=0.0)
     with pytest.raises(ValueError):
         SimOptions(settling_band=1.0)
+
+
+_VALID = {
+    GridParams: dataclasses.asdict(gb_reference_params()),
+    Disturbance: {"step_pu": 0.05, "step_time": 1.0},
+    SystemState: {},
+    SimOptions: {},
+    Droop: {"alpha_b": 1.0},
+    VirtualInertia: {"m_v": 10.0, "alpha_b": 1.0},
+    IDroop: {"nu": 16.0, "tau_i": 1.0, "alpha_b": 1.0},
+}
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+@pytest.mark.parametrize(
+    "cls, name",
+    [(cls, f.name) for cls in _VALID for f in dataclasses.fields(cls) if f.type in ("float", float)],
+)
+def test_non_finite_fields_rejected(cls, name, value):
+    cls(**_VALID[cls])  # the valid set itself is accepted
+    with pytest.raises(ValueError, match=name):
+        cls(**{**_VALID[cls], name: value})
 
 
 def test_value_types_frozen():

@@ -147,6 +147,15 @@ def test_domain_invariants_surface_with_line():
     err = _error_of("[grid]\ninertia_h = -1.0\n")
     assert err.line == 2
     assert "inertia_h" in str(err)
+    # non-finite values parse as floats but are rejected in every section
+    for text, line, name in (
+        ("[grid]\ninertia_h = nan\n", 2, "inertia_h"),
+        ("[controller]\ntype = droop\nalpha_b = inf\n", 2, "alpha_b"),
+        ("[disturbance]\nstep_gw = nan\n", 2, "step_pu"),
+        ("[sim]\nhorizon = inf\n", 2, "horizon"),
+    ):
+        err = _error_of(text)
+        assert err.line == line and name in str(err), text
 
 
 def test_unknown_controller_type():

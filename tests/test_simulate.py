@@ -11,7 +11,8 @@ Covers:
  - final values with and without secondary control
  - governor dead-band: branch values, deeper quasi-steady state, preserved
    monotonicity of the nadir-free tunings
- - divergence reporting, CSV layout, settling time
+ - divergence reporting, CSV layout (pre-step rows are unsigned zeros for
+   every law), settling time
 """
 
 import io
@@ -297,6 +298,27 @@ def test_trajectory_csv_layout():
     buf2 = io.StringIO()
     write_trajectory_csv(traj, buf2)
     assert buf2.getvalue() == buf.getvalue()
+
+
+@pytest.mark.parametrize(
+    "controller",
+    [NoStorage(), Droop(alpha_b=2.0), VirtualInertia(m_v=MV_MIN, alpha_b=2.0), IDroop.nadir_tuned(GB, 2.0)],
+    ids=["nostorage", "droop", "vi", "idroop"],
+)
+def test_pre_step_csv_rows_are_plain_zeros(controller):
+    """Every row before the step writes bare zeros: no law's p_b prints a signed -0."""
+    sc = Scenario(
+        grid=GB,
+        controller=controller,
+        disturbance=Disturbance(step_pu=DP, step_time=0.5),
+        sim=SimOptions(dt=1e-2, horizon=1.0, freeze_secondary=True),
+    )
+    buf = io.StringIO()
+    write_trajectory_csv(simulate(sc), buf)
+    rows = buf.getvalue().splitlines()[1:]
+    for k in range(50):
+        assert rows[k] == f"{k * 1e-2:.12g},0,0,0,0,0,0"
+    assert rows[51] != f"{51 * 1e-2:.12g},0,0,0,0,0,0"  # the step did act
 
 
 # ------------------------------------------------------------------ metrics

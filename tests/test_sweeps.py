@@ -1,7 +1,8 @@
 """Sweep engine and capacity curves.
 
 Covers:
- - sweep mechanics: ordering, retune rules, per-point failure capture
+ - sweep mechanics: ordering, retune rules, per-point failure capture,
+   rejection of swept names that are not dataclass fields
  - the saturation shape of the virtual-inertia sweep (steep below the
    boundary, flat above, ratio >= 100x)
  - turbine-time-constant robustness of the tuned lag droop (flat for
@@ -19,6 +20,7 @@ import pytest
 
 from gridfreq import (
     Disturbance,
+    Droop,
     IDroop,
     NoStorage,
     Scenario,
@@ -82,6 +84,11 @@ def test_sweep_rejects_bad_paths():
     spec = SweepSpec(base=_base(NoStorage()), parameter="controller.m_v", values=[1.0])
     with pytest.raises(ValueError):
         sweep(spec)  # NoStorage has no m_v field
+    # attributes that are not dataclass fields are not sweepable either
+    for controller, name in ((NoStorage(), "alpha_b"), (Droop(alpha_b=1.0), "realization")):
+        spec = SweepSpec(base=_base(controller), parameter=f"controller.{name}", values=[1.0])
+        with pytest.raises(ValueError, match="has no field"):
+            sweep(spec)
 
 
 def test_retune_rules():
