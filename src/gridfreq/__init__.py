@@ -49,7 +49,6 @@ from .sweeps import (
     idroop_nadir_retune,
     sweep,
     vi_min_retune,
-    write_capacity_csv,
     write_sweep_csv,
 )
 from .tuning import (
@@ -108,7 +107,6 @@ __all__ = [
     "idroop_nadir_retune",
     "sweep",
     "vi_min_retune",
-    "write_capacity_csv",
     "write_sweep_csv",
     "ViDesign",
     "ViNadirCheck",

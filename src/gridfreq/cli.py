@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -77,13 +77,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p_tune = sub.add_parser("tune", help="size the storage control for a deviation target")
     p_tune.add_argument("--target-hz", type=float, required=True, help="max steady-state deviation [Hz]")
     p_tune.add_argument("--delta-p-gw", type=float, default=1.8, help="design disturbance [GW]")
-    p_tune.add_argument("--base-gw", type=float, default=32.0, help="system power base [GW]")
-    p_tune.add_argument("--nominal-hz", type=float, default=60.0, help="nominal frequency [Hz]")
-    p_tune.add_argument("--inertia-h", type=float, default=2.19, help="inertia constant [s]")
-    p_tune.add_argument("--turbine-tau", type=float, default=1.0, help="turbine time constant [s]")
-    p_tune.add_argument("--alpha-l", type=float, default=1.0, help="load sensitivity [pu]")
-    p_tune.add_argument("--alpha-g", type=float, default=15.0, help="generator inverse droop [pu]")
-    p_tune.add_argument("--k-i", type=float, default=0.05, help="secondary gain [1/s]")
+    # grid flags store under the GridParams field they override; unset ones keep the GB reference value
+    p_tune.add_argument("--base-gw", dest="base_power", type=float, help="system power base [GW]")
+    p_tune.add_argument("--nominal-hz", dest="nominal_freq", type=float, help="nominal frequency [Hz]")
+    p_tune.add_argument("--inertia-h", type=float, help="inertia constant [s]")
+    p_tune.add_argument("--turbine-tau", type=float, help="turbine time constant [s]")
+    p_tune.add_argument("--alpha-l", dest="load_damping_alpha_l", type=float, help="load sensitivity [pu]")
+    p_tune.add_argument("--alpha-g", dest="gen_inv_droop_alpha_g", type=float, help="generator inverse droop [pu]")
+    p_tune.add_argument("--k-i", dest="secondary_gain_k_i", type=float, help="secondary gain [1/s]")
 
     p_sweep = sub.add_parser("sweep", help="run a standard parameter sweep, write CSV")
     p_sweep.add_argument("kind", choices=("mv", "alpha-b", "tau-t"))
@@ -166,24 +167,18 @@ def _cmd_tune(args: argparse.Namespace) -> int:
     if args.target_hz == 0:
         print("error: --target-hz must be nonzero", file=sys.stderr)
         return EXIT_USAGE
+    overrides = {
+        f.name: getattr(args, f.name) for f in fields(GridParams) if getattr(args, f.name, None) is not None
+    }
     try:
-        grid = gb_reference_params(
-            base_power=args.base_gw,
-            nominal_freq=args.nominal_hz,
-            inertia_h=args.inertia_h,
-            turbine_tau=args.turbine_tau,
-            load_damping_alpha_l=args.alpha_l,
-            gen_inv_droop_alpha_g=args.alpha_g,
-            secondary_gain_k_i=args.k_i,
-        )
+        grid = gb_reference_params(**overrides)
+        delta_p = Disturbance(step_pu=pu_disturbance(args.delta_p_gw, grid)).step_pu
+        target_pu = args.target_hz / grid.nominal_freq
+        alpha_b = design_droop_from_target(delta_p, target_pu, grid.gen_inv_droop_alpha_g)
+        tuned = IDroop.nadir_tuned(grid, alpha_b)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-
-    delta_p = pu_disturbance(args.delta_p_gw, grid)
-    target_pu = args.target_hz / grid.nominal_freq
-    alpha_b = design_droop_from_target(delta_p, target_pu, grid.gen_inv_droop_alpha_g)
-    tuned = IDroop.nadir_tuned(grid, alpha_b)
 
     print(f"design disturbance = {args.delta_p_gw:.12g} GW ({delta_p:.12g} pu)")
     print(f"target deviation = {args.target_hz:.12g} Hz ({target_pu:.12g} pu)")

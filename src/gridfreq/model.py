@@ -182,6 +182,11 @@ class SystemState:
         return cls()
 
 
+# Most samples one run may ask for: each of the eight per-sample float64
+# arrays of a trajectory then takes 80 MB, about 640 MB in all.
+MAX_SAMPLES = 10_000_000
+
+
 @dataclass(frozen=True)
 class SimOptions:
     """Integration and metric-extraction options.
@@ -207,6 +212,10 @@ class SimOptions:
         require_finite(self)
         if not 0 < self.dt <= self.horizon:
             raise ValueError(f"need 0 < dt <= horizon, got dt={self.dt}, horizon={self.horizon}")
+        if self.horizon / self.dt > MAX_SAMPLES:
+            raise ValueError(
+                f"need horizon/dt <= {MAX_SAMPLES} samples, got dt={self.dt}, horizon={self.horizon}"
+            )
         if not 0 < self.settling_band < 1:
             raise ValueError(f"settling_band must be in (0, 1), got {self.settling_band}")
 

@@ -21,45 +21,40 @@ Example (``#`` starts a comment, blank lines are ignored)::
     horizon = 30.0
     freeze_secondary = true
 
+The parameter dataclasses are the schema: the keys of ``[grid]``,
+``[disturbance]``, ``[sim]`` and of each controller type are the fields of
+:class:`GridParams`, :class:`Disturbance`, :class:`SimOptions` and the
+controller class, and a field whose default is a bool takes a boolean
+(``true``/``false``, ``yes``/``no``, ``1``/``0``).  ``step_gw`` is the one
+alias: it sets ``step_pu`` on the file's own ``base_power``.
+
 Every key is optional: omitted grid values fall back to the Great Britain
 reference set, the controller defaults to none, the disturbance to zero
 magnitude, and the simulation options to their defaults.  Unknown sections
 or keys, duplicate keys, and malformed values are rejected with a
-line-anchored diagnostic.  ``serialize_scenario`` writes the canonical form
+line-anchored diagnostic; a value the dataclass rejects is reported on the
+line of the offending key (a joint check, such as ``dt <= horizon``, on the
+section's first key line).  ``serialize_scenario`` writes the canonical form
 (pu magnitudes, full float precision) and round-trips through
 ``parse_scenario`` to an identical scenario.
 """
 
 from __future__ import annotations
 
-from dataclasses import replace
+from dataclasses import fields
 from pathlib import Path
-from typing import Union
+from typing import Callable, Optional, Union
 
-from .controllers import Droop, IDroop, NoStorage, StorageController, VirtualInertia
-from .model import Disturbance, Scenario, SimOptions, gb_reference_params
+from .controllers import Droop, IDroop, NoStorage, VirtualInertia
+from .model import Disturbance, GridParams, Scenario, SimOptions, gb_reference_params
 
 __all__ = ["ScenarioParseError", "parse_scenario", "load_scenario", "serialize_scenario"]
 
-_GRID_KEYS = (
-    "base_power",
-    "nominal_freq",
-    "inertia_h",
-    "turbine_tau",
-    "load_damping_alpha_l",
-    "gen_inv_droop_alpha_g",
-    "secondary_gain_k_i",
-    "deadband_omega_db",
-)
-_CONTROLLER_KEYS = {
-    "none": (),
-    "droop": ("alpha_b",),
-    "virtual_inertia": ("m_v", "alpha_b"),
-    "idroop": ("nu", "tau_i", "alpha_b"),
-}
-_DISTURBANCE_KEYS = ("step_pu", "step_gw", "step_time")
-_SIM_KEYS = ("dt", "horizon", "settling_band", "freeze_secondary")
+# The only place the controller type names appear.
+_CONTROLLERS = {"none": NoStorage, "droop": Droop, "virtual_inertia": VirtualInertia, "idroop": IDroop}
 _SECTIONS = ("grid", "controller", "disturbance", "sim")
+
+_Entries = dict[str, tuple[str, int]]  # key -> (raw value, line number)
 
 
 class ScenarioParseError(ValueError):
@@ -87,8 +82,8 @@ def _parse_bool(raw: str, source: str, line: int, key: str) -> bool:
     raise ScenarioParseError(source, line, f"value for {key!r} is not a boolean: {raw!r}")
 
 
-def _read_sections(text: str, source: str) -> dict[str, dict[str, tuple[str, int]]]:
-    sections: dict[str, dict[str, tuple[str, int]]] = {}
+def _read_sections(text: str, source: str) -> dict[str, _Entries]:
+    sections: dict[str, _Entries] = {}
     current: Union[str, None] = None
     for lineno, raw_line in enumerate(text.splitlines(), start=1):
         stripped = raw_line.split("#", 1)[0].strip()
@@ -120,94 +115,67 @@ def _read_sections(text: str, source: str) -> dict[str, dict[str, tuple[str, int
     return sections
 
 
-def _check_known(entries: dict, allowed, section: str, source: str) -> None:
-    for key, (_value, lineno) in entries.items():
-        if key not in allowed:
-            raise ScenarioParseError(
-                source, lineno, f"unknown key {key!r} in [{section}]; expected one of {sorted(allowed)}"
-            )
+def _build(
+    cls: type,
+    entries: _Entries,
+    section: str,
+    source: str,
+    make: Optional[Callable] = None,
+    fallback_line: int = 0,
+    prefix: str = "",
+    aliases: tuple[str, ...] = (),
+):
+    """Build dataclass ``cls`` (through ``make``, default ``cls``) from a section.
+
+    The section's keys are the fields of ``cls``; ``aliases`` names keys the
+    caller has already mapped onto a field.  A rejected value is reported on
+    the line of the key its message starts with, else on ``fallback_line``
+    or the section's first key line.
+    """
+    defaults = {f.name: f.default for f in fields(cls)}
+    for key, (_raw, lineno) in entries.items():
+        if key not in defaults:
+            expected = sorted([*defaults, *aliases])
+            raise ScenarioParseError(source, lineno, f"unknown key {key!r} in [{section}]; expected one of {expected}")
+    kwargs = {
+        key: (_parse_bool if isinstance(defaults[key], bool) else _parse_float)(raw, source, lineno, key)
+        for key, (raw, lineno) in entries.items()
+    }
+    try:
+        return (make or cls)(**kwargs)
+    except (TypeError, ValueError) as exc:
+        message = str(exc)
+        named = entries.get(message.split(" ", 1)[0])
+        lineno = named[1] if named else fallback_line or min(line for _, line in entries.values())
+        raise ScenarioParseError(source, lineno, prefix + message) from None
 
 
 def parse_scenario(text: str, source: str = "<string>") -> Scenario:
     """Parse scenario text; unspecified values take the reference defaults."""
     sections = _read_sections(text, source)
-
-    grid_entries = sections.get("grid", {})
-    _check_known(grid_entries, _GRID_KEYS, "grid", source)
-    grid = gb_reference_params()
-    overrides = {
-        key: _parse_float(raw, source, lineno, key)
-        for key, (raw, lineno) in grid_entries.items()
-    }
-    if overrides:
-        first_line = min(lineno for _, lineno in grid_entries.values())
-        try:
-            grid = replace(grid, **overrides)
-        except ValueError as exc:
-            raise ScenarioParseError(source, first_line, str(exc)) from None
+    grid = _build(GridParams, sections.get("grid", {}), "grid", source, make=gb_reference_params)
 
     ctrl_entries = dict(sections.get("controller", {}))
     ctrl_type_raw, ctrl_line = ctrl_entries.pop("type", ("none", 0))
-    ctrl_type = ctrl_type_raw.lower()
-    if ctrl_type not in _CONTROLLER_KEYS:
+    ctrl_cls = _CONTROLLERS.get(ctrl_type_raw.lower())
+    if ctrl_cls is None:
         raise ScenarioParseError(
-            source, ctrl_line, f"unknown controller type {ctrl_type_raw!r}; expected one of {sorted(_CONTROLLER_KEYS)}"
+            source, ctrl_line, f"unknown controller type {ctrl_type_raw!r}; expected one of {sorted(_CONTROLLERS)}"
         )
-    _check_known(ctrl_entries, _CONTROLLER_KEYS[ctrl_type], "controller", source)
-    ctrl_kwargs = {
-        key: _parse_float(raw, source, lineno, key)
-        for key, (raw, lineno) in ctrl_entries.items()
-    }
-    try:
-        controller: StorageController
-        if ctrl_type == "none":
-            controller = NoStorage()
-        elif ctrl_type == "droop":
-            controller = Droop(**ctrl_kwargs)
-        elif ctrl_type == "virtual_inertia":
-            controller = VirtualInertia(**ctrl_kwargs)
-        else:
-            controller = IDroop(**ctrl_kwargs)
-    except (TypeError, ValueError) as exc:
-        lineno = ctrl_line or (min(l for _, l in ctrl_entries.values()) if ctrl_entries else 0)
-        raise ScenarioParseError(source, lineno, f"bad controller: {exc}") from None
+    controller = _build(
+        ctrl_cls, ctrl_entries, "controller", source, fallback_line=ctrl_line, prefix="bad controller: "
+    )
 
-    dist_entries = sections.get("disturbance", {})
-    _check_known(dist_entries, _DISTURBANCE_KEYS, "disturbance", source)
-    if "step_pu" in dist_entries and "step_gw" in dist_entries:
-        _, lineno = dist_entries["step_gw"]
-        raise ScenarioParseError(source, lineno, "give step_pu or step_gw, not both")
-    step_pu = 0.0
-    if "step_pu" in dist_entries:
-        raw, lineno = dist_entries["step_pu"]
-        step_pu = _parse_float(raw, source, lineno, "step_pu")
-    elif "step_gw" in dist_entries:
-        raw, lineno = dist_entries["step_gw"]
+    dist_entries = dict(sections.get("disturbance", {}))
+    if "step_gw" in dist_entries:
+        raw, lineno = dist_entries.pop("step_gw")
+        if "step_pu" in dist_entries:
+            raise ScenarioParseError(source, lineno, "give step_pu or step_gw, not both")
         step_pu = _parse_float(raw, source, lineno, "step_gw") / grid.base_power
-    step_time = 0.0
-    if "step_time" in dist_entries:
-        raw, lineno = dist_entries["step_time"]
-        step_time = _parse_float(raw, source, lineno, "step_time")
-    try:
-        disturbance = Disturbance(step_pu=step_pu, step_time=step_time)
-    except ValueError as exc:
-        lineno = min(l for _, l in dist_entries.values())
-        raise ScenarioParseError(source, lineno, str(exc)) from None
+        dist_entries["step_pu"] = (repr(step_pu), lineno)
+    disturbance = _build(Disturbance, dist_entries, "disturbance", source, aliases=("step_gw",))
 
-    sim_entries = sections.get("sim", {})
-    _check_known(sim_entries, _SIM_KEYS, "sim", source)
-    sim_kwargs: dict[str, object] = {}
-    for key, (raw, lineno) in sim_entries.items():
-        if key == "freeze_secondary":
-            sim_kwargs[key] = _parse_bool(raw, source, lineno, key)
-        else:
-            sim_kwargs[key] = _parse_float(raw, source, lineno, key)
-    try:
-        sim = SimOptions(**sim_kwargs)
-    except ValueError as exc:
-        lineno = min(l for _, l in sim_entries.values())
-        raise ScenarioParseError(source, lineno, str(exc)) from None
-
+    sim = _build(SimOptions, sections.get("sim", {}), "sim", source)
     return Scenario(grid=grid, controller=controller, disturbance=disturbance, sim=sim)
 
 
@@ -217,44 +185,23 @@ def load_scenario(path: Union[str, Path]) -> Scenario:
     return parse_scenario(path.read_text(), source=str(path))
 
 
-def _controller_lines(controller: StorageController) -> list[str]:
-    if isinstance(controller, NoStorage):
-        return ["type = none"]
-    if isinstance(controller, Droop):
-        return ["type = droop", f"alpha_b = {controller.alpha_b!r}"]
-    if isinstance(controller, VirtualInertia):
-        return [
-            "type = virtual_inertia",
-            f"m_v = {controller.m_v!r}",
-            f"alpha_b = {controller.alpha_b!r}",
-        ]
-    if isinstance(controller, IDroop):
-        return [
-            "type = idroop",
-            f"nu = {controller.nu!r}",
-            f"tau_i = {controller.tau_i!r}",
-            f"alpha_b = {controller.alpha_b!r}",
-        ]
-    raise TypeError(f"unsupported controller type: {type(controller).__name__}")
-
-
 def serialize_scenario(scenario: Scenario) -> str:
     """Canonical text form; parses back to an identical scenario."""
-    g = scenario.grid
-    lines = ["[grid]"]
-    for key in _GRID_KEYS:
-        lines.append(f"{key} = {getattr(g, key)!r}")
-    lines.append("")
-    lines.append("[controller]")
-    lines.extend(_controller_lines(scenario.controller))
-    lines.append("")
-    lines.append("[disturbance]")
-    lines.append(f"step_pu = {scenario.disturbance.step_pu!r}")
-    lines.append(f"step_time = {scenario.disturbance.step_time!r}")
-    lines.append("")
-    lines.append("[sim]")
-    lines.append(f"dt = {scenario.sim.dt!r}")
-    lines.append(f"horizon = {scenario.sim.horizon!r}")
-    lines.append(f"settling_band = {scenario.sim.settling_band!r}")
-    lines.append(f"freeze_secondary = {str(scenario.sim.freeze_secondary).lower()}")
-    return "\n".join(lines) + "\n"
+    ctrl = scenario.controller
+    ctrl_type = next((name for name, cls in _CONTROLLERS.items() if isinstance(ctrl, cls)), None)
+    if ctrl_type is None:
+        raise TypeError(f"unsupported controller type: {type(ctrl).__name__}")
+    lines: list[str] = []
+    for section, obj, cls in (
+        ("grid", scenario.grid, GridParams),
+        ("controller", ctrl, _CONTROLLERS[ctrl_type]),
+        ("disturbance", scenario.disturbance, Disturbance),
+        ("sim", scenario.sim, SimOptions),
+    ):
+        lines += ["", f"[{section}]"]
+        if section == "controller":
+            lines.append(f"type = {ctrl_type}")
+        for f in fields(cls):
+            value = getattr(obj, f.name)
+            lines.append(f"{f.name} = {str(value).lower() if isinstance(value, bool) else repr(value)}")
+    return "\n".join(lines[1:]) + "\n"

@@ -38,7 +38,7 @@ disturbance reproduces the all-zero trajectory exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, TextIO
 
 import numpy as np
@@ -161,19 +161,7 @@ class Metrics:
     zero_disturbance: bool
 
 
-METRIC_FIELDS = (
-    "nadir_deviation",
-    "nadir_time",
-    "rocof_initial",
-    "rocof_max_abs",
-    "steady_state_deviation",
-    "settling_time",
-    "p_b_max_norm",
-    "p_b_max_abs_norm",
-    "e_b_max_norm",
-    "monotone",
-    "zero_disturbance",
-)
+METRIC_FIELDS = tuple(f.name for f in fields(Metrics))
 
 
 def _make_deriv(scenario: Scenario, k_i: float) -> Callable:

@@ -30,7 +30,6 @@ __all__ = [
     "sweep",
     "capacity_curve",
     "write_sweep_csv",
-    "write_capacity_csv",
     "vi_min_retune",
     "idroop_nadir_retune",
 ]
@@ -220,11 +219,3 @@ def capacity_curve(
         )
     return points
 
-
-def write_capacity_csv(points: Iterable[CapacityPoint], stream: TextIO) -> None:
-    stream.write("delta_omega_pu,alpha_b,p_b_max_norm,e_b_max_norm,feasible\n")
-    for pt in points:
-        stream.write(
-            f"{pt.delta_omega:.12g},{pt.alpha_b:.12g},{pt.p_b_max_norm:.12g},"
-            f"{pt.e_b_max_norm:.12g},{str(pt.feasible).lower()}\n"
-        )

@@ -143,6 +143,8 @@ def design_droop_from_target(
     """
     if delta_omega_target == 0:
         raise ValueError("delta_omega_target must be nonzero")
+    if not math.isfinite(delta_omega_target):
+        raise ValueError(f"delta_omega_target must be finite, got {delta_omega_target}")
     return max(0.0, abs(delta_p / delta_omega_target) - alpha_g)
 
 

@@ -4,7 +4,8 @@ Covers:
  - simulate on the bundled scenarios: outputs, metrics content, overrides
  - exit code 2 for usage/parse problems and for overrides or sweep values the
    value types reject (including nan/inf), 3 for numerical failure
- - tune report values for the worked 0.2 Hz example and the clamped case
+ - tune report values for the worked 0.2 Hz example and the clamped case,
+   and exit code 2 for a target or disturbance the design cannot use
  - figure datasets: fig3 content and byte-identical reruns
  - one standard sweep end to end, and fig9 built from the same sweep
 """
@@ -130,6 +131,7 @@ def test_simulate_numerical_failure(tmp_path, capsys):
         ["--inertia-h", "nan"],
         ["--deadband-mhz", "-5"],
         ["--step-pu", "nan"],
+        ["--horizon", "1e9"],
     ],
 )
 def test_simulate_rejected_override_is_usage_error(tmp_path, capsys, flags):
@@ -165,6 +167,23 @@ def test_tune_zero_target_is_usage_error(capsys):
     rc = main(["tune", "--target-hz", "0"])
     assert rc == 2
     assert "nonzero" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--target-hz", "nan"],
+        ["--target-hz", "inf"],
+        ["--target-hz", "0.2", "--delta-p-gw", "nan"],
+        ["--target-hz", "0.2", "--delta-p-gw", "inf"],
+        ["--target-hz", "1e-320"],  # finite, but the droop gain overflows
+    ],
+)
+def test_tune_rejected_value_is_usage_error(capsys, flags):
+    """A design input that is not finite, or yields a non-finite design, is a usage error."""
+    assert main(["tune"] + flags) == 2
+    captured = capsys.readouterr()
+    assert "error:" in captured.err and captured.out == ""
 
 
 # ------------------------------------------------------------------ figure

@@ -27,6 +27,7 @@ from gridfreq import (
     omega_pu_to_hz,
     pu_disturbance,
 )
+from gridfreq.model import MAX_SAMPLES
 
 
 def test_reference_parameter_set():
@@ -115,6 +116,12 @@ def test_sim_options_validation():
         SimOptions(settling_band=0.0)
     with pytest.raises(ValueError):
         SimOptions(settling_band=1.0)
+    # sample-count ceiling: only the check runs, nothing is allocated
+    assert SimOptions(dt=1e-3, horizon=MAX_SAMPLES * 1e-3).horizon == MAX_SAMPLES * 1e-3
+    with pytest.raises(ValueError, match="samples"):
+        SimOptions(dt=1e-3, horizon=MAX_SAMPLES * 1e-3 + 1e-3)
+    with pytest.raises(ValueError, match="samples"):
+        SimOptions(dt=1e-9, horizon=1e6)
 
 
 _VALID = {

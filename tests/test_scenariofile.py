@@ -5,8 +5,9 @@ Covers:
  - full parses for every controller type
  - GW -> pu conversion against the file's own power base
  - line-anchored rejection of unknown sections/keys, duplicates, bad
-   values, and domain-invariant violations
- - parse -> serialize -> parse identity, including the bundled files
+   values, and domain-invariant violations, each on the offending key's line
+ - parse -> serialize -> parse identity for every controller type and the
+   bundled files, and the canonical text of one bundled file
 """
 
 from pathlib import Path
@@ -17,8 +18,11 @@ from gridfreq import (
     Droop,
     IDroop,
     NoStorage,
+    Scenario,
     ScenarioParseError,
+    StorageController,
     VirtualInertia,
+    gb_reference_params,
     load_scenario,
     parse_scenario,
     serialize_scenario,
@@ -147,12 +151,17 @@ def test_domain_invariants_surface_with_line():
     err = _error_of("[grid]\ninertia_h = -1.0\n")
     assert err.line == 2
     assert "inertia_h" in str(err)
-    # non-finite values parse as floats but are rejected in every section
+    # non-finite values parse as floats but are rejected in every section,
+    # on the line of the key that holds them
     for text, line, name in (
         ("[grid]\ninertia_h = nan\n", 2, "inertia_h"),
-        ("[controller]\ntype = droop\nalpha_b = inf\n", 2, "alpha_b"),
+        ("[grid]\nbase_power = 32.0\ninertia_h = nan\n", 3, "inertia_h"),
+        ("[controller]\ntype = droop\nalpha_b = inf\n", 3, "alpha_b"),
         ("[disturbance]\nstep_gw = nan\n", 2, "step_pu"),
         ("[sim]\nhorizon = inf\n", 2, "horizon"),
+        ("[sim]\ndt = 0.001\nhorizon = inf\n", 3, "horizon"),
+        # joint checks name no single key and cite the section's first key line
+        ("[sim]\ndt = 1e-9\nhorizon = 1e6\n", 2, "samples"),
     ):
         err = _error_of(text)
         assert err.line == line and name in str(err), text
@@ -166,12 +175,20 @@ def test_unknown_controller_type():
 # -------------------------------------------------------------- round trip
 
 
-def test_round_trip_identity():
-    text = """
+@pytest.mark.parametrize(
+    "controller",
+    [
+        "type = none",
+        "type = droop\n    alpha_b = 2.5",
+        "type = virtual_inertia\n    m_v = 57.603866769659334\n    alpha_b = 0.0",
+        "type = idroop\n    nu = 16.875\n    tau_i = 1.0\n    alpha_b = 1.875",
+    ],
+    ids=["none", "droop", "virtual_inertia", "idroop"],
+)
+def test_round_trip_identity(controller):
+    text = f"""
     [controller]
-    type = virtual_inertia
-    m_v = 57.603866769659334
-    alpha_b = 0.0
+    {controller}
 
     [disturbance]
     step_gw = 1.8
@@ -192,3 +209,41 @@ def test_bundled_scenarios_round_trip(name):
     first = load_scenario(path)
     second = parse_scenario(serialize_scenario(first), source=name)
     assert first == second
+
+
+def test_serialize_rejects_unregistered_controller():
+    class Custom(StorageController):
+        alpha_b = 0.0
+
+    with pytest.raises(TypeError, match="unsupported controller type: Custom"):
+        serialize_scenario(Scenario(gb_reference_params(), Custom()))
+
+
+def test_bundled_scenario_canonical_text():
+    """The canonical form lists every field in dataclass order, in pu."""
+    assert serialize_scenario(load_scenario(SCENARIO_DIR / "gb-vi-deadband.scn")) == (
+        "[grid]\n"
+        "base_power = 32.0\n"
+        "nominal_freq = 60.0\n"
+        "inertia_h = 2.19\n"
+        "turbine_tau = 1.0\n"
+        "load_damping_alpha_l = 1.0\n"
+        "gen_inv_droop_alpha_g = 15.0\n"
+        "secondary_gain_k_i = 0.05\n"
+        "deadband_omega_db = 0.0006\n"
+        "\n"
+        "[controller]\n"
+        "type = virtual_inertia\n"
+        "m_v = 57.603866769659334\n"
+        "alpha_b = 0.0\n"
+        "\n"
+        "[disturbance]\n"
+        "step_pu = 0.05625\n"
+        "step_time = 0.0\n"
+        "\n"
+        "[sim]\n"
+        "dt = 0.001\n"
+        "horizon = 30.0\n"
+        "settling_band = 0.05\n"
+        "freeze_secondary = true\n"
+    )

@@ -173,6 +173,10 @@ def test_design_droop_from_target():
     assert design_droop_from_target(DP, DP / 15.0, 15.0) == pytest.approx(0.0, abs=1e-12)
     with pytest.raises(ValueError):
         design_droop_from_target(DP, 0.0, 15.0)
+    # a non-finite target is rejected, not clamped to alpha_b = 0
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            design_droop_from_target(DP, bad, 15.0)
 
 
 def test_mv_min_from_target():
