@@ -106,10 +106,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def _cmd_simulate(args: argparse.Namespace) -> int:
     try:
         scenario = load_scenario(args.scenario)
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ScenarioParseError as exc:
+    except (OSError, ScenarioParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
@@ -140,18 +137,22 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         return EXIT_USAGE
     scenario = Scenario(grid=grid, controller=scenario.controller, disturbance=disturbance, sim=sim)
 
+    out_path = Path(args.out)
+    metrics_path = Path(args.metrics_out) if args.metrics_out else out_path.with_suffix(".metrics.txt")
+    for path in (out_path, metrics_path):
+        if path.is_dir() or not path.parent.is_dir():
+            print(f"error: cannot write {str(path)!r}: not a file in an existing directory", file=sys.stderr)
+            return EXIT_USAGE
+
     try:
         traj = simulate(scenario)
     except IntegrationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 
-    out_path = Path(args.out)
     with out_path.open("w") as stream:
         write_trajectory_csv(traj, stream)
-    metrics = extract_metrics(traj)
-    summary = format_metrics(metrics, scenario.grid.nominal_freq)
-    metrics_path = Path(args.metrics_out) if args.metrics_out else out_path.with_suffix(".metrics.txt")
+    summary = format_metrics(extract_metrics(traj), scenario.grid.nominal_freq)
     metrics_path.write_text(summary)
     print(f"wrote {out_path}")
     print(f"wrote {metrics_path}")

@@ -201,12 +201,15 @@ class SimOptions:
                       about 5 of them
     settling_band     settling criterion, fraction of the final deviation
     freeze_secondary  run with the secondary gain forced to zero
+    exact             sample the linear loop exactly (matrix exponential)
+                      instead of stepping RK4; with a dead-band RK4 runs
     """
 
     dt: float = 1e-3
     horizon: float = 30.0
     settling_band: float = 0.05
     freeze_secondary: bool = False
+    exact: bool = False
 
     def __post_init__(self) -> None:
         require_finite(self)

@@ -29,7 +29,8 @@ controller class, and a field whose default is a bool takes a boolean
 alias: it sets ``step_pu`` on the file's own ``base_power``.
 
 Every key is optional: omitted grid values fall back to the Great Britain
-reference set, the controller defaults to none, the disturbance to zero
+reference set, the controller defaults to none (a ``[controller]`` section
+with keys needs its ``type`` line), the disturbance to zero
 magnitude, and the simulation options to their defaults.  Unknown sections
 or keys, duplicate keys, and malformed values are rejected with a
 line-anchored diagnostic; a value the dataclass rejects is reported on the
@@ -156,6 +157,12 @@ def parse_scenario(text: str, source: str = "<string>") -> Scenario:
     grid = _build(GridParams, sections.get("grid", {}), "grid", source, make=gb_reference_params)
 
     ctrl_entries = dict(sections.get("controller", {}))
+    if ctrl_entries and "type" not in ctrl_entries:
+        raise ScenarioParseError(
+            source,
+            min(line for _, line in ctrl_entries.values()),
+            f"[controller] has no 'type' line; expected type = one of {sorted(_CONTROLLERS)}",
+        )
     ctrl_type_raw, ctrl_line = ctrl_entries.pop("type", ("none", 0))
     ctrl_cls = _CONTROLLERS.get(ctrl_type_raw.lower())
     if ctrl_cls is None:
@@ -182,7 +189,13 @@ def parse_scenario(text: str, source: str = "<string>") -> Scenario:
 def load_scenario(path: Union[str, Path]) -> Scenario:
     """Read and parse a scenario file."""
     path = Path(path)
-    return parse_scenario(path.read_text(), source=str(path))
+    data = path.read_bytes()
+    try:
+        text = data.decode()
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise ScenarioParseError(str(path), line, f"not UTF-8 text: byte {data[exc.start]:#04x}") from None
+    return parse_scenario(text, source=str(path))
 
 
 def serialize_scenario(scenario: Scenario) -> str:

@@ -18,16 +18,17 @@ augmentation: m_v moves into the swing equation, and the recorded storage
 output is reconstructed from the algebraic omega_dot.  This is identical
 to the ideal law and avoids numerical differentiation.
 
-The integrator is explicit fourth-order Runge-Kutta with a fixed step
-(default 1 ms).  The smallest closed-loop time constant in the parameter
-ranges of interest is ~0.27 s, so the default step is far inside the
-accuracy and stability region, and a fixed grid keeps metric extraction and
-CSV output deterministic.  The dead-band function is continuous (only its
-slope jumps), so it is evaluated inside the RK stages without event
-detection.  The imbalance is held constant within each step at its
-step-start value, which integrates the piecewise-constant input exactly; a
-``step_time`` that is not a multiple of dt effectively snaps to the next
-sample instant.
+Two fixed-step paths sample the loop (default dt 1 ms).  RK4, the default:
+the smallest closed-loop time constant in the parameter ranges of interest
+is ~0.27 s, far inside its accuracy and stability region, and the
+continuous dead-band (only its slope jumps) is evaluated inside the RK
+stages without event detection.  ``SimOptions.exact`` without a dead-band:
+the loop is linear, dx/dt = A x over (theta, omega, p_m, e_b, x_c, p_L)
+with the held imbalance as a state (Van Loan, 1978), sampled exactly by
+powers of expm(A dt) (a scaled and squared Taylor series, Higham 2005).
+Both hold the imbalance at its step-start value within each step, exact
+for the piecewise-constant input; a ``step_time`` that is not a multiple of
+dt effectively snaps to the next sample instant.
 
 Samples record, per step k: time, state, the storage output p_b, and the
 algebraic omega_dot, both evaluated at the sample instant with the
@@ -67,6 +68,12 @@ _DIVERGENCE_LIMIT = 1e6
 MONOTONE_TOL = 1e-6
 
 TRAJECTORY_CSV_HEADER = "t,omega_pu,omega_hz,p_m_pu,p_b_pu,e_b_pu_s,theta_pu_s"
+_CSV_ROW = ",".join(["%.12g"] * 7) + "\n"
+# Rows formatted per write: few Python-level calls, little text in memory.
+_CSV_CHUNK = 1024
+
+# Samples per matrix product on the exact path, from Phi^j - I for j <= _BLOCK, Phi = expm(A dt).
+_BLOCK = 256
 
 
 class IntegrationError(RuntimeError):
@@ -192,11 +199,60 @@ def _make_deriv(scenario: Scenario, k_i: float) -> Callable:
     return deriv
 
 
-def simulate(scenario: Scenario) -> Trajectory:
-    """Integrate the closed loop over the scenario's horizon.
+def _linear_system(deriv: Callable) -> np.ndarray:
+    """A of dx/dt = A x, x = (theta, omega, p_m, e_b, x_c, p_L): the closure at unit states."""
+    a = np.zeros((6, 6))
+    for j, (th, om, pm, _eb, xc, p_l) in enumerate(np.eye(6)):
+        a[:5, j] = (om, *deriv(p_l, th, om, pm, xc))
+    return a
 
-    Raises :class:`IntegrationError` if any state stops being finite (only
-    reachable with a step size outside the RK4 stability region).
+
+def _expm1(m: np.ndarray) -> np.ndarray:
+    """exp(m) - I, never adding I, so a near-identity step keeps its digits: Taylor
+    series to order 18 of m / 2^s, ||m / 2^s|| < 1/2, squared s times as 2E + E^2."""
+    s = max(0, int(np.frexp(np.linalg.norm(m, 1))[1]) + 1)
+    eye = e = np.eye(len(m))
+    m = m / 2.0**s
+    for j in range(18, 1, -1):
+        e = eye + m @ e / j
+    e = m @ e
+    for _ in range(s):
+        e = 2.0 * e + e @ e
+    return e
+
+
+def _simulate_exact(scenario: Scenario, deriv: Callable, t: np.ndarray, dt: float) -> Trajectory:
+    """Sample the linear loop exactly, _BLOCK samples per matrix product."""
+    a = _linear_system(deriv)
+    powers = _expm1(a * dt)[None]
+    while len(powers) < _BLOCK:  # Phi^(i+j) - I = P_i + P_j + P_i P_j
+        powers = np.concatenate([powers, powers + powers[-1] + powers @ powers[-1]])
+    powers = powers[:, :5].reshape(-1, 6)  # state rows of Phi^1 - I, Phi^2 - I, ...
+    x = np.zeros((len(t), 5))  # p_L is not stored: 0 before k_on, d_p from then on
+    outputs = np.zeros((len(t), 2))  # p_b, omega_dot: rows 3 and 1 of A
+    d_p = scenario.disturbance.step_pu
+    k_on = int(np.searchsorted(t, scenario.disturbance.step_time))  # RK4's first sample with p_L on
+    if d_p and k_on < len(t):
+        x_k = np.array([0.0, 0.0, 0.0, 0.0, 0.0, d_p])  # the state rests at zero until k_on
+        for k in range(k_on, len(t) - 1, _BLOCK):
+            block = x[k + 1 : k + 1 + _BLOCK]
+            x_k[:5] = x[k]
+            np.dot(powers[: block.size], x_k, out=block.reshape(-1))
+            block += x[k]
+            diverged = ~(np.abs(block[:, 1]) < _DIVERGENCE_LIMIT)
+            if diverged.any():
+                raise IntegrationError(last_valid_time=(k + int(diverged.argmax())) * dt)
+        np.einsum("kj,ij->ki", x[k_on:], a[[3, 1], :5], out=outputs[k_on:])
+        outputs[k_on:] += d_p * a[[3, 1], 5]
+    return Trajectory(scenario, dt, t, *x.T, *outputs.T)
+
+
+def simulate(scenario: Scenario) -> Trajectory:
+    """Sample the closed loop over the scenario's horizon: exactly when
+    ``scenario.sim.exact`` is set and the grid has no dead-band, else by RK4.
+
+    Raises :class:`IntegrationError` if omega leaves the finite range (with
+    RK4, reachable with a step size outside its stability region).
     """
     opts = scenario.sim
     dt = opts.dt
@@ -205,6 +261,8 @@ def simulate(scenario: Scenario) -> Trajectory:
     deriv = _make_deriv(scenario, k_i)
 
     t_arr = np.arange(n + 1) * dt
+    if opts.exact and not scenario.grid.deadband_omega_db:
+        return _simulate_exact(scenario, deriv, t_arr, dt)
     theta = np.empty(n + 1)
     omega = np.empty(n + 1)
     p_m = np.empty(n + 1)
@@ -339,12 +397,11 @@ def write_trajectory_csv(traj: Trajectory, stream: TextIO) -> None:
     """Write the trajectory in the fixed CSV layout (one row per sample)."""
     f_nom = traj.scenario.grid.nominal_freq
     stream.write(TRAJECTORY_CSV_HEADER + "\n")
-    for k in range(traj.n_samples):
-        om = traj.omega[k]
-        stream.write(
-            f"{traj.t[k]:.12g},{om:.12g},{om * f_nom:.12g},{traj.p_m[k]:.12g},"
-            f"{traj.p_b[k]:.12g},{traj.e_b[k]:.12g},{traj.theta[k]:.12g}\n"
-        )
+    for k in range(0, traj.n_samples, _CSV_CHUNK):
+        rows = slice(k, k + _CSV_CHUNK)
+        om = traj.omega[rows]
+        cols = (traj.t[rows], om, om * f_nom, traj.p_m[rows], traj.p_b[rows], traj.e_b[rows], traj.theta[rows])
+        stream.write("".join(_CSV_ROW % row for row in zip(*(c.tolist() for c in cols))))
 
 
 def format_metrics(metrics: Metrics, nominal_freq: float) -> str:

@@ -45,6 +45,9 @@ __all__ = [
 # Equality checks against the nadir-elimination boundary use this absolute
 # tolerance, in pu units.
 BOUNDARY_TOL = 1e-9
+# A droop excess |delta_p/delta_omega| - alpha_g this many ulps of alpha_g or
+# less is rounding: the inputs and the division each round once.
+_ROUNDING_ULPS = 4
 
 
 class ViNadirCheck(NamedTuple):
@@ -139,13 +142,16 @@ def design_droop_from_target(
 ) -> float:
     """Inverse storage droop needed to cap the deviation: |delta_p/delta_omega| - alpha_g.
 
-    Clamped at zero when the generators alone meet the target.
+    Clamped at zero when the generators alone meet the target, including a
+    positive excess within rounding of alpha_g (a few ulps), so a target that
+    alpha_g meets exactly gives exactly 0.
     """
     if delta_omega_target == 0:
         raise ValueError("delta_omega_target must be nonzero")
     if not math.isfinite(delta_omega_target):
         raise ValueError(f"delta_omega_target must be finite, got {delta_omega_target}")
-    return max(0.0, abs(delta_p / delta_omega_target) - alpha_g)
+    excess = abs(delta_p / delta_omega_target) - alpha_g
+    return excess if excess > _ROUNDING_ULPS * math.ulp(alpha_g) else 0.0
 
 
 def mv_min_from_target(

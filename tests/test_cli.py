@@ -2,7 +2,8 @@
 
 Covers:
  - simulate on the bundled scenarios: outputs, metrics content, overrides
- - exit code 2 for usage/parse problems and for overrides or sweep values the
+ - exit code 2 for usage/parse problems (including an unreadable scenario
+   and a missing output directory) and for overrides or sweep values the
    value types reject (including nan/inf), 3 for numerical failure
  - tune report values for the worked 0.2 Hz example and the clamped case,
    and exit code 2 for a target or disturbance the design cannot use
@@ -92,6 +93,29 @@ def test_simulate_missing_file(tmp_path, capsys):
     rc = main(["simulate", str(tmp_path / "nope.scn"), "--out", str(tmp_path / "o.csv")])
     assert rc == 2
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind", ["directory", "not_utf8"])
+def test_simulate_unreadable_scenario_is_usage_error(tmp_path, capsys, kind):
+    """A directory or a non-UTF-8 file given as the scenario is a usage error, not a traceback."""
+    if kind == "directory":
+        scenario = SCENARIO_DIR
+    else:
+        scenario = tmp_path / "binary.scn"
+        scenario.write_bytes(b"[grid]\ninertia_h = 2.0\n\xff\xfe\x00\x81\n")
+    assert main(["simulate", str(scenario), "--out", str(tmp_path / "o.csv")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    if kind == "not_utf8":
+        assert "binary.scn:3" in err and "UTF-8" in err
+
+
+@pytest.mark.parametrize("out", ["nodir/x.csv", "."])
+def test_simulate_unwritable_out_is_usage_error(tmp_path, capsys, out):
+    """--out in a missing directory, or naming a directory, is refused before the run, not after it."""
+    assert main(["simulate", str(SCENARIO_DIR / "gb-idroop.scn"), "--out", str(tmp_path / out)]) == 2
+    assert "not a file in an existing directory" in capsys.readouterr().err
+    assert not (tmp_path / "nodir").exists()
 
 
 def test_simulate_parse_error_is_line_anchored(tmp_path, capsys):

@@ -61,6 +61,7 @@ def test_full_parse():
     horizon = 40.0
     settling_band = 0.02
     freeze_secondary = true
+    exact = yes
     """
     sc = parse_scenario(text)
     assert sc.grid.inertia_h == 4.06
@@ -69,7 +70,7 @@ def test_full_parse():
     assert sc.disturbance.step_pu == 0.05625
     assert sc.disturbance.step_time == 2.0
     assert sc.sim.dt == 0.002 and sc.sim.horizon == 40.0
-    assert sc.sim.settling_band == 0.02 and sc.sim.freeze_secondary
+    assert sc.sim.settling_band == 0.02 and sc.sim.freeze_secondary and sc.sim.exact
 
 
 @pytest.mark.parametrize(
@@ -172,6 +173,16 @@ def test_unknown_controller_type():
     assert "unknown controller type" in str(err)
 
 
+def test_controller_gains_without_type():
+    """Gains without a type line name the missing type and the registered types."""
+    err = _error_of("[controller]\n# droop gain\nalpha_b = 1.0\nnu = 2.0\n")
+    assert err.line == 3
+    assert "no 'type' line" in str(err)
+    assert "['droop', 'idroop', 'none', 'virtual_inertia']" in str(err)
+    # an empty section is still the no-storage default
+    assert isinstance(parse_scenario("[controller]\n").controller, NoStorage)
+
+
 # -------------------------------------------------------------- round trip
 
 
@@ -246,4 +257,5 @@ def test_bundled_scenario_canonical_text():
         "horizon = 30.0\n"
         "settling_band = 0.05\n"
         "freeze_secondary = true\n"
+        "exact = false\n"
     )

@@ -13,10 +13,14 @@ Covers:
    monotonicity of the nadir-free tunings
  - divergence reporting, CSV layout (pre-step rows are unsigned zeros for
    every law), settling time
+ - the exact (matrix-exponential) path: the oracle to 1e-9 pu, RK4 on the
+   1200 s capacity runs, independence of the step, RK4 unchanged with a
+   dead-band, zero disturbance, step snapping and divergence as in RK4
 """
 
 import io
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -40,11 +44,18 @@ from gridfreq import (
     write_trajectory_csv,
 )
 from gridfreq.simulate import TRAJECTORY_CSV_HEADER
+from gridfreq.tuning import mv_min_exact
 
 GB = gb_reference_params()
 DP = 0.05625
 MV_MIN = 57.603866769659334
 FROZEN = SimOptions(dt=1e-3, horizon=30.0, freeze_secondary=True)
+EXACT = replace(FROZEN, exact=True)
+
+
+def _both_paths(sim):
+    """``sim`` on RK4 and on the exact path."""
+    return replace(sim, exact=False), replace(sim, exact=True)
 
 
 def _scenario(controller, grid=GB, step=DP, sim=FROZEN):
@@ -69,12 +80,13 @@ def test_deadband_branch_values():
 
 
 def test_zero_disturbance_stays_exactly_zero():
-    traj = simulate(_scenario(NoStorage(), step=0.0, sim=SimOptions(horizon=5.0)))
-    for arr in (traj.theta, traj.omega, traj.p_m, traj.e_b, traj.x_c, traj.p_b, traj.omega_dot):
-        assert np.all(arr == 0.0)
-    m = extract_metrics(traj)
-    assert m.monotone and m.zero_disturbance
-    assert m.p_b_max_norm == 0.0 and m.e_b_max_norm == 0.0
+    for sim in _both_paths(SimOptions(horizon=5.0)):
+        traj = simulate(_scenario(NoStorage(), step=0.0, sim=sim))
+        for arr in (traj.theta, traj.omega, traj.p_m, traj.e_b, traj.x_c, traj.p_b, traj.omega_dot):
+            assert np.all(arr == 0.0)
+        m = extract_metrics(traj)
+        assert m.monotone and m.zero_disturbance
+        assert m.p_b_max_norm == 0.0 and m.e_b_max_norm == 0.0
 
 
 def test_pre_step_samples_are_zero():
@@ -158,6 +170,86 @@ def test_rk4_matches_oracle(controller):
     err = np.max(np.abs(traj.omega - ref))
     print(f"\n  {lti.label}: max |sim - oracle| = {err:.3e} pu")
     assert err <= 1e-6
+
+
+@pytest.mark.parametrize(
+    "controller",
+    [NoStorage(), Droop(alpha_b=1.875), VirtualInertia(m_v=100.0, alpha_b=5.0), VirtualInertia(m_v=MV_MIN, alpha_b=0.0)],
+    ids=["nostorage", "droop", "vi", "vi_boundary"],
+)
+def test_exact_matches_oracle(controller):
+    """The exact path samples the order <= 2 closed forms to <= 1e-9 pu."""
+    traj = simulate(_scenario(controller, sim=EXACT))
+    ref = step_response(closed_loop_tf(GB, controller), DP, traj.t)
+    err = np.max(np.abs(traj.omega - ref))
+    print(f"\n  exact path: max |sim - oracle| = {err:.3e} pu")
+    assert err <= 1e-9
+
+
+@pytest.mark.parametrize(
+    "controller",
+    [Droop(alpha_b=5.0), VirtualInertia(m_v=mv_min_exact(GB, 5.0), alpha_b=5.0), IDroop.nadir_tuned(GB, 5.0)],
+    ids=["droop", "vi_min", "idroop_tuned"],
+)
+def test_exact_matches_rk4_on_energy_runs(controller):
+    """1200 s at 10 ms with the secondary loop active: the capacity-curve energy run.
+
+    The differences are RK4's truncation error; at alpha_b = 15 the lag
+    droop's fast start moves its e_b by ~1.2e-8 s (normalized) at this step.
+    """
+    rk4, exact = (simulate(_scenario(controller, sim=sim)) for sim in _both_paths(SimOptions(dt=1e-2, horizon=1200.0)))
+    d_omega = np.max(np.abs(exact.omega - rk4.omega))
+    d_e_b = np.max(np.abs(exact.e_b - rk4.e_b)) / DP
+    print(f"\n  max |d omega| = {d_omega:.2e} pu, max |d e_b|/dp = {d_e_b:.2e} s")
+    assert d_omega <= 1e-9
+    assert d_e_b <= 1e-8
+
+
+def test_exact_does_not_depend_on_step():
+    """The exact path has no step error to shrink: 10 ms and 2 ms samples of the
+    1200 s energy runs agree to rounding, with no drift over 600 000 steps."""
+    for controller in (Droop(alpha_b=15.0), VirtualInertia(m_v=mv_min_exact(GB, 15.0), alpha_b=15.0), IDroop.nadir_tuned(GB, 15.0)):
+        coarse, fine = (
+            simulate(_scenario(controller, sim=SimOptions(dt=dt, horizon=1200.0, exact=True))) for dt in (1e-2, 2e-3)
+        )
+        d_e_b = np.max(np.abs(coarse.e_b - fine.e_b[::5])) / DP
+        print(f"\n  {type(controller).__name__}: max |d e_b|/dp = {d_e_b:.2e} s")
+        assert np.max(np.abs(coarse.omega - fine.omega[::5])) <= 1e-15
+        assert d_e_b <= 1e-11
+
+
+def test_exact_flag_runs_rk4_with_deadband():
+    """The dead-band makes the loop nonlinear; the flag then leaves RK4 in charge."""
+    grid_db = gb_reference_params(deadband_omega_db=0.0006)
+    rk4, exact = (simulate(_scenario(VirtualInertia(m_v=MV_MIN), grid=grid_db, sim=sim)) for sim in _both_paths(FROZEN))
+    for name in ("t", "theta", "omega", "p_m", "e_b", "x_c", "p_b", "omega_dot"):
+        assert np.array_equal(getattr(exact, name), getattr(rk4, name)), name
+
+
+def test_exact_off_grid_step_snaps_like_rk4():
+    """A step_time between samples acts from the next sample on both paths."""
+    sims = _both_paths(SimOptions(dt=1e-2, horizon=3.0, freeze_secondary=True))
+    rk4, exact = (
+        simulate(Scenario(GB, Droop(alpha_b=2.0), Disturbance(step_pu=DP, step_time=0.503), sim)) for sim in sims
+    )
+    for traj in (rk4, exact):
+        assert np.all(traj.omega[:52] == 0.0) and np.all(traj.p_b[:51] == 0.0)
+        assert traj.omega_dot[51] == pytest.approx(-DP / (2 * GB.inertia_h), rel=1e-12)
+        assert traj.omega[52] < 0.0
+    assert np.max(np.abs(exact.omega - rk4.omega)) <= 1e-9
+
+
+def test_exact_divergence_reports_last_valid_time():
+    """An unstable loop (secondary gain 50/s) fails on both paths, at nearly the same time."""
+    grid = gb_reference_params(secondary_gain_k_i=50.0)
+    times = []
+    for sim in _both_paths(SimOptions(dt=1e-3, horizon=60.0)):
+        with pytest.raises(IntegrationError) as excinfo:
+            simulate(_scenario(NoStorage(), grid=grid, sim=sim))
+        times.append(excinfo.value.last_valid_time)
+    print(f"\n  last valid time: RK4 {times[0]:.3f} s, exact {times[1]:.3f} s")
+    assert 0.0 < times[1] < 60.0
+    assert times[1] == pytest.approx(times[0], abs=0.01)
 
 
 # ----------------------------------------------------------- energy account
@@ -313,12 +405,13 @@ def test_pre_step_csv_rows_are_plain_zeros(controller):
         disturbance=Disturbance(step_pu=DP, step_time=0.5),
         sim=SimOptions(dt=1e-2, horizon=1.0, freeze_secondary=True),
     )
-    buf = io.StringIO()
-    write_trajectory_csv(simulate(sc), buf)
-    rows = buf.getvalue().splitlines()[1:]
-    for k in range(50):
-        assert rows[k] == f"{k * 1e-2:.12g},0,0,0,0,0,0"
-    assert rows[51] != f"{51 * 1e-2:.12g},0,0,0,0,0,0"  # the step did act
+    for sim in _both_paths(sc.sim):
+        buf = io.StringIO()
+        write_trajectory_csv(simulate(replace(sc, sim=sim)), buf)
+        rows = buf.getvalue().splitlines()[1:]
+        for k in range(50):
+            assert rows[k] == f"{k * 1e-2:.12g},0,0,0,0,0,0"
+        assert rows[51] != f"{51 * 1e-2:.12g},0,0,0,0,0,0"  # the step did act
 
 
 # ------------------------------------------------------------------ metrics

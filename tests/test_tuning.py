@@ -171,6 +171,11 @@ def test_design_droop_from_target():
     assert design_droop_from_target(DP, 0.5 / 60.0, 15.0) == 0.0
     # target exactly the generators-only deviation
     assert design_droop_from_target(DP, DP / 15.0, 15.0) == pytest.approx(0.0, abs=1e-12)
+    # fig8's loosest target: 0.05625 / 3.75e-3 rounds to one ulp above 15,
+    # which is rounding, not a droop gain; a slightly tighter target is one
+    assert abs(DP / 3.75e-3) - 15.0 > 0.0
+    assert design_droop_from_target(DP, 3.75e-3, 15.0) == 0.0
+    assert design_droop_from_target(DP, 3.75e-3 * (1.0 - 1e-12), 15.0) > 0.0
     with pytest.raises(ValueError):
         design_droop_from_target(DP, 0.0, 15.0)
     # a non-finite target is rejected, not clamped to alpha_b = 0
