@@ -201,8 +201,9 @@ class SimOptions:
                       about 5 of them
     settling_band     settling criterion, fraction of the final deviation
     freeze_secondary  run with the secondary gain forced to zero
-    exact             sample the linear loop exactly (matrix exponential)
-                      instead of stepping RK4; with a dead-band RK4 runs
+    exact             step the linear loop by expm(A dt), exact for the held
+                      imbalance, instead of RK4's step matrix; with a
+                      dead-band RK4 runs
     """
 
     dt: float = 1e-3

@@ -18,17 +18,22 @@ augmentation: m_v moves into the swing equation, and the recorded storage
 output is reconstructed from the algebraic omega_dot.  This is identical
 to the ideal law and avoids numerical differentiation.
 
-Two fixed-step paths sample the loop (default dt 1 ms).  RK4, the default:
-the smallest closed-loop time constant in the parameter ranges of interest
-is ~0.27 s, far inside its accuracy and stability region, and the
-continuous dead-band (only its slope jumps) is evaluated inside the RK
-stages without event detection.  ``SimOptions.exact`` without a dead-band:
-the loop is linear, dx/dt = A x over (theta, omega, p_m, e_b, x_c, p_L)
-with the held imbalance as a state (Van Loan, 1978), sampled exactly by
-powers of expm(A dt) (a scaled and squared Taylor series, Higham 2005).
-Both hold the imbalance at its step-start value within each step, exact
-for the piecewise-constant input; a ``step_time`` that is not a multiple of
-dt effectively snaps to the next sample instant.
+Two fixed-step methods sample the loop (default dt 1 ms): RK4, the
+default, and ``SimOptions.exact``.  Without a dead-band the loop is linear,
+dx/dt = A x over (theta, omega, p_m, e_b, x_c, p_L) with the held imbalance
+as a state (Van Loan, 1978), and either method is one fixed step matrix:
+x_{k+1} = Phi x_k with Phi = R(A dt), R(m) = I + m + m^2/2 + m^3/6 + m^4/24,
+for RK4, and Phi = expm(A dt) (a scaled and squared Taylor series, Higham
+2005) for ``exact``.  One sampler propagates both through powers of Phi, so
+RK4 keeps its truncation error and stability region at the cost of the
+exact path.  The smallest closed-loop time constant in the parameter ranges
+of interest is ~0.27 s, far inside RK4's accuracy and stability region.  A
+governor dead-band is the only nonlinearity; with one, RK4 steps the scalar
+loop, evaluating the continuous dead-band (only its slope jumps) inside the
+RK stages without event detection.  Every path holds the imbalance at its
+step-start value within each step, exact for the piecewise-constant input;
+a ``step_time`` that is not a multiple of dt effectively snaps to the next
+sample instant.
 
 Samples record, per step k: time, state, the storage output p_b, and the
 algebraic omega_dot, both evaluated at the sample instant with the
@@ -67,12 +72,15 @@ _DIVERGENCE_LIMIT = 1e6
 # within this bound.
 MONOTONE_TOL = 1e-6
 
+# Relative depth within which a sample counts as the nadir when timing it.
+_NADIR_RTOL = 1e-12
+
 TRAJECTORY_CSV_HEADER = "t,omega_pu,omega_hz,p_m_pu,p_b_pu,e_b_pu_s,theta_pu_s"
 _CSV_ROW = ",".join(["%.12g"] * 7) + "\n"
 # Rows formatted per write: few Python-level calls, little text in memory.
 _CSV_CHUNK = 1024
 
-# Samples per matrix product on the exact path, from Phi^j - I for j <= _BLOCK, Phi = expm(A dt).
+# Samples per matrix product on the linear path, from Phi^j - I for j <= _BLOCK.
 _BLOCK = 256
 
 
@@ -141,7 +149,8 @@ class Metrics:
     """Transient metrics and normalized storage capacity requirements.
 
     nadir_deviation         most negative omega [pu]
-    nadir_time              time of the deepest deviation [s]
+    nadir_time              first time omega is within 1e-12 (relative) of
+                            the deepest deviation [s]
     rocof_initial           omega_dot at the first post-disturbance sample [pu/s]
     rocof_max_abs           max |omega_dot| [pu/s]
     steady_state_deviation  omega at the end of the horizon [pu]
@@ -187,13 +196,12 @@ def _make_deriv(scenario: Scenario, k_i: float) -> Callable:
     tau_t = g.turbine_tau
     a_l = g.load_damping_alpha_l
     a_g = g.gen_inv_droop_alpha_g
-    neg_a_g = -a_g  # the linear governor path costs no call and no negation per stage
     w_db = g.deadband_omega_db
 
     def deriv(p_l, th, om, pm, xc):
         s = xc - nu * om
         om_dot = (pm - p_l - a_l * om + s) / m
-        phi = deadband_response(om, w_db, a_g) if w_db else neg_a_g * om
+        phi = deadband_response(om, w_db, a_g)
         return om_dot, (phi - pm - k_i * th) / tau_t, s - m_v * om_dot, (gain * om - xc) / tau_i
 
     return deriv
@@ -221,38 +229,52 @@ def _expm1(m: np.ndarray) -> np.ndarray:
     return e
 
 
-def _simulate_exact(scenario: Scenario, deriv: Callable, t: np.ndarray, dt: float) -> Trajectory:
-    """Sample the linear loop exactly, _BLOCK samples per matrix product."""
+def _rk4_step1(m: np.ndarray) -> np.ndarray:
+    """R(m) - I for RK4's step x <- R(A dt) x on a linear loop, R(m) = I + m + m^2/2 +
+    m^3/6 + m^4/24, in Horner form without adding I (digits kept as in :func:`_expm1`)."""
+    eye = np.eye(len(m))
+    return m @ (eye + m @ (eye / 2.0 + m @ (eye / 6.0 + m / 24.0)))
+
+
+def _simulate_linear(scenario: Scenario, deriv: Callable, t: np.ndarray, dt: float) -> Trajectory:
+    """Sample the linear loop through powers of its one-step matrix Phi, _BLOCK samples per
+    matrix product: Phi = expm(A dt) with ``exact``, else RK4's own step R(A dt)."""
     a = _linear_system(deriv)
-    powers = _expm1(a * dt)[None]
-    while len(powers) < _BLOCK:  # Phi^(i+j) - I = P_i + P_j + P_i P_j
-        powers = np.concatenate([powers, powers + powers[-1] + powers @ powers[-1]])
-    powers = powers[:, :5].reshape(-1, 6)  # state rows of Phi^1 - I, Phi^2 - I, ...
+    step1 = _expm1 if scenario.sim.exact else _rk4_step1
     x = np.zeros((len(t), 5))  # p_L is not stored: 0 before k_on, d_p from then on
     outputs = np.zeros((len(t), 2))  # p_b, omega_dot: rows 3 and 1 of A
     d_p = scenario.disturbance.step_pu
     k_on = int(np.searchsorted(t, scenario.disturbance.step_time))  # RK4's first sample with p_L on
     if d_p and k_on < len(t):
-        x_k = np.array([0.0, 0.0, 0.0, 0.0, 0.0, d_p])  # the state rests at zero until k_on
-        for k in range(k_on, len(t) - 1, _BLOCK):
-            block = x[k + 1 : k + 1 + _BLOCK]
-            x_k[:5] = x[k]
-            np.dot(powers[: block.size], x_k, out=block.reshape(-1))
-            block += x[k]
-            diverged = ~(np.abs(block[:, 1]) < _DIVERGENCE_LIMIT)
-            if diverged.any():
-                raise IntegrationError(last_valid_time=(k + int(diverged.argmax())) * dt)
+        # An unstable step overflows the high powers; the divergence check reports it.
+        with np.errstate(over="ignore", invalid="ignore"):
+            powers = step1(a * dt)[None]
+            while len(powers) < _BLOCK:  # Phi^(i+j) - I = P_i + P_j + P_i P_j
+                powers = np.concatenate([powers, powers + powers[-1] + powers @ powers[-1]])
+            powers = powers[:, :5].reshape(-1, 6)  # state rows of Phi^1 - I, Phi^2 - I, ...
+            x_k = np.array([0.0, 0.0, 0.0, 0.0, 0.0, d_p])  # the state rests at zero until k_on
+            for k in range(k_on, len(t) - 1, _BLOCK):
+                block = x[k + 1 : k + 1 + _BLOCK]
+                x_k[:5] = x[k]
+                np.dot(powers[: block.size], x_k, out=block.reshape(-1))
+                block += x[k]
+                diverged = ~(np.abs(block[:, 1]) < _DIVERGENCE_LIMIT)
+                if diverged.any():
+                    raise IntegrationError(last_valid_time=(k + int(diverged.argmax())) * dt)
         np.einsum("kj,ij->ki", x[k_on:], a[[3, 1], :5], out=outputs[k_on:])
         outputs[k_on:] += d_p * a[[3, 1], 5]
     return Trajectory(scenario, dt, t, *x.T, *outputs.T)
 
 
 def simulate(scenario: Scenario) -> Trajectory:
-    """Sample the closed loop over the scenario's horizon: exactly when
-    ``scenario.sim.exact`` is set and the grid has no dead-band, else by RK4.
+    """Sample the closed loop over the scenario's horizon by RK4, or exactly when
+    ``scenario.sim.exact`` is set.
 
-    Raises :class:`IntegrationError` if omega leaves the finite range (with
-    RK4, reachable with a step size outside its stability region).
+    Without a dead-band the loop is linear, and either method is one fixed
+    matrix per step, sampled through its powers; with one, RK4 steps the
+    scalar loop (whatever ``exact`` says).  Raises :class:`IntegrationError`
+    if omega leaves the finite range (with RK4, reachable with a step size
+    outside its stability region).
     """
     opts = scenario.sim
     dt = opts.dt
@@ -261,8 +283,8 @@ def simulate(scenario: Scenario) -> Trajectory:
     deriv = _make_deriv(scenario, k_i)
 
     t_arr = np.arange(n + 1) * dt
-    if opts.exact and not scenario.grid.deadband_omega_db:
-        return _simulate_exact(scenario, deriv, t_arr, dt)
+    if not scenario.grid.deadband_omega_db:
+        return _simulate_linear(scenario, deriv, t_arr, dt)
     theta = np.empty(n + 1)
     omega = np.empty(n + 1)
     p_m = np.empty(n + 1)
@@ -339,8 +361,11 @@ def extract_metrics(traj: Trajectory, monotone_tol: float = MONOTONE_TOL) -> Met
     d_p = traj.scenario.disturbance.step_pu
     t_on = traj.scenario.disturbance.step_time
 
-    k_nadir = int(np.argmin(omega))
-    nadir = float(omega[k_nadir])
+    # The first sample within the printed 12 digits of the minimum: on a plateau
+    # settled to rounding, argmin alone would pick a sample by last-bit noise.
+    k_min = int(np.argmin(omega))
+    nadir = float(omega[k_min])
+    k_nadir = int(np.argmax(omega[: k_min + 1] <= nadir + _NADIR_RTOL * abs(nadir)))
     final = float(omega[-1])
 
     k_on = int(np.searchsorted(traj.t, t_on, side="left"))

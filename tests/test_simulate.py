@@ -16,6 +16,9 @@ Covers:
  - the exact (matrix-exponential) path: the oracle to 1e-9 pu, RK4 on the
    1200 s capacity runs, independence of the step, RK4 unchanged with a
    dead-band, zero disturbance, step snapping and divergence as in RK4
+ - linear RK4 through powers of its step matrix: the scalar RK4 loop to
+   rounding, fourth order against the exact path, the scalar loop's
+   divergence times, and a nadir time that does not depend on the method
 """
 
 import io
@@ -43,7 +46,7 @@ from gridfreq import (
     steady_state_deviation,
     write_trajectory_csv,
 )
-from gridfreq.simulate import TRAJECTORY_CSV_HEADER
+from gridfreq.simulate import TRAJECTORY_CSV_HEADER, _make_deriv
 from gridfreq.tuning import mv_min_exact
 
 GB = gb_reference_params()
@@ -250,6 +253,104 @@ def test_exact_divergence_reports_last_valid_time():
     print(f"\n  last valid time: RK4 {times[0]:.3f} s, exact {times[1]:.3f} s")
     assert 0.0 < times[1] < 60.0
     assert times[1] == pytest.approx(times[0], abs=0.01)
+
+
+# --------------------------------------------------- linear RK4 (step matrix)
+
+
+def _scalar_rk4(sc):
+    """The scalar RK4 loop over the derivative closure: the reference for the
+    step-matrix path.  Returns the seven sampled arrays."""
+    dt, n = sc.sim.dt, int(round(sc.sim.horizon / sc.sim.dt))
+    deriv = _make_deriv(sc, 0.0 if sc.sim.freeze_secondary else sc.grid.secondary_gain_k_i)
+    d_p, t_on = sc.disturbance.step_pu, sc.disturbance.step_time
+    out = np.empty((n + 1, 7))
+    x = np.zeros(5)  # theta, omega, p_m, e_b, x_c
+
+    def f(p_l, x):
+        om_dot, pm_dot, p_b, xc_dot = deriv(p_l, x[0], x[1], x[2], x[4])
+        return np.array([x[1], om_dot, pm_dot, p_b, xc_dot])
+
+    for k in range(n + 1):
+        p_l = d_p if k * dt >= t_on else 0.0
+        k1 = f(p_l, x)
+        out[k] = (*x, k1[3], k1[1])
+        if k == n:
+            break
+        k2 = f(p_l, x + 0.5 * dt * k1)
+        k3 = f(p_l, x + 0.5 * dt * k2)
+        k4 = f(p_l, x + dt * k3)
+        x = x + dt / 6.0 * (k1 + 2.0 * (k2 + k3) + k4)
+    return out.T
+
+
+LINEAR_LAWS = [NoStorage(), Droop(alpha_b=5.0), VirtualInertia(m_v=20.0, alpha_b=2.0), IDroop(nu=10.0, tau_i=1.0, alpha_b=3.0)]
+LINEAR_IDS = ["nostorage", "droop", "vi", "idroop_off_tuned"]
+
+
+@pytest.mark.parametrize("dt", [0.05, 0.01])
+@pytest.mark.parametrize("controller", LINEAR_LAWS, ids=LINEAR_IDS)
+def test_linear_rk4_matches_scalar_loop(controller, dt):
+    """Without a dead-band RK4 runs as powers of its step matrix; the samples equal
+    the scalar loop's to rounding, secondary loop active."""
+    sc = _scenario(controller, sim=SimOptions(dt=dt, horizon=200.0))
+    traj = simulate(sc)
+    ref = _scalar_rk4(sc)
+    for name, col in zip(("theta", "omega", "p_m", "e_b", "x_c", "p_b", "omega_dot"), ref):
+        scale = np.max(np.abs(col))  # 0 for x_c of the laws without a lag
+        assert np.max(np.abs(getattr(traj, name) - col)) <= 1e-12 * scale, name
+
+
+@pytest.mark.parametrize("controller", LINEAR_LAWS, ids=LINEAR_IDS)
+def test_linear_rk4_is_fourth_order(controller):
+    """Halving dt shrinks RK4's distance to the exact samples ~16x: the default
+    path is still RK4, not the matrix exponential."""
+    errs = []
+    for dt in (0.05, 0.025):
+        rk4, exact = (simulate(_scenario(controller, sim=sim)) for sim in _both_paths(SimOptions(dt=dt, horizon=30.0, freeze_secondary=True)))
+        errs.append(np.max(np.abs(rk4.omega - exact.omega)))
+    print(f"\n  max |omega - exact|: {errs[0]:.2e} -> {errs[1]:.2e} pu")
+    assert 12.0 <= errs[0] / errs[1] <= 20.0
+
+
+@pytest.mark.parametrize(
+    "controller, dt, last_valid_time",
+    [
+        (IDroop.nadir_tuned(GB, 0.0), 2.0, 8.0),
+        (NoStorage(), 2.0, 24.0),
+        (VirtualInertia(m_v=0.0, alpha_b=5.0), 2.0, 18.0),
+        (Droop(alpha_b=10.0), 2.0, 14.0),
+        (IDroop.nadir_tuned(GB, 0.0), 1.0, 16.0),
+        (IDroop.nadir_tuned(GB, 0.0), 0.8, 76.0),
+        (Droop(alpha_b=10.0), 1.0, None),
+        (VirtualInertia(m_v=0.0, alpha_b=5.0), 1.0, None),
+        (NoStorage(), 1.0, None),
+    ],
+    ids=["idroop-2", "nostorage-2", "vi-2", "droop-2", "idroop-1", "idroop-0.8", "droop-1", "vi-1", "nostorage-1"],
+)
+def test_rk4_divergence_times(controller, dt, last_valid_time):
+    """Outside RK4's stability region the step matrix fails where the scalar loop
+    did (400 s, secondary frozen), and the overflow raises no numpy warning."""
+    sc = _scenario(controller, sim=SimOptions(dt=dt, horizon=400.0, freeze_secondary=True))
+    if last_valid_time is None:
+        assert np.all(np.isfinite(simulate(sc).omega))
+        return
+    with pytest.raises(IntegrationError) as excinfo:
+        simulate(sc)
+    assert excinfo.value.last_valid_time == last_valid_time
+
+
+def test_nadir_time_does_not_depend_on_method():
+    """Tuned lag droop settles to rounding; its nadir time is the first sample at the
+    printed minimum, the same on RK4 and on the exact path."""
+    for alpha_b in (0.0, 5.0, 15.0):
+        for tau_t in (0.5, 1.0, 2.0):
+            grid = gb_reference_params(turbine_tau=tau_t)
+            rk4, exact = (
+                extract_metrics(simulate(_scenario(IDroop.nadir_tuned(grid, alpha_b), grid=grid, sim=sim))).nadir_time
+                for sim in _both_paths(FROZEN)
+            )
+            assert rk4 == pytest.approx(exact, abs=0.01), (alpha_b, tau_t)
 
 
 # ----------------------------------------------------------- energy account
