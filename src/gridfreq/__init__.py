@@ -24,7 +24,6 @@ from .model import (
     GridParams,
     Scenario,
     SimOptions,
-    SystemState,
     gb_reference_params,
     hz_to_omega_pu,
     omega_pu_to_hz,
@@ -83,7 +82,6 @@ __all__ = [
     "GridParams",
     "Scenario",
     "SimOptions",
-    "SystemState",
     "gb_reference_params",
     "hz_to_omega_pu",
     "omega_pu_to_hz",

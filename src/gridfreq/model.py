@@ -1,4 +1,4 @@
-"""Single-area grid model: physical parameters, states, and scenarios.
+"""Single-area grid model: physical parameters, disturbances, and scenarios.
 
 The system is the aggregate (center-of-inertia) model of one synchronous
 area: an equivalent machine with first-order turbine dynamics, primary
@@ -30,7 +30,6 @@ if TYPE_CHECKING:  # avoids a runtime import cycle with controllers
 __all__ = [
     "GridParams",
     "Disturbance",
-    "SystemState",
     "SimOptions",
     "Scenario",
     "gb_reference_params",
@@ -156,32 +155,6 @@ class Disturbance:
             raise ValueError(f"step_time must be >= 0, got {self.step_time}")
 
 
-@dataclass(frozen=True)
-class SystemState:
-    """Closed-loop state vector.
-
-    theta  integral of omega [pu*s]
-    omega  frequency deviation [pu]
-    p_m    turbine power deviation [pu]
-    e_b    energy supplied by storage [pu*s]
-    x_c    internal controller state (lag-droop only; 0 otherwise)
-    """
-
-    theta: float = 0.0
-    omega: float = 0.0
-    p_m: float = 0.0
-    e_b: float = 0.0
-    x_c: float = 0.0
-
-    def __post_init__(self) -> None:
-        require_finite(self)
-
-    @classmethod
-    def zeros(cls) -> "SystemState":
-        """Pre-disturbance equilibrium."""
-        return cls()
-
-
 # Most samples one run may ask for: each of the eight per-sample float64
 # arrays of a trajectory then takes 80 MB, about 640 MB in all.
 MAX_SAMPLES = 10_000_000
@@ -203,7 +176,8 @@ class SimOptions:
     freeze_secondary  run with the secondary gain forced to zero
     exact             step the linear loop by expm(A dt), exact for the held
                       imbalance, instead of RK4's step matrix; with a
-                      dead-band RK4 runs
+                      dead-band RK4 runs, piecewise-affine, region by
+                      region, with one RK4 step over A at each band crossing
     """
 
     dt: float = 1e-3

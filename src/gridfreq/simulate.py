@@ -19,21 +19,30 @@ output is reconstructed from the algebraic omega_dot.  This is identical
 to the ideal law and avoids numerical differentiation.
 
 Two fixed-step methods sample the loop (default dt 1 ms): RK4, the
-default, and ``SimOptions.exact``.  Without a dead-band the loop is linear,
-dx/dt = A x over (theta, omega, p_m, e_b, x_c, p_L) with the held imbalance
-as a state (Van Loan, 1978), and either method is one fixed step matrix:
-x_{k+1} = Phi x_k with Phi = R(A dt), R(m) = I + m + m^2/2 + m^3/6 + m^4/24,
-for RK4, and Phi = expm(A dt) (a scaled and squared Taylor series, Higham
-2005) for ``exact``.  One sampler propagates both through powers of Phi, so
-RK4 keeps its truncation error and stability region at the cost of the
-exact path.  The smallest closed-loop time constant in the parameter ranges
-of interest is ~0.27 s, far inside RK4's accuracy and stability region.  A
-governor dead-band is the only nonlinearity; with one, RK4 steps the scalar
-loop, evaluating the continuous dead-band (only its slope jumps) inside the
-RK stages without event detection.  Every path holds the imbalance at its
-step-start value within each step, exact for the piecewise-constant input;
-a ``step_time`` that is not a multiple of dt effectively snaps to the next
-sample instant.
+default, and ``SimOptions.exact``.  Over x = (theta, omega, p_m, e_b, x_c,
+p_L), with the held imbalance as a state (Van Loan, 1978), the loop without
+a dead-band is linear, dx/dt = A x, and either method is one fixed step
+matrix: x_{k+1} = Phi x_k with Phi = R(A dt), R(m) = I + m + m^2/2 + m^3/6
++ m^4/24, for RK4, and Phi = expm(A dt) (a scaled and squared Taylor
+series, Higham 2005) for ``exact``.  One sampler propagates both through
+powers of Phi, so RK4 keeps its truncation error and stability region at
+the cost of the exact path.  The smallest closed-loop time constant in the
+parameter ranges of interest is ~0.27 s, far inside RK4's accuracy and
+stability region.
+
+A governor dead-band is the only nonlinearity, and it is continuous and
+piecewise linear: phi = -alpha_g omega + alpha_g clip(omega, -omega_db,
+omega_db).  Below, inside and above the band the loop is affine, with its
+own matrix M_r, and an RK4 step whose four stage omegas stay in one region
+is x <- R(M_r dt) x.  So with a dead-band RK4 runs piecewise-affine, region
+by region through the powers of each region's step matrix, and at each band
+crossing, a step whose stages leave the region, takes one RK4 step over A
+plus the dead-band's correction, without event detection.  ``exact`` has
+no such form and then leaves RK4 in charge.
+
+Every path holds the imbalance at its step-start value within each step,
+exact for the piecewise-constant input; a ``step_time`` that is not a
+multiple of dt effectively snaps to the next sample instant.
 
 Samples record, per step k: time, state, the storage output p_b, and the
 algebraic omega_dot, both evaluated at the sample instant with the
@@ -49,7 +58,7 @@ from typing import Callable, TextIO
 
 import numpy as np
 
-from .model import Scenario, SystemState
+from .model import GridParams, Scenario
 
 __all__ = [
     "IntegrationError",
@@ -80,7 +89,7 @@ _CSV_ROW = ",".join(["%.12g"] * 7) + "\n"
 # Rows formatted per write: few Python-level calls, little text in memory.
 _CSV_CHUNK = 1024
 
-# Samples per matrix product on the linear path, from Phi^j - I for j <= _BLOCK.
+# Samples per matrix product, from Phi^j - I for j <= _BLOCK.
 _BLOCK = 256
 
 
@@ -134,15 +143,6 @@ class Trajectory:
     def n_samples(self) -> int:
         return len(self.t)
 
-    def state_at(self, k: int) -> SystemState:
-        return SystemState(
-            theta=float(self.theta[k]),
-            omega=float(self.omega[k]),
-            p_m=float(self.p_m[k]),
-            e_b=float(self.e_b[k]),
-            x_c=float(self.x_c[k]),
-        )
-
 
 @dataclass(frozen=True)
 class Metrics:
@@ -180,39 +180,17 @@ class Metrics:
 METRIC_FIELDS = tuple(f.name for f in fields(Metrics))
 
 
-def _make_deriv(scenario: Scenario, k_i: float) -> Callable:
-    """Build the stage-derivative closure of the generic law's realization.
-
-    The closure maps (p_l, theta, omega, p_m, x_c) to (d omega/dt,
-    d p_m/dt, p_b, d x_c/dt), where p_b = d(e_b)/dt; the main loop uses the
-    stage omega as d(theta)/dt and never feeds e_b back.  The
-    imbalance p_l is passed in per step: it is piecewise constant, so
-    holding the step-start value across all stages integrates it exactly
-    (the switch lands on a sample instant).
-    """
+def _assemble(scenario: Scenario, k_i: float) -> np.ndarray:
+    """A of dx/dt = A x, x = (theta, omega, p_m, e_b, x_c, p_L), with the governor on its
+    slope outside the dead-band, phi = -alpha_g omega: the module docstring's equations
+    evaluated at the unit states, the rows of I.  p_L is held, so its row is zero."""
     g = scenario.grid
     m_v, nu, gain, tau_i = scenario.controller.realization
-    m = 2.0 * g.inertia_h + m_v
-    tau_t = g.turbine_tau
-    a_l = g.load_damping_alpha_l
-    a_g = g.gen_inv_droop_alpha_g
-    w_db = g.deadband_omega_db
-
-    def deriv(p_l, th, om, pm, xc):
-        s = xc - nu * om
-        om_dot = (pm - p_l - a_l * om + s) / m
-        phi = deadband_response(om, w_db, a_g)
-        return om_dot, (phi - pm - k_i * th) / tau_t, s - m_v * om_dot, (gain * om - xc) / tau_i
-
-    return deriv
-
-
-def _linear_system(deriv: Callable) -> np.ndarray:
-    """A of dx/dt = A x, x = (theta, omega, p_m, e_b, x_c, p_L): the closure at unit states."""
-    a = np.zeros((6, 6))
-    for j, (th, om, pm, _eb, xc, p_l) in enumerate(np.eye(6)):
-        a[:5, j] = (om, *deriv(p_l, th, om, pm, xc))
-    return a
+    th, om, pm, _eb, xc, p_l = np.eye(6)
+    s = xc - nu * om
+    om_dot = (pm - p_l - g.load_damping_alpha_l * om + s) / (2.0 * g.inertia_h + m_v)
+    pm_dot = (-g.gen_inv_droop_alpha_g * om - pm - k_i * th) / g.turbine_tau
+    return np.array([om, om_dot, pm_dot, s - m_v * om_dot, (gain * om - xc) / tau_i, np.zeros(6)])
 
 
 def _expm1(m: np.ndarray) -> np.ndarray:
@@ -236,34 +214,35 @@ def _rk4_step1(m: np.ndarray) -> np.ndarray:
     return m @ (eye + m @ (eye / 2.0 + m @ (eye / 6.0 + m / 24.0)))
 
 
-def _simulate_linear(scenario: Scenario, deriv: Callable, t: np.ndarray, dt: float) -> Trajectory:
-    """Sample the linear loop through powers of its one-step matrix Phi, _BLOCK samples per
-    matrix product: Phi = expm(A dt) with ``exact``, else RK4's own step R(A dt)."""
-    a = _linear_system(deriv)
-    step1 = _expm1 if scenario.sim.exact else _rk4_step1
-    x = np.zeros((len(t), 5))  # p_L is not stored: 0 before k_on, d_p from then on
-    outputs = np.zeros((len(t), 2))  # p_b, omega_dot: rows 3 and 1 of A
-    d_p = scenario.disturbance.step_pu
-    k_on = int(np.searchsorted(t, scenario.disturbance.step_time))  # RK4's first sample with p_L on
-    if d_p and k_on < len(t):
-        # An unstable step overflows the high powers; the divergence check reports it.
-        with np.errstate(over="ignore", invalid="ignore"):
-            powers = step1(a * dt)[None]
-            while len(powers) < _BLOCK:  # Phi^(i+j) - I = P_i + P_j + P_i P_j
-                powers = np.concatenate([powers, powers + powers[-1] + powers @ powers[-1]])
-            powers = powers[:, :5].reshape(-1, 6)  # state rows of Phi^1 - I, Phi^2 - I, ...
-            x_k = np.array([0.0, 0.0, 0.0, 0.0, 0.0, d_p])  # the state rests at zero until k_on
-            for k in range(k_on, len(t) - 1, _BLOCK):
-                block = x[k + 1 : k + 1 + _BLOCK]
-                x_k[:5] = x[k]
-                np.dot(powers[: block.size], x_k, out=block.reshape(-1))
-                block += x[k]
-                diverged = ~(np.abs(block[:, 1]) < _DIVERGENCE_LIMIT)
-                if diverged.any():
-                    raise IntegrationError(last_valid_time=(k + int(diverged.argmax())) * dt)
-        np.einsum("kj,ij->ki", x[k_on:], a[[3, 1], :5], out=outputs[k_on:])
-        outputs[k_on:] += d_p * a[[3, 1], 5]
-    return Trajectory(scenario, dt, t, *x.T, *outputs.T)
+def _step_rows(m: np.ndarray, step1: Callable) -> tuple[np.ndarray, np.ndarray]:
+    """For the step matrix m = M dt of an affine loop: the state rows of Phi^j - I for
+    j = 1 .. _BLOCK, Phi = I + step1(m), and the rows giving the omegas of RK4's four
+    stages of one step from (x, p_L)."""
+    powers = step1(m)[None]
+    while len(powers) < _BLOCK:  # Phi^(i+j) - I = P_i + P_j + P_i P_j
+        powers = np.concatenate([powers, powers + powers[-1] + powers @ powers[-1]])
+    half = m / 2.0
+    third = half + half @ half  # stages: x, (I + m/2) x, (I + m/2 + m^2/4) x, (I + m + m^2/2 + m^3/4) x
+    stages = np.array([np.zeros(6), half[1], third[1], m[1] + m[1] @ third])
+    stages[:, 1] += 1.0
+    return powers[:, :5].reshape(-1, 6), stages
+
+
+def _crossing_step(a: np.ndarray, z: np.ndarray, dt: float, grid: GridParams) -> np.ndarray:
+    """One RK4 step of z = (x, p_L) over A with the governor's dead-band put back,
+    phi(omega) in place of A's -alpha_g omega: the step whose stages cross a band edge."""
+    a_g = grid.gen_inv_droop_alpha_g
+
+    def f(z):
+        dz = a @ z
+        dz[2] += (deadband_response(z[1], grid.deadband_omega_db, a_g) + a_g * z[1]) / grid.turbine_tau
+        return dz
+
+    k1 = f(z)
+    k2 = f(z + 0.5 * dt * k1)
+    k3 = f(z + 0.5 * dt * k2)
+    k4 = f(z + dt * k3)
+    return z + dt / 6.0 * (k1 + 2.0 * (k2 + k3) + k4)
 
 
 def simulate(scenario: Scenario) -> Trajectory:
@@ -271,81 +250,68 @@ def simulate(scenario: Scenario) -> Trajectory:
     ``scenario.sim.exact`` is set.
 
     Without a dead-band the loop is linear, and either method is one fixed
-    matrix per step, sampled through its powers; with one, RK4 steps the
-    scalar loop (whatever ``exact`` says).  Raises :class:`IntegrationError`
-    if omega leaves the finite range (with RK4, reachable with a step size
-    outside its stability region).
+    matrix per step, sampled through its powers.  With one, RK4 runs
+    piecewise-affine, region by region through the powers of each region's
+    step matrix, with one RK4 step over A at each band crossing (whatever
+    ``exact`` says).  Raises :class:`IntegrationError` if omega leaves the
+    finite range (with RK4, reachable with a step size outside its
+    stability region).
     """
-    opts = scenario.sim
+    opts, grid = scenario.sim, scenario.grid
     dt = opts.dt
     n = int(round(opts.horizon / dt))
-    k_i = 0.0 if opts.freeze_secondary else scenario.grid.secondary_gain_k_i
-    deriv = _make_deriv(scenario, k_i)
-
-    t_arr = np.arange(n + 1) * dt
-    if not scenario.grid.deadband_omega_db:
-        return _simulate_linear(scenario, deriv, t_arr, dt)
-    theta = np.empty(n + 1)
-    omega = np.empty(n + 1)
-    p_m = np.empty(n + 1)
-    e_b = np.empty(n + 1)
-    x_c = np.empty(n + 1)
-    p_b = np.empty(n + 1)
-    omega_dot = np.empty(n + 1)
-
+    t = np.arange(n + 1) * dt
+    a = _assemble(scenario, 0.0 if opts.freeze_secondary else grid.secondary_gain_k_i)
+    w_db = grid.deadband_omega_db
+    step1 = _expm1 if opts.exact and not w_db else _rk4_step1
+    x = np.zeros((n + 1, 5))  # p_L is not stored: 0 before k_on, d_p from then on
+    outputs = np.zeros((n + 1, 2))  # p_b, omega_dot: rows 3 and 1 of A, which the governor leaves alone
     d_p = scenario.disturbance.step_pu
-    t_on = scenario.disturbance.step_time
-    th = om = pm = eb = xc = 0.0
-    half = 0.5 * dt
-    sixth = dt / 6.0
-    for k in range(n):
-        t = k * dt
-        p_l = d_p if t >= t_on else 0.0
-        dom1, dpm1, pb1, dxc1 = deriv(p_l, th, om, pm, xc)
-        theta[k] = th
-        omega[k] = om
-        p_m[k] = pm
-        e_b[k] = eb
-        x_c[k] = xc
-        p_b[k] = pb1
-        omega_dot[k] = dom1
-
-        om2 = om + half * dom1
-        dom2, dpm2, pb2, dxc2 = deriv(p_l, th + half * om, om2, pm + half * dpm1, xc + half * dxc1)
-        om3 = om + half * dom2
-        dom3, dpm3, pb3, dxc3 = deriv(p_l, th + half * om2, om3, pm + half * dpm2, xc + half * dxc2)
-        om4 = om + dt * dom3
-        dom4, dpm4, pb4, dxc4 = deriv(p_l, th + dt * om3, om4, pm + dt * dpm3, xc + dt * dxc3)
-        th += sixth * (om + 2.0 * (om2 + om3) + om4)
-        om += sixth * (dom1 + 2.0 * (dom2 + dom3) + dom4)
-        pm += sixth * (dpm1 + 2.0 * (dpm2 + dpm3) + dpm4)
-        eb += sixth * (pb1 + 2.0 * (pb2 + pb3) + pb4)
-        xc += sixth * (dxc1 + 2.0 * (dxc2 + dxc3) + dxc4)
-
-        if not (-_DIVERGENCE_LIMIT < om < _DIVERGENCE_LIMIT):
-            raise IntegrationError(last_valid_time=t)
-
-    dom_f, _, pb_f, _ = deriv(d_p if n * dt >= t_on else 0.0, th, om, pm, xc)
-    theta[n] = th
-    omega[n] = om
-    p_m[n] = pm
-    e_b[n] = eb
-    x_c[n] = xc
-    p_b[n] = pb_f
-    omega_dot[n] = dom_f
-
-    return Trajectory(
-        scenario=scenario,
-        dt=dt,
-        t=t_arr,
-        theta=theta,
-        omega=omega,
-        p_m=p_m,
-        e_b=e_b,
-        x_c=x_c,
-        p_b=p_b,
-        omega_dot=omega_dot,
-    )
+    k_on = int(np.searchsorted(t, scenario.disturbance.step_time))  # RK4's first sample with p_L on
+    if d_p and k_on <= n:
+        # Region r is -1 below the band, 0 inside it, +1 above it (the one region without
+        # a band), closed at the edges since phi is continuous there.
+        bounds = {-1: (-np.inf, -w_db), 0: (-w_db, w_db), 1: (w_db, np.inf)}
+        regions = {}  # r -> _step_rows of region r, built on first entry
+        z = np.array([0.0, 0.0, 0.0, 0.0, 0.0, d_p])  # the state rests at zero until k_on
+        k = k_on
+        # An unstable step overflows, and a NaN stage reads as leaving the region; the
+        # divergence checks on the accepted samples and on the crossing step report both.
+        with np.errstate(over="ignore", invalid="ignore"):
+            while k < n:
+                r = int(x[k, 1] >= w_db) - int(x[k, 1] <= -w_db) if w_db else 1
+                if r not in regions:
+                    m = a.copy()
+                    if w_db and r:  # phi = -alpha_g (omega - r omega_db); the offset rides on p_L = d_p
+                        m[2, 5] += r * grid.gen_inv_droop_alpha_g * w_db / (grid.turbine_tau * d_p)
+                    elif w_db:  # inside the band the governor is idle
+                        m[2, 1] = 0.0
+                    regions[r] = _step_rows(m * dt, step1)
+                powers, stages = regions[r]
+                z[:5] = x[k]
+                block = x[k + 1 : k + 1 + _BLOCK]
+                np.dot(powers[: block.size], z, out=block.reshape(-1))
+                block += x[k]
+                j = len(block)
+                if w_db:  # keep the samples up to the first step whose stages leave the region
+                    lo, hi = bounds[r]
+                    stage_om = x[k : k + j] @ stages[:, :5].T + d_p * stages[:, 5]
+                    left = ~((lo <= stage_om.min(axis=1)) & (stage_om.max(axis=1) <= hi))
+                    if left.any():
+                        j = int(left.argmax())
+                diverged = ~(np.abs(block[:, 1]) < _DIVERGENCE_LIMIT)
+                if diverged.any() and diverged.argmax() < j:
+                    raise IntegrationError(last_valid_time=(k + int(diverged.argmax())) * dt)
+                k += j
+                if j < len(block):
+                    z[:5] = x[k]
+                    x[k + 1] = _crossing_step(a, z, dt, grid)[:5]
+                    if not abs(x[k + 1, 1]) < _DIVERGENCE_LIMIT:
+                        raise IntegrationError(last_valid_time=k * dt)
+                    k += 1
+        np.einsum("kj,ij->ki", x[k_on:], a[[3, 1], :5], out=outputs[k_on:])
+        outputs[k_on:] += d_p * a[[3, 1], 5]
+    return Trajectory(scenario, dt, t, *x.T, *outputs.T)
 
 
 def extract_metrics(traj: Trajectory, monotone_tol: float = MONOTONE_TOL) -> Metrics:

@@ -19,6 +19,10 @@ Covers:
  - linear RK4 through powers of its step matrix: the scalar RK4 loop to
    rounding, fourth order against the exact path, the scalar loop's
    divergence times, and a nadir time that does not depend on the method
+ - dead-band RK4 region by region: the rows that read RK4's stage omegas,
+   the scalar RK4 loop to rounding over every law, both step signs, an
+   off-grid step, the secondary loop and 18 band crossings, and the scalar
+   loop's divergence times
 """
 
 import io
@@ -46,7 +50,7 @@ from gridfreq import (
     steady_state_deviation,
     write_trajectory_csv,
 )
-from gridfreq.simulate import TRAJECTORY_CSV_HEADER, _make_deriv
+from gridfreq.simulate import TRAJECTORY_CSV_HEADER, _rk4_step1, _step_rows
 from gridfreq.tuning import mv_min_exact
 
 GB = gb_reference_params()
@@ -259,17 +263,23 @@ def test_exact_divergence_reports_last_valid_time():
 
 
 def _scalar_rk4(sc):
-    """The scalar RK4 loop over the derivative closure: the reference for the
-    step-matrix path.  Returns the seven sampled arrays."""
+    """RK4 over the module docstring's equations, one scalar step at a time, with the
+    governor through ``deadband_response``: the reference for the sampled paths,
+    independent of the simulator's matrices.  Returns the seven sampled arrays."""
+    g = sc.grid
+    m_v, nu, gain, tau_i = sc.controller.realization
+    k_i = 0.0 if sc.sim.freeze_secondary else g.secondary_gain_k_i
     dt, n = sc.sim.dt, int(round(sc.sim.horizon / sc.sim.dt))
-    deriv = _make_deriv(sc, 0.0 if sc.sim.freeze_secondary else sc.grid.secondary_gain_k_i)
     d_p, t_on = sc.disturbance.step_pu, sc.disturbance.step_time
     out = np.empty((n + 1, 7))
     x = np.zeros(5)  # theta, omega, p_m, e_b, x_c
 
     def f(p_l, x):
-        om_dot, pm_dot, p_b, xc_dot = deriv(p_l, x[0], x[1], x[2], x[4])
-        return np.array([x[1], om_dot, pm_dot, p_b, xc_dot])
+        th, om, pm, _eb, xc = x
+        p_s = xc - nu * om  # p_b without the inertia term
+        om_dot = (pm - p_l - g.load_damping_alpha_l * om + p_s) / (2.0 * g.inertia_h + m_v)
+        phi = deadband_response(om, g.deadband_omega_db, g.gen_inv_droop_alpha_g)
+        return np.array([om, om_dot, (phi - pm - k_i * th) / g.turbine_tau, p_s - m_v * om_dot, (gain * om - xc) / tau_i])
 
     for k in range(n + 1):
         p_l = d_p if k * dt >= t_on else 0.0
@@ -284,6 +294,14 @@ def _scalar_rk4(sc):
     return out.T
 
 
+def _assert_matches_scalar_loop(sc):
+    """All seven arrays within 1e-12 of each column's maximum."""
+    traj = simulate(sc)
+    for name, col in zip(("theta", "omega", "p_m", "e_b", "x_c", "p_b", "omega_dot"), _scalar_rk4(sc)):
+        scale = np.max(np.abs(col))  # 0 for x_c of the laws without a lag
+        assert np.max(np.abs(getattr(traj, name) - col)) <= 1e-12 * scale, name
+
+
 LINEAR_LAWS = [NoStorage(), Droop(alpha_b=5.0), VirtualInertia(m_v=20.0, alpha_b=2.0), IDroop(nu=10.0, tau_i=1.0, alpha_b=3.0)]
 LINEAR_IDS = ["nostorage", "droop", "vi", "idroop_off_tuned"]
 
@@ -293,12 +311,7 @@ LINEAR_IDS = ["nostorage", "droop", "vi", "idroop_off_tuned"]
 def test_linear_rk4_matches_scalar_loop(controller, dt):
     """Without a dead-band RK4 runs as powers of its step matrix; the samples equal
     the scalar loop's to rounding, secondary loop active."""
-    sc = _scenario(controller, sim=SimOptions(dt=dt, horizon=200.0))
-    traj = simulate(sc)
-    ref = _scalar_rk4(sc)
-    for name, col in zip(("theta", "omega", "p_m", "e_b", "x_c", "p_b", "omega_dot"), ref):
-        scale = np.max(np.abs(col))  # 0 for x_c of the laws without a lag
-        assert np.max(np.abs(getattr(traj, name) - col)) <= 1e-12 * scale, name
+    _assert_matches_scalar_loop(_scenario(controller, sim=SimOptions(dt=dt, horizon=200.0)))
 
 
 @pytest.mark.parametrize("controller", LINEAR_LAWS, ids=LINEAR_IDS)
@@ -351,6 +364,91 @@ def test_nadir_time_does_not_depend_on_method():
                 for sim in _both_paths(FROZEN)
             )
             assert rk4 == pytest.approx(exact, abs=0.01), (alpha_b, tau_t)
+
+
+# ------------------------------------------- dead-band RK4 (region by region)
+
+GB_DB = gb_reference_params(deadband_omega_db=0.0006)  # +-36 mHz on 60 Hz
+DEADBAND_LAWS = [
+    NoStorage(),
+    Droop(alpha_b=5.0),
+    VirtualInertia(m_v=MV_MIN, alpha_b=0.0),
+    IDroop.nadir_tuned(GB, 0.0),
+    IDroop(nu=10.0, tau_i=1.0, alpha_b=3.0),
+]
+DEADBAND_CASES = {
+    "frozen": (DP, 0.0, SimOptions(dt=1e-3, horizon=30.0, freeze_secondary=True)),
+    "negative": (-DP, 0.0, SimOptions(dt=1e-3, horizon=30.0, freeze_secondary=True)),
+    "off_grid_step": (DP, 0.503, SimOptions(dt=1e-2, horizon=30.0, freeze_secondary=True)),
+    "secondary": (DP, 0.0, SimOptions(dt=1e-2, horizon=600.0)),
+}
+
+
+def test_stage_rows_give_rk4_stage_omegas():
+    """The rows that screen a step's region read the omegas of RK4's four stages,
+    each stage taken here as RK4 takes it, from the previous one.  A band crossing
+    rarely tells the stages apart: the last one goes furthest."""
+    rng = np.random.RandomState(2027)
+    m = 0.3 * rng.normal(size=(6, 6))  # M dt
+    m[5] = 0.0  # the held imbalance
+    z = rng.normal(size=6)
+    stage = [z]
+    for h in (0.5, 0.5, 1.0):
+        stage.append(z + h * (m @ stage[-1]))
+    _, rows = _step_rows(m, _rk4_step1)
+    np.testing.assert_allclose(rows[:, :5] @ z[:5] + rows[:, 5] * z[5], [s[1] for s in stage], rtol=1e-14)
+
+
+@pytest.mark.parametrize("case", DEADBAND_CASES)
+@pytest.mark.parametrize("controller", DEADBAND_LAWS, ids=["nostorage", "droop", "vi", "idroop", "idroop_off_tuned"])
+def test_deadband_rk4_matches_scalar_loop(controller, case):
+    """With a dead-band RK4 runs region by region through each region's step matrix,
+    with one scalar RK4 step at each band crossing; the samples equal the scalar
+    loop's to rounding."""
+    step, step_time, sim = DEADBAND_CASES[case]
+    _assert_matches_scalar_loop(Scenario(GB_DB, controller, Disturbance(step_pu=step, step_time=step_time), sim))
+
+
+def test_deadband_rk4_matches_scalar_loop_on_oscillation():
+    """A fast secondary loop (k_i = 2/s) against plain droop swings omega across the
+    band's edges 18 times in 60 s; the samples still equal the scalar loop's."""
+    grid = gb_reference_params(deadband_omega_db=0.0006, secondary_gain_k_i=2.0)
+    sc = _scenario(Droop(alpha_b=0.0), grid=grid, sim=SimOptions(dt=1e-3, horizon=60.0))
+    omega = simulate(sc).omega
+    region = (omega >= 0.0006).astype(int) - (omega <= -0.0006)
+    assert np.count_nonzero(np.diff(region)) == 18
+    _assert_matches_scalar_loop(sc)
+
+
+@pytest.mark.parametrize(
+    "controller, dt, last_valid_time",
+    [
+        (IDroop.nadir_tuned(GB, 0.0), 2.0, 8.0),
+        (NoStorage(), 2.0, 24.0),
+        (VirtualInertia(m_v=0.0, alpha_b=5.0), 2.0, 18.0),
+        (Droop(alpha_b=10.0), 2.0, 14.0),
+        (IDroop.nadir_tuned(GB, 0.0), 1.0, 16.0),
+        (IDroop.nadir_tuned(GB, 0.0), 0.8, 72.8),
+    ],
+    ids=["idroop-2", "nostorage-2", "vi-2", "droop-2", "idroop-1", "idroop-0.8"],
+)
+def test_deadband_rk4_divergence_times(controller, dt, last_valid_time):
+    """With a dead-band too, an unstable step raises where the scalar loop did
+    (400 s, secondary frozen), and the overflow raises no numpy warning."""
+    sc = _scenario(controller, grid=GB_DB, sim=SimOptions(dt=dt, horizon=400.0, freeze_secondary=True))
+    with pytest.raises(IntegrationError) as excinfo:
+        simulate(sc)
+    assert excinfo.value.last_valid_time == last_valid_time
+
+
+def test_deadband_unstable_loop_reports_last_valid_time():
+    """An unstable loop (secondary gain 50/s) swings through the band with a growing
+    amplitude and leaves the finite range inside one region, not on a crossing
+    step; it raises where the scalar loop did."""
+    grid = gb_reference_params(deadband_omega_db=0.0006, secondary_gain_k_i=50.0)
+    with pytest.raises(IntegrationError) as excinfo:
+        simulate(_scenario(NoStorage(), grid=grid, sim=SimOptions(dt=1e-3, horizon=60.0)))
+    assert excinfo.value.last_valid_time == 44.312
 
 
 # ----------------------------------------------------------- energy account
@@ -553,8 +651,6 @@ def test_slow_recovery_is_not_monotone():
 
 def test_state_accessors():
     traj = simulate(_scenario(IDroop.nadir_tuned(GB, 0.0), sim=SimOptions(dt=1e-3, horizon=1.0, freeze_secondary=True)))
-    s0 = traj.state_at(0)
-    assert (s0.theta, s0.omega, s0.p_m, s0.e_b, s0.x_c) == (0.0, 0.0, 0.0, 0.0, 0.0)
     assert traj.n_samples == 1001
     # non-lag laws carry no internal state
     plain = simulate(_scenario(Droop(alpha_b=1.0), sim=SimOptions(dt=1e-2, horizon=1.0, freeze_secondary=True)))
