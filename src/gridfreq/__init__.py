@@ -24,6 +24,7 @@ from .model import (
     GridParams,
     Scenario,
     SimOptions,
+    SystemState,
     gb_reference_params,
     hz_to_omega_pu,
     omega_pu_to_hz,
@@ -82,6 +83,7 @@ __all__ = [
     "GridParams",
     "Scenario",
     "SimOptions",
+    "SystemState",
     "gb_reference_params",
     "hz_to_omega_pu",
     "omega_pu_to_hz",

@@ -1,4 +1,4 @@
-"""Single-area grid model: physical parameters, disturbances, and scenarios.
+"""Single-area grid model: physical parameters, states, and scenarios.
 
 The system is the aggregate (center-of-inertia) model of one synchronous
 area: an equivalent machine with first-order turbine dynamics, primary
@@ -30,6 +30,7 @@ if TYPE_CHECKING:  # avoids a runtime import cycle with controllers
 __all__ = [
     "GridParams",
     "Disturbance",
+    "SystemState",
     "SimOptions",
     "Scenario",
     "gb_reference_params",
@@ -153,6 +154,32 @@ class Disturbance:
         require_finite(self)
         if self.step_time < 0:
             raise ValueError(f"step_time must be >= 0, got {self.step_time}")
+
+
+@dataclass(frozen=True)
+class SystemState:
+    """Closed-loop state vector.
+
+    theta  integral of omega [pu*s]
+    omega  frequency deviation [pu]
+    p_m    turbine power deviation [pu]
+    e_b    energy supplied by storage [pu*s]
+    x_c    internal controller state (lag-droop only; 0 otherwise)
+    """
+
+    theta: float = 0.0
+    omega: float = 0.0
+    p_m: float = 0.0
+    e_b: float = 0.0
+    x_c: float = 0.0
+
+    def __post_init__(self) -> None:
+        require_finite(self)
+
+    @classmethod
+    def zeros(cls) -> "SystemState":
+        """Pre-disturbance equilibrium."""
+        return cls()
 
 
 # Most samples one run may ask for: each of the eight per-sample float64

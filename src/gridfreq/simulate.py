@@ -58,7 +58,7 @@ from typing import Callable, TextIO
 
 import numpy as np
 
-from .model import GridParams, Scenario
+from .model import GridParams, Scenario, SystemState
 
 __all__ = [
     "IntegrationError",
@@ -142,6 +142,15 @@ class Trajectory:
     @property
     def n_samples(self) -> int:
         return len(self.t)
+
+    def state_at(self, k: int) -> SystemState:
+        return SystemState(
+            theta=float(self.theta[k]),
+            omega=float(self.omega[k]),
+            p_m=float(self.p_m[k]),
+            e_b=float(self.e_b[k]),
+            x_c=float(self.x_c[k]),
+        )
 
 
 @dataclass(frozen=True)

@@ -20,6 +20,7 @@ from gridfreq import (
     GridParams,
     IDroop,
     SimOptions,
+    SystemState,
     gb_reference_params,
     VirtualInertia,
     hz_to_omega_pu,
@@ -95,6 +96,15 @@ def test_disturbance_validation():
         Disturbance(step_pu=0.05, step_time=-1.0)
 
 
+def test_system_state():
+    z = SystemState.zeros()
+    assert (z.theta, z.omega, z.p_m, z.e_b, z.x_c) == (0.0, 0.0, 0.0, 0.0, 0.0)
+    with pytest.raises(ValueError):
+        SystemState(omega=float("nan"))
+    with pytest.raises(ValueError):
+        SystemState(e_b=float("inf"))
+
+
 def test_sim_options_validation():
     assert SimOptions().dt == 1e-3
     assert SimOptions().horizon == 30.0
@@ -117,6 +127,7 @@ def test_sim_options_validation():
 _VALID = {
     GridParams: dataclasses.asdict(gb_reference_params()),
     Disturbance: {"step_pu": 0.05, "step_time": 1.0},
+    SystemState: {},
     SimOptions: {},
     Droop: {"alpha_b": 1.0},
     VirtualInertia: {"m_v": 10.0, "alpha_b": 1.0},
@@ -140,4 +151,4 @@ def test_value_types_frozen():
     with pytest.raises(dataclasses.FrozenInstanceError):
         g.inertia_h = 3.0
     with pytest.raises(dataclasses.FrozenInstanceError):
-        Disturbance().step_pu = 0.1
+        SystemState.zeros().omega = 0.1

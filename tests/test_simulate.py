@@ -651,6 +651,8 @@ def test_slow_recovery_is_not_monotone():
 
 def test_state_accessors():
     traj = simulate(_scenario(IDroop.nadir_tuned(GB, 0.0), sim=SimOptions(dt=1e-3, horizon=1.0, freeze_secondary=True)))
+    s0 = traj.state_at(0)
+    assert (s0.theta, s0.omega, s0.p_m, s0.e_b, s0.x_c) == (0.0, 0.0, 0.0, 0.0, 0.0)
     assert traj.n_samples == 1001
     # non-lag laws carry no internal state
     plain = simulate(_scenario(Droop(alpha_b=1.0), sim=SimOptions(dt=1e-2, horizon=1.0, freeze_secondary=True)))
