@@ -52,7 +52,6 @@ from .sweeps import (
     write_sweep_csv,
 )
 from .tuning import (
-    ViDesign,
     ViNadirCheck,
     design_droop_from_target,
     energy_capacity_estimate,
@@ -60,7 +59,6 @@ from .tuning import (
     mv_min_from_target,
     mv_min_linear,
     steady_state_deviation,
-    vi_design,
     vi_nadir_condition,
 )
 
@@ -108,7 +106,6 @@ __all__ = [
     "sweep",
     "vi_min_retune",
     "write_sweep_csv",
-    "ViDesign",
     "ViNadirCheck",
     "design_droop_from_target",
     "energy_capacity_estimate",
@@ -116,6 +113,5 @@ __all__ = [
     "mv_min_from_target",
     "mv_min_linear",
     "steady_state_deviation",
-    "vi_design",
     "vi_nadir_condition",
 ]

@@ -40,6 +40,14 @@ crossing, a step whose stages leave the region, takes one RK4 step over A
 plus the dead-band's correction, without event detection.  ``exact`` has
 no such form and then leaves RK4 in charge.
 
+The sampler works in blocks of 256 steps and chunks of blocks.  Block i of
+a chunk starts at Phi^(256 i) z, from a per-region table of those powers,
+and one matrix product fills every block of the chunk from its start with
+the rows of Phi^j, j = 1 .. 256.  A chunk starts at one block and doubles
+while the RK4 stages stay in the region, so a linear run takes about
+log2(n / 256) products, and it starts again at one block after each band
+crossing, so a dead-band run discards at most one chunk per crossing.
+
 Every path holds the imbalance at its step-start value within each step,
 exact for the piecewise-constant input; a ``step_time`` that is not a
 multiple of dt effectively snaps to the next sample instant.
@@ -89,7 +97,7 @@ _CSV_ROW = ",".join(["%.12g"] * 7) + "\n"
 # Rows formatted per write: few Python-level calls, little text in memory.
 _CSV_CHUNK = 1024
 
-# Samples per matrix product, from Phi^j - I for j <= _BLOCK.
+# Samples per block, from Phi^j - I for j <= _BLOCK; a chunk of blocks is one product.
 _BLOCK = 256
 
 
@@ -223,18 +231,24 @@ def _rk4_step1(m: np.ndarray) -> np.ndarray:
     return m @ (eye + m @ (eye / 2.0 + m @ (eye / 6.0 + m / 24.0)))
 
 
-def _step_rows(m: np.ndarray, step1: Callable) -> tuple[np.ndarray, np.ndarray]:
-    """For the step matrix m = M dt of an affine loop: the state rows of Phi^j - I for
-    j = 1 .. _BLOCK, Phi = I + step1(m), and the rows giving the omegas of RK4's four
-    stages of one step from (x, p_L)."""
-    powers = step1(m)[None]
-    while len(powers) < _BLOCK:  # Phi^(i+j) - I = P_i + P_j + P_i P_j
+def _powers(p: np.ndarray, count: int) -> np.ndarray:
+    """P_1 .. P_count for P_j = Phi^j - I, from p = P_1 by doubling: Phi^(i+j) - I =
+    P_i + P_j + P_i P_j."""
+    powers = p[None]
+    while len(powers) < count:
         powers = np.concatenate([powers, powers + powers[-1] + powers @ powers[-1]])
+    return powers[:count]
+
+
+def _step_rows(m: np.ndarray, step1: Callable) -> tuple[np.ndarray, np.ndarray]:
+    """For the step matrix m = M dt of an affine loop: Phi^j - I for j = 1 .. _BLOCK,
+    Phi = I + step1(m), and the rows giving the omegas of RK4's four stages of one
+    step from (x, p_L)."""
     half = m / 2.0
     third = half + half @ half  # stages: x, (I + m/2) x, (I + m/2 + m^2/4) x, (I + m + m^2/2 + m^3/4) x
     stages = np.array([np.zeros(6), half[1], third[1], m[1] + m[1] @ third])
     stages[:, 1] += 1.0
-    return powers[:, :5].reshape(-1, 6), stages
+    return _powers(step1(m), _BLOCK), stages
 
 
 def _crossing_step(a: np.ndarray, z: np.ndarray, dt: float, grid: GridParams) -> np.ndarray:
@@ -259,12 +273,14 @@ def simulate(scenario: Scenario) -> Trajectory:
     ``scenario.sim.exact`` is set.
 
     Without a dead-band the loop is linear, and either method is one fixed
-    matrix per step, sampled through its powers.  With one, RK4 runs
-    piecewise-affine, region by region through the powers of each region's
-    step matrix, with one RK4 step over A at each band crossing (whatever
-    ``exact`` says).  Raises :class:`IntegrationError` if omega leaves the
-    finite range (with RK4, reachable with a step size outside its
-    stability region).
+    matrix per step, sampled through its powers in chunks of 1, 2, 4, ...
+    blocks of ``_BLOCK`` steps, one matrix product per chunk.  With one, RK4
+    runs piecewise-affine, region by region through the powers of each
+    region's step matrix, with one RK4 step over A at each band crossing
+    (whatever ``exact`` says), after which chunks start again at one block.
+    Each stored array is one contiguous row.  Raises
+    :class:`IntegrationError` if omega leaves the finite range (with RK4,
+    reachable with a step size outside its stability region).
     """
     opts, grid = scenario.sim, scenario.grid
     dt = opts.dt
@@ -273,54 +289,66 @@ def simulate(scenario: Scenario) -> Trajectory:
     a = _assemble(scenario, 0.0 if opts.freeze_secondary else grid.secondary_gain_k_i)
     w_db = grid.deadband_omega_db
     step1 = _expm1 if opts.exact and not w_db else _rk4_step1
-    x = np.zeros((n + 1, 5))  # p_L is not stored: 0 before k_on, d_p from then on
-    outputs = np.zeros((n + 1, 2))  # p_b, omega_dot: rows 3 and 1 of A, which the governor leaves alone
+    # One row per state, so each stored array is contiguous; p_L is not stored (0 before
+    # k_on, d_p from then on), and the last chunk's last block may run past sample n.
+    x = np.zeros((5, n + _BLOCK))
+    outputs = np.zeros((2, n + 1))  # p_b, omega_dot: rows 3 and 1 of A, which the governor leaves alone
     d_p = scenario.disturbance.step_pu
     k_on = int(np.searchsorted(t, scenario.disturbance.step_time))  # RK4's first sample with p_L on
     if d_p and k_on <= n:
         # Region r is -1 below the band, 0 inside it, +1 above it (the one region without
         # a band), closed at the edges since phi is continuous there.
         bounds = {-1: (-np.inf, -w_db), 0: (-w_db, w_db), 1: (w_db, np.inf)}
-        regions = {}  # r -> _step_rows of region r, built on first entry
+        # Chunks of 1, 2, 4, ... blocks reach at most `most` blocks before the horizon.
+        most = 1 << max((-(-(n - k_on) // _BLOCK)).bit_length() - 1, 0)
+        regions = {}  # r -> (Phi^j - I state rows as (5, 6, _BLOCK), Phi^(_BLOCK i) - I, stage rows)
         z = np.array([0.0, 0.0, 0.0, 0.0, 0.0, d_p])  # the state rests at zero until k_on
-        k = k_on
+        k, c = k_on, 1
         # An unstable step overflows, and a NaN stage reads as leaving the region; the
         # divergence checks on the accepted samples and on the crossing step report both.
         with np.errstate(over="ignore", invalid="ignore"):
             while k < n:
-                r = int(x[k, 1] >= w_db) - int(x[k, 1] <= -w_db) if w_db else 1
+                r = int(x[1, k] >= w_db) - int(x[1, k] <= -w_db) if w_db else 1
                 if r not in regions:
                     m = a.copy()
                     if w_db and r:  # phi = -alpha_g (omega - r omega_db); the offset rides on p_L = d_p
                         m[2, 5] += r * grid.gen_inv_droop_alpha_g * w_db / (grid.turbine_tau * d_p)
                     elif w_db:  # inside the band the governor is idle
                         m[2, 1] = 0.0
-                    regions[r] = _step_rows(m * dt, step1)
-                powers, stages = regions[r]
-                z[:5] = x[k]
-                block = x[k + 1 : k + 1 + _BLOCK]
-                np.dot(powers[: block.size], z, out=block.reshape(-1))
-                block += x[k]
-                j = len(block)
+                    powers, stages = _step_rows(m * dt, step1)
+                    starts = np.concatenate([np.zeros((1, 6, 6)), _powers(powers[-1], most - 1)])
+                    regions[r] = powers[:, :5].transpose(1, 2, 0).copy(), starts, stages
+                powers, starts, stages = regions[r]
+                # A chunk of c blocks: block i starts at Phi^(_BLOCK i) z, and one product
+                # takes every block's samples from its start.
+                c = min(c, -(-(n - k) // _BLOCK))
+                z[:5] = x[:, k]
+                heads = starts[:c] @ z + z
+                chunk = x[:, k + 1 : k + 1 + c * _BLOCK].reshape(5, c, _BLOCK)
+                np.matmul(heads, powers, out=chunk)
+                for row, head in zip(chunk, heads.T):  # one broadcast add would copy the chunk
+                    row += head[:, None]
+                size = j = min(c * _BLOCK, n - k)
                 if w_db:  # keep the samples up to the first step whose stages leave the region
                     lo, hi = bounds[r]
-                    stage_om = x[k : k + j] @ stages[:, :5].T + d_p * stages[:, 5]
-                    left = ~((lo <= stage_om.min(axis=1)) & (stage_om.max(axis=1) <= hi))
+                    stage_om = stages[:, :5] @ x[:, k : k + j] + d_p * stages[:, 5:]
+                    left = ~((lo <= stage_om.min(axis=0)) & (stage_om.max(axis=0) <= hi))
                     if left.any():
                         j = int(left.argmax())
-                diverged = ~(np.abs(block[:, 1]) < _DIVERGENCE_LIMIT)
-                if diverged.any() and diverged.argmax() < j:
+                diverged = ~(np.abs(x[1, k + 1 : k + 1 + j]) < _DIVERGENCE_LIMIT)
+                if diverged.any():
                     raise IntegrationError(last_valid_time=(k + int(diverged.argmax())) * dt)
                 k += j
-                if j < len(block):
-                    z[:5] = x[k]
-                    x[k + 1] = _crossing_step(a, z, dt, grid)[:5]
-                    if not abs(x[k + 1, 1]) < _DIVERGENCE_LIMIT:
+                c = min(2 * c, most)
+                if j < size:  # a band crossing: one RK4 step over A, then chunks start again at 1 block
+                    z[:5] = x[:, k]
+                    x[:, k + 1] = _crossing_step(a, z, dt, grid)[:5]
+                    if not abs(x[1, k + 1]) < _DIVERGENCE_LIMIT:
                         raise IntegrationError(last_valid_time=k * dt)
-                    k += 1
-        np.einsum("kj,ij->ki", x[k_on:], a[[3, 1], :5], out=outputs[k_on:])
-        outputs[k_on:] += d_p * a[[3, 1], 5]
-    return Trajectory(scenario, dt, t, *x.T, *outputs.T)
+                    k, c = k + 1, 1
+        np.matmul(a[[3, 1], :5], x[:, k_on : n + 1], out=outputs[:, k_on:])
+        outputs[:, k_on:] += d_p * a[[3, 1], 5:]
+    return Trajectory(scenario, dt, t, *x[:, : n + 1], *outputs)
 
 
 def extract_metrics(traj: Trajectory, monotone_tol: float = MONOTONE_TOL) -> Metrics:

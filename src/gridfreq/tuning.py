@@ -24,19 +24,16 @@ omega(inf) = -delta_p / sigma for a demanded deviation target.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .model import GridParams
 
 __all__ = [
     "ViNadirCheck",
-    "ViDesign",
     "steady_state_deviation",
     "vi_nadir_condition",
     "mv_min_exact",
     "mv_min_linear",
-    "vi_design",
     "design_droop_from_target",
     "mv_min_from_target",
     "energy_capacity_estimate",
@@ -114,29 +111,6 @@ def mv_min_linear(params: GridParams, alpha_b: float) -> float:
     return 2.0 * tau * alpha_b + 4.0 * tau * params.gen_inv_droop_alpha_g - 2.0 * params.inertia_h
 
 
-@dataclass(frozen=True)
-class ViDesign:
-    """Bundle of the virtual-inertia sizing quantities at one alpha_b."""
-
-    alpha_b: float
-    m_v_min_exact: float
-    m_v_min_linear: float
-    beta: float
-
-
-def vi_design(params: GridParams, alpha_b: float) -> ViDesign:
-    """Evaluate both minimum-inertia rules at one inverse storage droop."""
-    beta = math.sqrt(params.gen_inv_droop_alpha_g) + math.sqrt(
-        params.load_damping_alpha_l + params.gen_inv_droop_alpha_g + alpha_b
-    )
-    return ViDesign(
-        alpha_b=alpha_b,
-        m_v_min_exact=mv_min_exact(params, alpha_b),
-        m_v_min_linear=mv_min_linear(params, alpha_b),
-        beta=beta,
-    )
-
-
 def design_droop_from_target(
     delta_p: float, delta_omega_target: float, alpha_g: float
 ) -> float:
@@ -158,14 +132,13 @@ def mv_min_from_target(
     delta_p: float,
     delta_omega_target: float,
     params: GridParams,
-    use_exact_when_clamped: bool = False,
 ) -> float:
     """Minimum virtual inertia for a deviation target, via the linear rule.
 
     2 tau_T |delta_p/delta_omega| + 2 tau_T alpha_g - 2H when the droop
     design is unclamped; when the target needs no storage droop this falls
-    back to the alpha_b = 0 rule (linear by default, since the target
-    formula is itself the linearization; exact on request).
+    back to the linear alpha_b = 0 rule, since the target formula is itself
+    the linearization.
     """
     alpha_b = design_droop_from_target(delta_p, delta_omega_target, params.gen_inv_droop_alpha_g)
     if alpha_b > 0:
@@ -175,8 +148,6 @@ def mv_min_from_target(
             + 2.0 * tau * params.gen_inv_droop_alpha_g
             - 2.0 * params.inertia_h
         )
-    if use_exact_when_clamped:
-        return mv_min_exact(params, 0.0)
     return mv_min_linear(params, 0.0)
 
 

@@ -9,8 +9,12 @@ Covers:
    and exit code 2 for a target or disturbance the design cannot use
  - figure datasets: fig3 content and byte-identical reruns
  - one standard sweep end to end, and fig9 built from the same sweep
+ - ``python -m gridfreq`` runs the same command line
 """
 
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -18,7 +22,8 @@ import pytest
 from gridfreq.cli import main
 from gridfreq.simulate import TRAJECTORY_CSV_HEADER
 
-SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
+ROOT = Path(__file__).resolve().parent.parent
+SCENARIO_DIR = ROOT / "scenarios"
 
 
 def _metrics_value(metrics_text, key):
@@ -276,3 +281,16 @@ def test_sweep_unknown_kind():
 
 def test_no_command_is_usage_error():
     assert main([]) == 2
+
+
+def test_python_m_gridfreq(tmp_path):
+    proc = subprocess.run(
+        [sys.executable, "-m", "gridfreq", "figure", "--help"],
+        cwd=tmp_path,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("usage: gridfreq figure")

@@ -12,13 +12,14 @@ Covers:
  - governor dead-band: branch values, deeper quasi-steady state, preserved
    monotonicity of the nadir-free tunings
  - divergence reporting, CSV layout (pre-step rows are unsigned zeros for
-   every law), settling time
+   every law), settling time, contiguous trajectory arrays
  - the exact (matrix-exponential) path: the oracle to 1e-9 pu, RK4 on the
    1200 s capacity runs, independence of the step, RK4 unchanged with a
    dead-band, zero disturbance, step snapping and divergence as in RK4
  - linear RK4 through powers of its step matrix: the scalar RK4 loop to
-   rounding, fourth order against the exact path, the scalar loop's
-   divergence times, and a nadir time that does not depend on the method
+   rounding, also for runs and steps at the edges of a block or a chunk,
+   fourth order against the exact path, the scalar loop's divergence times,
+   and a nadir time that does not depend on the method
  - dead-band RK4 region by region: the rows that read RK4's stage omegas,
    the scalar RK4 loop to rounding over every law, both step signs, an
    off-grid step, the secondary loop and 18 band crossings, and the scalar
@@ -314,6 +315,21 @@ def test_linear_rk4_matches_scalar_loop(controller, dt):
     _assert_matches_scalar_loop(_scenario(controller, sim=SimOptions(dt=dt, horizon=200.0)))
 
 
+@pytest.mark.parametrize("freeze", [True, False], ids=["frozen", "secondary"])
+@pytest.mark.parametrize("controller", LINEAR_LAWS, ids=LINEAR_IDS)
+def test_rk4_matches_scalar_loop_across_chunk_edges(controller, freeze):
+    """Runs ending on either side of a block or chunk edge (256 steps a block, chunks
+    of 1, 2, 4, ... blocks), and steps on the last sample, between the last two and
+    past the horizon (all zeros), equal the scalar loop's to rounding."""
+    dt = 0.01
+    for n in (1, 2, 255, 256, 257, 511, 769):
+        _assert_matches_scalar_loop(_scenario(controller, sim=SimOptions(dt=dt, horizon=n * dt, freeze_secondary=freeze)))
+    n = 257
+    sim = SimOptions(dt=dt, horizon=n * dt, freeze_secondary=freeze)
+    for step_time in (n * dt, (n - 0.5) * dt, (n + 1) * dt):
+        _assert_matches_scalar_loop(Scenario(GB, controller, Disturbance(step_pu=DP, step_time=step_time), sim))
+
+
 @pytest.mark.parametrize("controller", LINEAR_LAWS, ids=LINEAR_IDS)
 def test_linear_rk4_is_fourth_order(controller):
     """Halving dt shrinks RK4's distance to the exact samples ~16x: the default
@@ -351,6 +367,14 @@ def test_rk4_divergence_times(controller, dt, last_valid_time):
     with pytest.raises(IntegrationError) as excinfo:
         simulate(sc)
     assert excinfo.value.last_valid_time == last_valid_time
+
+
+def test_horizon_at_last_valid_time_does_not_raise():
+    """A run that ends at its last valid time returns: the samples a chunk computes
+    past the horizon are not checked for divergence."""
+    for grid in (GB, GB_DB):
+        sc = _scenario(IDroop.nadir_tuned(GB, 0.0), grid=grid, sim=SimOptions(dt=2.0, horizon=8.0, freeze_secondary=True))
+        assert np.all(np.abs(simulate(sc).omega) < 1e6)
 
 
 def test_nadir_time_does_not_depend_on_method():
@@ -647,6 +671,14 @@ def test_slow_recovery_is_not_monotone():
         m = extract_metrics(simulate(_scenario(controller)))
         assert m.monotone
         assert m.nadir_deviation == pytest.approx(m.steady_state_deviation, abs=1e-6)
+
+
+def test_trajectory_arrays_are_contiguous():
+    """Each sampled array is one contiguous row, with a dead-band and without."""
+    for grid in (GB_DB, GB):
+        traj = simulate(_scenario(VirtualInertia(m_v=MV_MIN), grid=grid))
+        for arr in (traj.theta, traj.omega, traj.p_m, traj.e_b, traj.x_c, traj.p_b, traj.omega_dot):
+            assert arr.flags.c_contiguous
 
 
 def test_state_accessors():

@@ -23,7 +23,6 @@ from gridfreq import (
     mv_min_from_target,
     mv_min_linear,
     steady_state_deviation,
-    vi_design,
     vi_nadir_condition,
 )
 from gridfreq.tuning import BOUNDARY_TOL
@@ -153,11 +152,13 @@ def test_discriminant_vanishes_at_boundary():
 
 
 def test_vi_design_bundle():
-    d = vi_design(GB, 0.0)
-    assert d.beta == pytest.approx(7.872983346207417, rel=1e-14)
-    assert d.m_v_min_exact == pytest.approx(MV_MIN_EXACT_AB0, rel=1e-13)
-    assert d.m_v_min_linear == pytest.approx(55.62, rel=1e-12)
-    assert d.alpha_b == 0.0
+    """Both minimum-inertia rules at alpha_b = 0, and the exact rule as tau_T beta^2 - 2H."""
+    alpha_b = 0.0
+    beta = math.sqrt(GB.gen_inv_droop_alpha_g) + math.sqrt(GB.load_damping_alpha_l + GB.gen_inv_droop_alpha_g + alpha_b)
+    assert beta == pytest.approx(7.872983346207417, rel=1e-14)
+    assert mv_min_exact(GB, alpha_b) == pytest.approx(MV_MIN_EXACT_AB0, rel=1e-13)
+    assert mv_min_exact(GB, alpha_b) == pytest.approx(GB.turbine_tau * beta**2 - 2 * GB.inertia_h, rel=1e-14)
+    assert mv_min_linear(GB, alpha_b) == pytest.approx(55.62, rel=1e-12)
 
 
 # ------------------------------------------------------------ droop sizing
@@ -189,9 +190,6 @@ def test_mv_min_from_target():
     assert mv_min_from_target(DP, target, GB) == pytest.approx(59.37, rel=1e-9)
     # clamped branch falls back to the alpha_b = 0 linear rule
     assert mv_min_from_target(DP, 0.5 / 60.0, GB) == pytest.approx(55.62, rel=1e-12)
-    assert mv_min_from_target(DP, 0.5 / 60.0, GB, use_exact_when_clamped=True) == pytest.approx(
-        MV_MIN_EXACT_AB0, rel=1e-13
-    )
     # substitution identity: the target rule is the linear rule at the
     # designed alpha_b when unclamped
     ab = design_droop_from_target(DP, target, 15.0)
