@@ -26,8 +26,6 @@ from .model import (
     SimOptions,
     SystemState,
     gb_reference_params,
-    hz_to_omega_pu,
-    omega_pu_to_hz,
     pu_disturbance,
 )
 from .scenariofile import ScenarioParseError, load_scenario, parse_scenario, serialize_scenario
@@ -83,8 +81,6 @@ __all__ = [
     "SimOptions",
     "SystemState",
     "gb_reference_params",
-    "hz_to_omega_pu",
-    "omega_pu_to_hz",
     "pu_disturbance",
     "ScenarioParseError",
     "load_scenario",

@@ -23,6 +23,7 @@ from .simulate import (
     extract_metrics,
     format_metrics,
     simulate,
+    write_csv_rows,
     write_trajectory_csv,
 )
 from .sweeps import (
@@ -406,9 +407,7 @@ def _cmd_figure(args: argparse.Namespace) -> int:
     out_path = out_dir / f"{args.id}.csv"
     with out_path.open("w") as stream:
         stream.write(",".join(cols) + "\n")
-        n_rows = len(data[0])
-        for i in range(n_rows):
-            stream.write(",".join(f"{col[i]:.12g}" for col in data) + "\n")
+        write_csv_rows(data, stream)
     print(f"wrote {out_path}")
     return EXIT_OK
 

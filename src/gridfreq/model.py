@@ -35,8 +35,6 @@ __all__ = [
     "Scenario",
     "gb_reference_params",
     "pu_disturbance",
-    "omega_pu_to_hz",
-    "hz_to_omega_pu",
 ]
 
 
@@ -126,16 +124,6 @@ def pu_disturbance(delta_p_gw: float, params: GridParams) -> float:
     if params.base_power <= 0:
         raise ValueError(f"base_power must be > 0, got {params.base_power}")
     return delta_p_gw / params.base_power
-
-
-def omega_pu_to_hz(omega_pu: float, params: GridParams) -> float:
-    """Frequency deviation pu -> Hz."""
-    return omega_pu * params.nominal_freq
-
-
-def hz_to_omega_pu(delta_hz: float, params: GridParams) -> float:
-    """Frequency deviation Hz -> pu."""
-    return delta_hz / params.nominal_freq
 
 
 @dataclass(frozen=True)

@@ -57,16 +57,25 @@ algebraic omega_dot, both evaluated at the sample instant with the
 disturbance already applied for t >= step_time.  The first sample is the
 pre-disturbance equilibrium state (all zeros), and a zero-magnitude
 disturbance reproduces the all-zero trajectory exactly.
+
+CSV cells (:func:`write_trajectory_csv`, :func:`write_csv_rows`) are byte
+for byte what Python's ``"%.12g" %`` prints, formatted in numpy 1024 rows
+at a time.  A cell's 12 digits are round(|v| 10^(11 - e)) for its decimal
+exponent e, scaled exactly enough by a double-double power of ten to know
+the rounding digit, and its text is gathered as fixed-width words from
+tables and stripped of padding.  Values near a rounding tie, non-finite
+values and magnitudes outside [1e-279, 1e12) go to ``%``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import Callable, TextIO
+from functools import cache
+from typing import Callable, Sequence, TextIO
 
 import numpy as np
 
-from .model import GridParams, Scenario, SystemState
+from .model import GridParams, Scenario
 
 __all__ = [
     "IntegrationError",
@@ -77,6 +86,7 @@ __all__ = [
     "simulate",
     "extract_metrics",
     "write_trajectory_csv",
+    "write_csv_rows",
     "format_metrics",
 ]
 
@@ -93,9 +103,10 @@ MONOTONE_TOL = 1e-6
 _NADIR_RTOL = 1e-12
 
 TRAJECTORY_CSV_HEADER = "t,omega_pu,omega_hz,p_m_pu,p_b_pu,e_b_pu_s,theta_pu_s"
-_CSV_ROW = ",".join(["%.12g"] * 7) + "\n"
 # Rows formatted per write: few Python-level calls, little text in memory.
 _CSV_CHUNK = 1024
+# Decimal exponents of the cells formatted in numpy, after rounding: |v| in [1e-279, 1e12).
+_E_MIN, _E_MAX = -281, 12
 
 # Samples per block, from Phi^j - I for j <= _BLOCK; a chunk of blocks is one product.
 _BLOCK = 256
@@ -150,15 +161,6 @@ class Trajectory:
     @property
     def n_samples(self) -> int:
         return len(self.t)
-
-    def state_at(self, k: int) -> SystemState:
-        return SystemState(
-            theta=float(self.theta[k]),
-            omega=float(self.omega[k]),
-            p_m=float(self.p_m[k]),
-            e_b=float(self.e_b[k]),
-            x_c=float(self.x_c[k]),
-        )
 
 
 @dataclass(frozen=True)
@@ -421,6 +423,154 @@ def extract_metrics(traj: Trajectory, monotone_tol: float = MONOTONE_TOL) -> Met
     )
 
 
+@cache
+def _cell_tables() -> tuple[np.ndarray, ...]:
+    """Tables for :func:`_csv_rows`, built on first use from exact integers.
+
+    Per decimal exponent e in [_E_MIN, _E_MAX] (index e - _E_MIN): 10^(11 - e)
+    as a double, its two Dekker halves and the low part it rounds off, and
+    10^(e + 1) rounded.  ``lead[2 ie + sign]``: the sign and a fixed cell's "0.",
+    "0.0", ... below 1; ``tail[2 ie + last]``: "e+XX" or "e-XXX" in exponent form,
+    then "," or, in the row's last column, a newline.  ``words[16 g + 4 count +
+    dot]``: the first ``count`` digits of the 3-digit group g, with a point after
+    digit ``dot`` (3: none).  ``ends[j, g]``: the end of g's last nonzero digit as
+    group j of the 12 digits (0 for g = 0).  ``layout[j, n_sig * E + ie]``, E
+    exponents: group j's ``4 count + dot`` for n_sig significant digits.  Words are
+    read as native integers from their bytes, so they store back as the same bytes.
+    """
+    e = np.arange(_E_MIN, _E_MAX + 1)
+    scale = [10 ** max(11 - k, 0) for k in e.tolist()]
+    hi = np.array([float(s) for s in scale])
+    lo = np.array([float(s - int(h)) for s, h in zip(scale, hi.tolist())])
+    split = hi * 134217729.0  # 2^27 + 1
+    hi_hi = split - (split - hi)
+    above = np.array([float(10**k) if k >= 0 else 1 / 10**-k for k in (e + 1).tolist()])
+
+    fixed = (e >= -4) & (e < 12)
+    heads = [b"0." + b"0" * (-k - 1) if f and k < 0 else b"" for k, f in zip(e.tolist(), fixed.tolist())]
+    exps = [b"" if f else b"e%+03d" % k for k, f in zip(e.tolist(), fixed.tolist())]
+    lead = b"".join(h.ljust(8, b"\0") + (b"-" + h).ljust(8, b"\0") for h in heads)
+    tail = b"".join((x + b",").ljust(8, b"\0") + (x + b"\n").ljust(8, b"\0") for x in exps)
+
+    g, count, dot, k = np.ix_(np.arange(1000), np.arange(4), np.arange(4), np.arange(4))
+    src = k - (k > dot)  # digit written at byte k, one back after the point
+    digit = 48 + np.choose(np.minimum(src, 2), [g // 100, g // 10 % 10, g % 10])
+    words = np.where(src < count, np.where(k == dot + 1, ord("."), digit), 0).astype(np.uint8)
+    g = g.ravel()
+    last = np.where(g % 10, 3, np.where(g % 100, 2, np.where(g, 1, 0)))
+    j = np.arange(4)[:, None]
+    ends = np.where(g > 0, last + 3 * j, 0)
+
+    n_sig = np.arange(13)[:, None]
+    n_out = np.maximum(n_sig, np.where(fixed, np.maximum(e + 1, 0), 0))  # integer digits always print
+    point = np.where(fixed, np.where(e < 0, 99, e), 0)  # digit the point follows; 99: the lead holds it
+    at = np.where(n_out > point + 1, point, 99)[None] - 3 * j[..., None]
+    layout = np.clip(n_out - 3 * j[..., None], 0, 3) * 4 + np.where((at >= 0) & (at < 3), at, 3)
+    return (
+        hi,
+        hi_hi,
+        hi - hi_hi,
+        lo,
+        above,
+        np.frombuffer(lead, np.uint64),
+        np.frombuffer(tail, np.uint64),
+        words.view(np.uint32).ravel(),
+        ends,
+        layout.reshape(4, -1),
+    )
+
+
+def _round12(v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """For each value: its decimal exponent e as the index e - _E_MIN of :func:`_cell_tables`,
+    its 12 significant digits as one integer q (0 for zero), and whether ``%`` must print it.
+
+    q = round(|v| 10^(11 - e)), with |v| 10^(11 - e) known to ~1e-16 from a
+    Dekker product against a double-double power of ten, and rounded half up.
+    Non-finite values, |v| outside [1e-279, 1e12) and values within 1e-9 of a
+    rounding tie (which ``%`` breaks to even on the exact binary value) are
+    left to ``%``; they get e = 0, so their words carry no prefix or exponent.
+    """
+    hi, hi_hi, hi_lo, lo, above = _cell_tables()[:5]
+    a = np.abs(v)
+    zero = a == 0.0
+    fast = (a >= 1e-279) & (a < 1e12)
+    a = np.where(fast, a, 1.0)
+    # floor((binary exponent - 1) log10 2) is e or one below it.
+    i = np.floor((np.frexp(a)[1] - 1) * 0.30102999566398120).astype(np.intp) - _E_MIN
+    i += a >= above.take(i)
+    # |v| 10^(11 - e) = p + t, with p's rounding error exact by Dekker's product and t adding the low part.
+    split = a * 134217729.0
+    a_hi = split - (split - a)
+    a_lo = a - a_hi
+    h_hi, h_lo = hi_hi.take(i), hi_lo.take(i)
+    p = a * hi.take(i)
+    t = ((a_hi * h_hi - p) + a_hi * h_lo + a_lo * h_hi) + a_lo * h_lo + a * lo.take(i)
+    q = np.floor(p)
+    frac = (p - q) + t  # in [0, 1) but for t, |t| < 1e-4
+    q += frac >= 0.5  # half up; % breaks ties to even, so near-ties go to %
+    carry = q == 1e12  # rounded up to 10^(e + 1)
+    q[carry] = 1e11
+    i += carry
+    q[zero] = 0.0
+    slow = ~(fast | zero) | (np.abs(frac - 0.5) < 1e-9)
+    i[slow] = -_E_MIN
+    return i, q, slow
+
+
+def _cell_words(cols: Sequence) -> np.ndarray:
+    """The cells of equal-length numeric columns, row by row, as 32 zero-padded bytes each
+    (see :func:`_csv_rows`)."""
+    lead, tail, words, ends, layout = _cell_tables()[5:]
+    n_rows, n_cols = len(cols[0]), len(cols)
+    v = np.empty((n_rows, n_cols))
+    for j, col in enumerate(cols):
+        v[:, j] = col
+    v = v.ravel()
+    i, q, slow = _round12(v)
+    # The 12 digits in four groups of three, most significant first (exact: q < 2^53).
+    groups = []
+    for unit in (1e9, 1e6, 1e3):
+        g = np.floor(q / unit)
+        q -= g * unit
+        groups.append(g.astype(np.intp))
+    groups.append(q.astype(np.intp))
+    n_sig = ends[0].take(groups[0])
+    for j in (1, 2, 3):
+        np.maximum(n_sig, ends[j].take(groups[j]), out=n_sig)
+    key = n_sig * (_E_MAX + 1 - _E_MIN) + i
+
+    out = np.empty((len(v), 4), np.uint64)
+    out[:, 0] = lead.take(2 * i + np.signbit(v))
+    for j, g in enumerate(groups):
+        out.view(np.uint32)[:, 2 + j] = words.take(16 * g + layout[j].take(key))
+    last = np.zeros((n_rows, n_cols), np.intp)
+    last[:, -1] = 1
+    out[:, 3] = tail.take(2 * i + last.ravel())
+    if slow.any():
+        cells = np.array(["%.12g" % x for x in v[slow].tolist()], "S24")
+        out.view(np.uint8).reshape(-1, 32)[slow, :24] = cells.view(np.uint8).reshape(-1, 24)
+    return out
+
+
+def _csv_rows(cols: Sequence) -> str:
+    """CSV rows of equal-length numeric columns, each cell exactly what ``"%.12g" % cell`` prints.
+
+    A cell's digits and exponent come from :func:`_round12`.  Its text is 32
+    bytes: an 8-byte word with the sign and a "0.000" prefix, four 4-byte
+    words of three digits and a possible point, and an 8-byte word with
+    "e+XX" and the separator, each gathered from :func:`_cell_tables` and
+    zero-padded; one ``translate`` drops the padding.  Cells left to ``%``
+    write its text over the first 24 bytes.
+    """
+    return _cell_words(cols).tobytes().translate(None, b"\0").decode("ascii")
+
+
+def write_csv_rows(columns: Sequence, stream: TextIO) -> None:
+    """Write equal-length numeric columns as CSV rows, each cell as ``"%.12g" % cell``."""
+    for k in range(0, len(columns[0]), _CSV_CHUNK):
+        stream.write(_csv_rows([c[k : k + _CSV_CHUNK] for c in columns]))
+
+
 def write_trajectory_csv(traj: Trajectory, stream: TextIO) -> None:
     """Write the trajectory in the fixed CSV layout (one row per sample)."""
     f_nom = traj.scenario.grid.nominal_freq
@@ -429,7 +579,7 @@ def write_trajectory_csv(traj: Trajectory, stream: TextIO) -> None:
         rows = slice(k, k + _CSV_CHUNK)
         om = traj.omega[rows]
         cols = (traj.t[rows], om, om * f_nom, traj.p_m[rows], traj.p_b[rows], traj.e_b[rows], traj.theta[rows])
-        stream.write("".join(_CSV_ROW % row for row in zip(*(c.tolist() for c in cols))))
+        stream.write(_csv_rows(cols))
 
 
 def format_metrics(metrics: Metrics, nominal_freq: float) -> str:

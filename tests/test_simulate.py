@@ -13,6 +13,9 @@ Covers:
    monotonicity of the nadir-free tunings
  - divergence reporting, CSV layout (pre-step rows are unsigned zeros for
    every law), settling time, contiguous trajectory arrays
+ - CSV cells byte for byte as Python's "%.12g" prints them, on edge values,
+   time grids, random values over 600 decades and near-ties, and whole
+   trajectories against a per-row "%" writer; the writer's working memory
  - the exact (matrix-exponential) path: the oracle to 1e-9 pu, RK4 on the
    1200 s capacity runs, independence of the step, RK4 unchanged with a
    dead-band, zero disturbance, step snapping and divergence as in RK4
@@ -28,7 +31,9 @@ Covers:
 
 import io
 import math
+import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -46,12 +51,14 @@ from gridfreq import (
     deadband_response,
     extract_metrics,
     gb_reference_params,
+    load_scenario,
+    pu_disturbance,
     simulate,
     step_response,
     steady_state_deviation,
     write_trajectory_csv,
 )
-from gridfreq.simulate import TRAJECTORY_CSV_HEADER, _rk4_step1, _step_rows
+from gridfreq.simulate import TRAJECTORY_CSV_HEADER, _rk4_step1, _step_rows, write_csv_rows
 from gridfreq.tuning import mv_min_exact
 
 GB = gb_reference_params()
@@ -59,6 +66,7 @@ DP = 0.05625
 MV_MIN = 57.603866769659334
 FROZEN = SimOptions(dt=1e-3, horizon=30.0, freeze_secondary=True)
 EXACT = replace(FROZEN, exact=True)
+SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 def _both_paths(sim):
@@ -637,6 +645,107 @@ def test_pre_step_csv_rows_are_plain_zeros(controller):
         assert rows[51] != f"{51 * 1e-2:.12g},0,0,0,0,0,0"  # the step did act
 
 
+def _percent_csv(rows) -> str:
+    """CSV text of the rows by a per-row ``%`` loop: the reference for the numpy formatter."""
+    return "".join(",".join(["%.12g"] * len(row)) % tuple(row) + "\n" for row in rows)
+
+
+def _reference_trajectory_csv(traj) -> str:
+    f_nom = traj.scenario.grid.nominal_freq
+    cols = (traj.t, traj.omega, traj.omega * f_nom, traj.p_m, traj.p_b, traj.e_b, traj.theta)
+    return TRAJECTORY_CSV_HEADER + "\n" + _percent_csv(zip(*(c.tolist() for c in cols)))
+
+
+# With their negatives: zeros, the subnormal and normal ends, the ends of the range
+# formatted in numpy, a carry across the fixed/exponent boundary and one to 1e12
+# (999999999999.5 is an exact tie), exact ties that % breaks to even
+# (1234567890.12 and 1234567890.38), and the largest double.
+_EDGE_CELLS = [
+    0.0,
+    -0.0,
+    5e-324,
+    2.2250738585072014e-308,
+    1e-300,
+    1e-279,
+    1e-05,
+    9.9999999999995e-05,
+    0.0001,
+    999999999999.4,
+    999999999999.5,
+    999999999999.6,
+    1e12,
+    1e16,
+    1.7976931348623157e308,
+    1234567890.125,
+    1234567890.375,
+]
+
+
+def test_csv_cells_match_percent_format():
+    """Every cell is byte for byte what ``"%.12g" %`` prints, in one column and in rows of seven.
+
+    Near-ties are 13-digit decimals ending in 5, within a few units of the last
+    bit of a tie: their rounding digit needs the double-double scaling.
+    """
+    rng = np.random.RandomState(2027)
+    k = np.arange(120001)
+    n = 20000
+    random = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-300.0, 300.0, n)
+    near_ties = (rng.randint(10**11, 10**12, n, dtype=np.int64) * 10.0 + 5.0) / 10.0 ** rng.randint(1, 291, n)
+    edge = np.array(_EDGE_CELLS)
+    for values in (np.concatenate([edge, -edge]), k * 1e-3, k * 1e-2, random, np.concatenate([near_ties, -near_ties])):
+        for width in (1, 7):
+            rows = values[: len(values) // width * width].reshape(-1, width)
+            buf = io.StringIO()
+            write_csv_rows(list(rows.T), buf)
+            assert buf.getvalue().splitlines() == _percent_csv(rows.tolist()).splitlines()
+
+
+def _bundled_run(case):
+    name, _, change = case.partition(":")
+    sc = load_scenario(SCENARIO_DIR / f"{name}.scn")
+    if change == "deadband":  # gridfreq simulate --step-gw 2.3 --deadband-mhz 20
+        grid = replace(sc.grid, deadband_omega_db=20 / 1000.0 / sc.grid.nominal_freq)
+        sc = replace(sc, grid=grid, disturbance=replace(sc.disturbance, step_pu=pu_disturbance(2.3, grid)))
+    elif change == "1200s":
+        sc = replace(sc, sim=replace(sc.sim, horizon=1200.0, dt=0.01))
+    return simulate(sc)
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["gb-equilibrium", "gb-idroop", "gb-nostorage", "gb-vi-deadband", "gb-vi-deadband:deadband", "gb-idroop:1200s"],
+)
+def test_trajectory_csv_matches_reference_writer(case):
+    """The bundled scenarios, the dead-band override and a 1200 s / 10 ms run write the
+    per-row ``%`` loop's CSV byte for byte."""
+    traj = _bundled_run(case)
+    buf = io.StringIO()
+    write_trajectory_csv(traj, buf)
+    assert buf.getvalue().splitlines() == _reference_trajectory_csv(traj).splitlines()
+
+
+def test_trajectory_csv_working_memory_is_small():
+    """Writing 120 001 samples holds at most 1.5 MB beyond the text the stream keeps.
+
+    The writer formats 1024 rows at a time (0.90 MB measured); 2048-row
+    chunks take 1.67 MB, 4096-row chunks 3.4 MB and the whole file at once
+    200 MB.
+    """
+    traj = _bundled_run("gb-idroop:1200s")
+    assert traj.n_samples == 120001
+    # A first write builds the formatter's tables, which stay.
+    write_trajectory_csv(simulate(_scenario(NoStorage(), sim=SimOptions(dt=0.1, horizon=1.0))), io.StringIO())
+    buf = io.StringIO()
+    tracemalloc.start()
+    try:
+        write_trajectory_csv(traj, buf)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - kept < 1.5e6
+
+
 # ------------------------------------------------------------------ metrics
 
 
@@ -683,8 +792,7 @@ def test_trajectory_arrays_are_contiguous():
 
 def test_state_accessors():
     traj = simulate(_scenario(IDroop.nadir_tuned(GB, 0.0), sim=SimOptions(dt=1e-3, horizon=1.0, freeze_secondary=True)))
-    s0 = traj.state_at(0)
-    assert (s0.theta, s0.omega, s0.p_m, s0.e_b, s0.x_c) == (0.0, 0.0, 0.0, 0.0, 0.0)
+    assert (traj.theta[0], traj.omega[0], traj.p_m[0], traj.e_b[0], traj.x_c[0]) == (0.0, 0.0, 0.0, 0.0, 0.0)
     assert traj.n_samples == 1001
     # non-lag laws carry no internal state
     plain = simulate(_scenario(Droop(alpha_b=1.0), sim=SimOptions(dt=1e-2, horizon=1.0, freeze_secondary=True)))
