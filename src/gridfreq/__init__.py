@@ -44,7 +44,6 @@ from .sweeps import (
     SweepPoint,
     SweepSpec,
     capacity_curve,
-    idroop_nadir_retune,
     sweep,
     vi_min_retune,
     write_sweep_csv,
@@ -98,7 +97,6 @@ __all__ = [
     "SweepPoint",
     "SweepSpec",
     "capacity_curve",
-    "idroop_nadir_retune",
     "sweep",
     "vi_min_retune",
     "write_sweep_csv",

@@ -48,6 +48,14 @@ while the RK4 stages stay in the region, so a linear run takes about
 log2(n / 256) products, and it starts again at one block after each band
 crossing, so a dead-band run discards at most one chunk per crossing.
 
+One sampler has two consumers.  The chunk loop is one generator that writes
+each chunk into the buffer it is given and yields each accepted run of
+samples.  :func:`simulate` gives it the whole trajectory, so every sample
+is written in place.  :func:`_storage_maxima`, which sizes storage for
+capacity curves, gives it a window as wide as the largest chunk and keeps
+only the running maxima of p_b and e_b.  The chunks are the same, so its
+maxima are the trajectory's, bit for bit.
+
 Every path holds the imbalance at its step-start value within each step,
 exact for the piecewise-constant input; a ``step_time`` that is not a
 multiple of dt effectively snaps to the next sample instant.
@@ -69,9 +77,10 @@ values and magnitudes outside [1e-279, 1e12) go to ``%``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 from functools import cache
-from typing import Callable, Sequence, TextIO
+from typing import Callable, Iterator, Sequence, TextIO
 
 import numpy as np
 
@@ -270,6 +279,97 @@ def _crossing_step(a: np.ndarray, z: np.ndarray, dt: float, grid: GridParams) ->
     return z + dt / 6.0 * (k1 + 2.0 * (k2 + k3) + k4)
 
 
+def _plan(scenario: Scenario) -> tuple[np.ndarray, int, int]:
+    """A of the scenario's loop (secondary frozen if ``scenario.sim`` says so), the step
+    count n, and k_on, the first sample with the imbalance on: the first k with k dt >=
+    step_time (n + 1 if none), as np.searchsorted finds it in t = arange(n + 1) dt."""
+    opts, step_time = scenario.sim, scenario.disturbance.step_time
+    a = _assemble(scenario, 0.0 if opts.freeze_secondary else scenario.grid.secondary_gain_k_i)
+    n = int(round(opts.horizon / opts.dt))
+    k = min(math.ceil(step_time / opts.dt), n + 1)
+    while k > 0 and (k - 1) * opts.dt >= step_time:
+        k -= 1
+    while k <= n and k * opts.dt < step_time:
+        k += 1
+    return a, n, k
+
+
+def _most_blocks(steps: int) -> int:
+    """The largest chunk, in blocks, of a run of ``steps`` steps: chunks of 1, 2, 4, ...
+    blocks reach at most this many before the horizon."""
+    return 1 << max((-(-steps // _BLOCK)).bit_length() - 1, 0)
+
+
+def _sample_runs(scenario: Scenario, a: np.ndarray, k_on: int, n: int, buf: np.ndarray) -> Iterator[np.ndarray]:
+    """Sample the loop of ``a`` from sample k_on, the zero state with the imbalance just
+    switched on, to sample n, chunk by chunk into the five state rows of ``buf``.
+
+    Column 0 of ``buf`` holds sample k_on.  With n - k_on + _BLOCK columns every
+    sample stays in place.  A window of 1 + _most_blocks(n - k_on) _BLOCK columns
+    also does: before a chunk that would overrun it, the chunk's first sample moves
+    to column 0.  After each accepted run of samples, and the band crossing behind
+    it, yields the view of ``buf`` from the sample before the run to its last one,
+    valid until the next sample is taken.  Raises :class:`IntegrationError` as
+    :func:`simulate` documents.
+    """
+    grid, dt, d_p = scenario.grid, scenario.sim.dt, scenario.disturbance.step_pu
+    w_db = grid.deadband_omega_db
+    step1 = _expm1 if scenario.sim.exact and not w_db else _rk4_step1
+    # Region r is -1 below the band, 0 inside it, +1 above it (the one region without
+    # a band), closed at the edges since phi is continuous there.
+    bounds = {-1: (-np.inf, -w_db), 0: (-w_db, w_db), 1: (w_db, np.inf)}
+    most = _most_blocks(n - k_on)
+    regions = {}  # r -> (Phi^j - I state rows as (5, 6, _BLOCK), Phi^(_BLOCK i) - I, stage rows)
+    z = np.array([0.0, 0.0, 0.0, 0.0, 0.0, d_p])  # p_L is not stored: d_p from k_on on
+    k, i, c = k_on, 0, 1  # sample k sits in column i
+    # An unstable step overflows, and a NaN stage reads as leaving the region; the
+    # divergence checks on the accepted samples and on the crossing step report both.
+    with np.errstate(over="ignore", invalid="ignore"):
+        while k < n:
+            r = int(buf[1, i] >= w_db) - int(buf[1, i] <= -w_db) if w_db else 1
+            if r not in regions:
+                m = a.copy()
+                if w_db and r:  # phi = -alpha_g (omega - r omega_db); the offset rides on p_L = d_p
+                    m[2, 5] += r * grid.gen_inv_droop_alpha_g * w_db / (grid.turbine_tau * d_p)
+                elif w_db:  # inside the band the governor is idle
+                    m[2, 1] = 0.0
+                powers, stages = _step_rows(m * dt, step1)
+                starts = np.concatenate([np.zeros((1, 6, 6)), _powers(powers[-1], most - 1)])
+                regions[r] = powers[:, :5].transpose(1, 2, 0).copy(), starts, stages
+            powers, starts, stages = regions[r]
+            # A chunk of c blocks: block i starts at Phi^(_BLOCK i) z, and one product
+            # takes every block's samples from its start.
+            c = min(c, -(-(n - k) // _BLOCK))
+            if i + 1 + c * _BLOCK > buf.shape[1]:  # a window: the chunk starts again at column 0
+                buf[:, 0] = buf[:, i]
+                i = 0
+            z[:5] = buf[:, i]
+            heads = starts[:c] @ z + z
+            chunk = buf[:, i + 1 : i + 1 + c * _BLOCK].reshape(5, c, _BLOCK)
+            np.matmul(heads, powers, out=chunk)
+            for row, head in zip(chunk, heads.T):  # one broadcast add would copy the chunk
+                row += head[:, None]
+            size = j = min(c * _BLOCK, n - k)
+            if w_db:  # keep the samples up to the first step whose stages leave the region
+                lo, hi = bounds[r]
+                stage_om = stages[:, :5] @ buf[:, i : i + j] + d_p * stages[:, 5:]
+                left = ~((lo <= stage_om.min(axis=0)) & (stage_om.max(axis=0) <= hi))
+                if left.any():
+                    j = int(left.argmax())
+            diverged = ~(np.abs(buf[1, i + 1 : i + 1 + j]) < _DIVERGENCE_LIMIT)
+            if diverged.any():
+                raise IntegrationError(last_valid_time=(k + int(diverged.argmax())) * dt)
+            first = i
+            k, i, c = k + j, i + j, min(2 * c, most)
+            if j < size:  # a band crossing: one RK4 step over A, then chunks start again at 1 block
+                z[:5] = buf[:, i]
+                buf[:, i + 1] = _crossing_step(a, z, dt, grid)[:5]
+                if not abs(buf[1, i + 1]) < _DIVERGENCE_LIMIT:
+                    raise IntegrationError(last_valid_time=k * dt)
+                k, i, c = k + 1, i + 1, 1
+            yield buf[:, first : i + 1]
+
+
 def simulate(scenario: Scenario) -> Trajectory:
     """Sample the closed loop over the scenario's horizon by RK4, or exactly when
     ``scenario.sim.exact`` is set.
@@ -284,73 +384,41 @@ def simulate(scenario: Scenario) -> Trajectory:
     :class:`IntegrationError` if omega leaves the finite range (with RK4,
     reachable with a step size outside its stability region).
     """
-    opts, grid = scenario.sim, scenario.grid
-    dt = opts.dt
-    n = int(round(opts.horizon / dt))
-    t = np.arange(n + 1) * dt
-    a = _assemble(scenario, 0.0 if opts.freeze_secondary else grid.secondary_gain_k_i)
-    w_db = grid.deadband_omega_db
-    step1 = _expm1 if opts.exact and not w_db else _rk4_step1
-    # One row per state, so each stored array is contiguous; p_L is not stored (0 before
-    # k_on, d_p from then on), and the last chunk's last block may run past sample n.
+    a, n, k_on = _plan(scenario)
+    t = np.arange(n + 1) * scenario.sim.dt
+    # One row per state, so each stored array is contiguous; the state rests at zero
+    # until k_on, and the last chunk's last block may run past sample n.
     x = np.zeros((5, n + _BLOCK))
     outputs = np.zeros((2, n + 1))  # p_b, omega_dot: rows 3 and 1 of A, which the governor leaves alone
     d_p = scenario.disturbance.step_pu
-    k_on = int(np.searchsorted(t, scenario.disturbance.step_time))  # RK4's first sample with p_L on
     if d_p and k_on <= n:
-        # Region r is -1 below the band, 0 inside it, +1 above it (the one region without
-        # a band), closed at the edges since phi is continuous there.
-        bounds = {-1: (-np.inf, -w_db), 0: (-w_db, w_db), 1: (w_db, np.inf)}
-        # Chunks of 1, 2, 4, ... blocks reach at most `most` blocks before the horizon.
-        most = 1 << max((-(-(n - k_on) // _BLOCK)).bit_length() - 1, 0)
-        regions = {}  # r -> (Phi^j - I state rows as (5, 6, _BLOCK), Phi^(_BLOCK i) - I, stage rows)
-        z = np.array([0.0, 0.0, 0.0, 0.0, 0.0, d_p])  # the state rests at zero until k_on
-        k, c = k_on, 1
-        # An unstable step overflows, and a NaN stage reads as leaving the region; the
-        # divergence checks on the accepted samples and on the crossing step report both.
-        with np.errstate(over="ignore", invalid="ignore"):
-            while k < n:
-                r = int(x[1, k] >= w_db) - int(x[1, k] <= -w_db) if w_db else 1
-                if r not in regions:
-                    m = a.copy()
-                    if w_db and r:  # phi = -alpha_g (omega - r omega_db); the offset rides on p_L = d_p
-                        m[2, 5] += r * grid.gen_inv_droop_alpha_g * w_db / (grid.turbine_tau * d_p)
-                    elif w_db:  # inside the band the governor is idle
-                        m[2, 1] = 0.0
-                    powers, stages = _step_rows(m * dt, step1)
-                    starts = np.concatenate([np.zeros((1, 6, 6)), _powers(powers[-1], most - 1)])
-                    regions[r] = powers[:, :5].transpose(1, 2, 0).copy(), starts, stages
-                powers, starts, stages = regions[r]
-                # A chunk of c blocks: block i starts at Phi^(_BLOCK i) z, and one product
-                # takes every block's samples from its start.
-                c = min(c, -(-(n - k) // _BLOCK))
-                z[:5] = x[:, k]
-                heads = starts[:c] @ z + z
-                chunk = x[:, k + 1 : k + 1 + c * _BLOCK].reshape(5, c, _BLOCK)
-                np.matmul(heads, powers, out=chunk)
-                for row, head in zip(chunk, heads.T):  # one broadcast add would copy the chunk
-                    row += head[:, None]
-                size = j = min(c * _BLOCK, n - k)
-                if w_db:  # keep the samples up to the first step whose stages leave the region
-                    lo, hi = bounds[r]
-                    stage_om = stages[:, :5] @ x[:, k : k + j] + d_p * stages[:, 5:]
-                    left = ~((lo <= stage_om.min(axis=0)) & (stage_om.max(axis=0) <= hi))
-                    if left.any():
-                        j = int(left.argmax())
-                diverged = ~(np.abs(x[1, k + 1 : k + 1 + j]) < _DIVERGENCE_LIMIT)
-                if diverged.any():
-                    raise IntegrationError(last_valid_time=(k + int(diverged.argmax())) * dt)
-                k += j
-                c = min(2 * c, most)
-                if j < size:  # a band crossing: one RK4 step over A, then chunks start again at 1 block
-                    z[:5] = x[:, k]
-                    x[:, k + 1] = _crossing_step(a, z, dt, grid)[:5]
-                    if not abs(x[1, k + 1]) < _DIVERGENCE_LIMIT:
-                        raise IntegrationError(last_valid_time=k * dt)
-                    k, c = k + 1, 1
+        for _ in _sample_runs(scenario, a, k_on, n, x[:, k_on:]):
+            pass
         np.matmul(a[[3, 1], :5], x[:, k_on : n + 1], out=outputs[:, k_on:])
         outputs[:, k_on:] += d_p * a[[3, 1], 5:]
-    return Trajectory(scenario, dt, t, *x[:, : n + 1], *outputs)
+    return Trajectory(scenario, scenario.sim.dt, t, *x[:, : n + 1], *outputs)
+
+
+def _storage_maxima(scenario: Scenario) -> tuple[float, float]:
+    """``p_b_max_norm`` and ``e_b_max_norm`` of ``extract_metrics(simulate(scenario))``,
+    bit for bit, without a trajectory: the same samples, taken in a window of the
+    largest chunk and reduced run by run through the same p_b product."""
+    d_p = scenario.disturbance.step_pu
+    if d_p == 0:
+        return 0.0, 0.0
+    a, n, k_on = _plan(scenario)
+    window = np.zeros((5, 1 + _most_blocks(n - k_on) * _BLOCK))
+    p_b = e_b = 0.0 if k_on else -np.inf  # the zero samples before the step count
+    if k_on < n:
+        runs = _sample_runs(scenario, a, k_on, n, window)
+    else:  # the sample at k_on, the zero state, if the step comes by the horizon
+        runs = [window[:, :1]] if k_on == n else []
+    for run in runs:
+        out = a[[3, 1], :5] @ run
+        out[0] += d_p * a[3, 5]
+        p_b = max(p_b, out[0].max())
+        e_b = max(e_b, run[3].max())
+    return float(p_b / d_p), float(e_b / d_p)
 
 
 def extract_metrics(traj: Trajectory, monotone_tol: float = MONOTONE_TOL) -> Metrics:

@@ -10,7 +10,8 @@ for each target the droop gain comes from the steady-state rule, the rest
 of the controller from the chosen strategy, the power requirement from a
 frozen-secondary transient run, and the energy requirement from a long run
 with the secondary loop active (the two quantities live on different
-timescales, ~seconds versus ~minutes).
+timescales, ~seconds versus ~minutes).  Each run is reduced to its maxima
+chunk by chunk as the sampler takes it; no trajectory is built.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from typing import Callable, Iterable, Optional, Sequence, TextIO
 
 from .controllers import Droop, IDroop, VirtualInertia
 from .model import Disturbance, GridParams, Scenario, SimOptions
-from .simulate import METRIC_FIELDS, IntegrationError, Metrics, extract_metrics, simulate
+from .simulate import METRIC_FIELDS, IntegrationError, Metrics, _storage_maxima, extract_metrics, simulate
 from .tuning import design_droop_from_target, mv_min_exact
 
 __all__ = [
@@ -31,7 +32,6 @@ __all__ = [
     "capacity_curve",
     "write_sweep_csv",
     "vi_min_retune",
-    "idroop_nadir_retune",
 ]
 
 # Long-horizon energy runs follow the secondary loop's slow mode, time
@@ -90,12 +90,6 @@ def vi_min_retune(scenario: Scenario) -> Scenario:
     alpha_b = scenario.controller.alpha_b
     m_v = max(0.0, mv_min_exact(scenario.grid, alpha_b))
     return replace(scenario, controller=VirtualInertia(m_v=m_v, alpha_b=alpha_b))
-
-
-def idroop_nadir_retune(scenario: Scenario) -> Scenario:
-    """Keep the lag droop on its turbine-cancelling tuning."""
-    alpha_b = scenario.controller.alpha_b
-    return replace(scenario, controller=IDroop.nadir_tuned(scenario.grid, alpha_b))
 
 
 def sweep(spec: SweepSpec) -> list[SweepPoint]:
@@ -168,11 +162,13 @@ def capacity_curve(
     at zero, so curves flatten where the generators already meet the cap),
     the controller completed per ``strategy``, p_b,max from a 30 s
     frozen-secondary run, e_b,max from a 1200 s run with the secondary loop
-    active.  The energy approaches its limit alpha_b/k_i along the
-    secondary slow mode, tau_s = (alpha_l + alpha_g + alpha_b)/k_i, so the
-    1200 s run captures about 1 - e^(-1200/tau_s) of it: 86-97% on the GB
-    grid (alpha_b in 0..15, tau_s = 320..620 s).  A zero target is
-    infeasible and is flagged rather than raised.
+    active.  Both maxima are reduced chunk by chunk in one window of the
+    sampler, with no trajectory built, and equal ``extract_metrics`` on the
+    full trajectory bit for bit.  The energy approaches its limit
+    alpha_b/k_i along the secondary slow mode, tau_s = (alpha_l + alpha_g +
+    alpha_b)/k_i, so the 1200 s run captures about 1 - e^(-1200/tau_s) of
+    it: 86-97% on the GB grid (alpha_b in 0..15, tau_s = 320..620 s).  A
+    zero target is infeasible and is flagged rather than raised.
     """
     if strategy not in _STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}; expected one of {_STRATEGIES}")
@@ -206,14 +202,12 @@ def capacity_curve(
             disturbance=disturbance,
             sim=SimOptions(dt=ENERGY_RUN_DT, horizon=ENERGY_RUN_HORIZON, exact=True),
         )
-        p_metrics = extract_metrics(simulate(power_run))
-        e_metrics = extract_metrics(simulate(energy_run))
         points.append(
             CapacityPoint(
                 delta_omega=target,
                 alpha_b=alpha_b,
-                p_b_max_norm=p_metrics.p_b_max_norm,
-                e_b_max_norm=e_metrics.e_b_max_norm,
+                p_b_max_norm=_storage_maxima(power_run)[0],
+                e_b_max_norm=_storage_maxima(energy_run)[1],
                 feasible=True,
             )
         )

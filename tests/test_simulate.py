@@ -27,6 +27,10 @@ Covers:
    the scalar RK4 loop to rounding over every law, both step signs, an
    off-grid step, the secondary loop and 18 band crossings, and the scalar
    loop's divergence times
+ - capacity maxima reduced in one window of the sampler: extract_metrics on the
+   full trajectory bit for bit, over fig8's runs, dead-band runs, both step
+   signs, steps at 0, later, at or after the horizon, a zero step, and the
+   divergence times; k_on as np.searchsorted finds it
 """
 
 import io
@@ -58,8 +62,9 @@ from gridfreq import (
     steady_state_deviation,
     write_trajectory_csv,
 )
-from gridfreq.simulate import TRAJECTORY_CSV_HEADER, _rk4_step1, _step_rows, write_csv_rows
-from gridfreq.tuning import mv_min_exact
+from gridfreq.simulate import TRAJECTORY_CSV_HEADER, _plan, _rk4_step1, _step_rows, _storage_maxima, write_csv_rows
+from gridfreq.sweeps import ENERGY_RUN_DT, ENERGY_RUN_HORIZON, TRANSIENT_OPTIONS, _capacity_controller
+from gridfreq.tuning import design_droop_from_target, mv_min_exact
 
 GB = gb_reference_params()
 DP = 0.05625
@@ -481,6 +486,87 @@ def test_deadband_unstable_loop_reports_last_valid_time():
     with pytest.raises(IntegrationError) as excinfo:
         simulate(_scenario(NoStorage(), grid=grid, sim=SimOptions(dt=1e-3, horizon=60.0)))
     assert excinfo.value.last_valid_time == 44.312
+
+
+# ---------------------------------------------- storage maxima (one window)
+
+FIG8_TARGETS = [round(v, 10) for v in np.linspace(1.875e-3, 3.75e-3, 21)]
+CAPACITY_RUNS = [TRANSIENT_OPTIONS, SimOptions(dt=ENERGY_RUN_DT, horizon=ENERGY_RUN_HORIZON, exact=True)]
+
+
+def _assert_maxima_match(sc):
+    """The reducer gives extract_metrics(simulate(sc))'s p_b_max_norm and e_b_max_norm
+    bit for bit (``hex`` tells -0.0 from 0.0), as Python floats."""
+    metrics = extract_metrics(simulate(sc))
+    want = (metrics.p_b_max_norm, metrics.e_b_max_norm)
+    got = _storage_maxima(sc)
+    assert [type(v) for v in got] == [float, float]
+    assert got == want and [v.hex() for v in got] == [v.hex() for v in want], sc
+
+
+@pytest.mark.parametrize("strategy", ["droop", "vi_min", "idroop_tuned"])
+def test_storage_maxima_match_metrics_on_fig8(strategy):
+    """Every fig8 target, on the power run and on the energy run of capacity_curve."""
+    for target in FIG8_TARGETS:
+        alpha_b = design_droop_from_target(DP, target, GB.gen_inv_droop_alpha_g)
+        controller = _capacity_controller(strategy, GB, alpha_b)
+        for sim in CAPACITY_RUNS:
+            _assert_maxima_match(_scenario(controller, sim=sim))
+
+
+@pytest.mark.parametrize("case", [*DEADBAND_CASES, "oscillation"])
+def test_storage_maxima_match_metrics_with_deadband(case):
+    """Region by region, with band crossing steps, over every law."""
+    if case == "oscillation":  # 18 band crossings in 60 s
+        grid = gb_reference_params(deadband_omega_db=0.0006, secondary_gain_k_i=2.0)
+        _assert_maxima_match(_scenario(Droop(alpha_b=0.0), grid=grid, sim=SimOptions(dt=1e-3, horizon=60.0)))
+        return
+    step, step_time, sim = DEADBAND_CASES[case]
+    for controller in DEADBAND_LAWS:
+        _assert_maxima_match(Scenario(GB_DB, controller, Disturbance(step_pu=step, step_time=step_time), sim))
+
+
+@pytest.mark.parametrize(
+    "step, step_time",
+    [(DP, 0.0), (DP, 0.5), (DP, 0.0005), (-DP, 0.0), (-DP, 0.5), (DP, 30.0), (DP, 40.0), (0.0, 0.0)],
+    ids=["at-0", "at-0.5", "off-grid", "negative", "negative-at-0.5", "at-horizon", "after-horizon", "zero"],
+)
+def test_storage_maxima_match_metrics_on_edges(step, step_time):
+    """Both step signs, a step at 0 (no zero sample before it) or later, one at or
+    after the horizon and none at all, on both paths, frozen and with the secondary."""
+    for controller in (NoStorage(), Droop(alpha_b=5.0), VirtualInertia(m_v=MV_MIN, alpha_b=2.0), IDroop.nadir_tuned(GB, 2.0)):
+        for sim in (*_both_paths(FROZEN), SimOptions(dt=1e-2, horizon=30.0)):
+            _assert_maxima_match(Scenario(GB, controller, Disturbance(step_pu=step, step_time=step_time), sim))
+
+
+def test_first_step_sample_matches_searchsorted():
+    """k_on is the first sample time at or after the step, as np.searchsorted finds it."""
+    for dt, horizon in ((1e-3, 30.0), (1e-2, 1200.0), (0.3, 7.0), (2.0, 8.0)):
+        t = np.arange(int(round(horizon / dt)) + 1) * dt
+        for k in (0, 1, 7, 500, len(t) - 1, len(t)):
+            for step_time in (k * dt, np.nextafter(k * dt, 0.0), np.nextafter(k * dt, np.inf), (k + 0.5) * dt):
+                sc = Scenario(GB, NoStorage(), Disturbance(step_pu=DP, step_time=step_time), SimOptions(dt=dt, horizon=horizon))
+                assert _plan(sc)[1:] == (len(t) - 1, int(np.searchsorted(t, step_time))), (dt, step_time)
+
+
+@pytest.mark.parametrize(
+    "grid, controller, sim, last_valid_time",
+    [
+        (GB, IDroop.nadir_tuned(GB, 0.0), SimOptions(dt=2.0, horizon=400.0, freeze_secondary=True), 8.0),
+        (GB_DB, IDroop.nadir_tuned(GB, 0.0), SimOptions(dt=2.0, horizon=400.0, freeze_secondary=True), 8.0),
+        (gb_reference_params(deadband_omega_db=0.0006, secondary_gain_k_i=50.0), NoStorage(), SimOptions(dt=1e-3, horizon=60.0), 44.312),
+    ],
+    ids=["idroop-2", "deadband-idroop-2", "deadband-unstable"],
+)
+def test_storage_maxima_divergence_times(grid, controller, sim, last_valid_time):
+    """The reducer raises where simulate does, and returns for a horizon that ends at
+    the last valid time."""
+    sc = _scenario(controller, grid=grid, sim=sim)
+    for run in (simulate, _storage_maxima):
+        with pytest.raises(IntegrationError) as excinfo:
+            run(sc)
+        assert excinfo.value.last_valid_time == last_valid_time
+    _assert_maxima_match(replace(sc, sim=replace(sim, horizon=last_valid_time)))
 
 
 # ----------------------------------------------------------- energy account

@@ -14,6 +14,7 @@ Covers:
 """
 
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -30,7 +31,6 @@ from gridfreq import (
     capacity_curve,
     extract_metrics,
     gb_reference_params,
-    idroop_nadir_retune,
     mv_min_exact,
     simulate,
     sweep,
@@ -95,8 +95,6 @@ def test_retune_rules():
     sc = _base(VirtualInertia(m_v=0.0, alpha_b=2.0))
     retuned = vi_min_retune(sc)
     assert retuned.controller.m_v == pytest.approx(mv_min_exact(GB, 2.0), rel=1e-13)
-    lag = idroop_nadir_retune(sc)
-    assert lag.controller == IDroop.nadir_tuned(GB, 2.0)
 
 
 def test_sweep_csv_layout():
@@ -217,6 +215,20 @@ def test_capacity_curves():
             assert p.alpha_b > 1.0
             expected = p.alpha_b / GB.secondary_gain_k_i
             assert p.e_b_max_norm == pytest.approx(expected, rel=0.05), p
+
+
+def test_capacity_point_working_memory_is_small():
+    """A capacity point reduces its two runs to their maxima in one window of the
+    sampler: no trajectory of the 1200 s energy run is built."""
+    capacity_curve(GB, "idroop_tuned", [0.003], DP)  # the first call builds lazy tables
+    tracemalloc.start()
+    try:
+        capacity_curve(GB, "idroop_tuned", [0.003], DP)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    print(f"\n  traced peak of one capacity point: {peak / 1e6:.2f} MB")
+    assert peak < 5e6
 
 
 def test_capacity_curve_flags_zero_target():
