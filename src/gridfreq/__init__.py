@@ -16,7 +16,6 @@ from .lti import (
     UnsupportedOrderError,
     closed_loop_tf,
     nadir_of_response,
-    pole_residual,
     step_response,
 )
 from .model import (
@@ -72,7 +71,6 @@ __all__ = [
     "UnsupportedOrderError",
     "closed_loop_tf",
     "nadir_of_response",
-    "pole_residual",
     "step_response",
     "Disturbance",
     "GridParams",

@@ -5,13 +5,11 @@ Each law maps the measured frequency deviation to a storage power command,
 
     c(s) = -(m_v s + nu) + g / (tau_i s + 1),
 
-and is exposed two ways:
-
-* :meth:`StorageController.transfer` evaluates the law's own transfer
-  function at a complex frequency, for algebraic analysis;
-* :attr:`StorageController.realization` gives the coefficients
-  ``(m_v, nu, g, tau_i)`` of the generic law, which the simulator
-  integrates through one realization for every law.
+and :attr:`StorageController.realization` gives the coefficients
+``(m_v, nu, g, tau_i)`` of the generic law, which the simulator integrates
+through one realization for every law.  The closed-form oracle in
+:mod:`gridfreq.lti` writes each law's transfer function again, on its own,
+so that it can cross-check the simulator.
 
 Droop is ``nu = alpha_b``; virtual inertia adds ``m_v``; the lag droop sets
 ``g = nu - alpha_b``, so every DC gain is ``-alpha_b``.
@@ -48,10 +46,6 @@ class StorageController:
 
     alpha_b: float
 
-    def transfer(self, s: complex) -> complex:
-        """Evaluate the law's transfer function c(s) from omega to p_b."""
-        raise NotImplementedError
-
     @property
     def realization(self) -> tuple[float, float, float, float]:
         """Coefficients ``(m_v, nu, g, tau_i)`` of the generic law.
@@ -71,9 +65,6 @@ class NoStorage(StorageController):
     def alpha_b(self) -> float:
         return 0.0
 
-    def transfer(self, s: complex) -> complex:
-        return 0.0 + 0.0j
-
     @property
     def realization(self) -> tuple[float, float, float, float]:
         return 0.0, 0.0, 0.0, 1.0
@@ -89,9 +80,6 @@ class Droop(StorageController):
         require_finite(self)
         if self.alpha_b < 0:
             raise ValueError(f"alpha_b must be >= 0, got {self.alpha_b}")
-
-    def transfer(self, s: complex) -> complex:
-        return complex(-self.alpha_b)
 
     @property
     def realization(self) -> tuple[float, float, float, float]:
@@ -117,9 +105,6 @@ class VirtualInertia(StorageController):
             raise ValueError(f"m_v must be >= 0, got {self.m_v}")
         if self.alpha_b < 0:
             raise ValueError(f"alpha_b must be >= 0, got {self.alpha_b}")
-
-    def transfer(self, s: complex) -> complex:
-        return -(self.m_v * s + self.alpha_b)
 
     @property
     def realization(self) -> tuple[float, float, float, float]:
@@ -169,12 +154,6 @@ class IDroop(StorageController):
             tau_i=params.turbine_tau,
             alpha_b=alpha_b,
         )
-
-    def transfer(self, s: complex) -> complex:
-        den = self.tau_i * s + 1.0
-        if den == 0:
-            raise ValueError(f"transfer function pole at s = {s!r} (s = -1/tau_i)")
-        return (self.nu - self.alpha_b) / den - self.nu
 
     @property
     def realization(self) -> tuple[float, float, float, float]:

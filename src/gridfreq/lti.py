@@ -2,33 +2,39 @@
 
 With the secondary gain at zero and no governor dead-band, the loop from
 the power imbalance to the frequency deviation is a rational function.
-Writing M = 2H + m_v and sigma = alpha_l + alpha_b + alpha_g:
+Each control law's transfer function from omega to p_b, c(s) = n_c(s) /
+d_c(s), is written here once, from the law's definition:
 
-* no storage / droop / virtual inertia:
+* no storage 0, droop -alpha_b, virtual inertia -(m_v s + alpha_b);
+* lag droop -(nu tau_i s + alpha_b) / (tau_i s + 1).
 
-      G(s) = -(tau_T s + 1) / (M tau_T s^2 + (tau_T (alpha_l + alpha_b) + M) s + sigma)
+This encoding is the oracle's own, independent of the state-space model
+the simulator integrates, so that each cross-checks the other.  With
+T(s) = tau_T s + 1 every loop is
 
-* lag droop with its lag matched to the turbine (tau_i = tau_T = tau):
+      G(s) = -T d_c / ((2H s + alpha_l) T d_c - T n_c + alpha_g d_c).
 
-      G(s) = -(tau s + 1) / (2H tau s^2 + (2H + tau (alpha_l + nu)) s + sigma)
+A lag droop whose lag matches the turbine (tau_i = tau_T) cancels one
+factor T and is second order; when additionally nu = alpha_b + alpha_g it
+cancels a second one, leaving the first-order loop
 
-  and when additionally nu = alpha_b + alpha_g the numerator cancels a
-  denominator factor exactly, leaving the first-order loop
+      G(s) = -1 / (2H s + sigma),   sigma = alpha_l + alpha_b + alpha_g.
 
-      G(s) = -1 / (2H s + sigma);
+A factor T is divided out while -1/tau_T is a root of both polynomials to
+within 1e-12 of their coefficient scale, so a tuning that misses by
+rounding still collapses.  A lag droop with tau_i != tau_T is genuinely
+third order; its polynomial form and poles are still built here, but
+closed-form step responses are limited to order <= 2 (everything the
+capacity and tuning analysis needs) and higher orders are delegated to the
+time-domain simulator.
 
-* lag droop with tau_i != tau_T is genuinely third order; its polynomial
-  form and poles are still built here, but closed-form step responses are
-  limited to order <= 2 (everything the capacity and tuning analysis needs)
-  and higher orders are delegated to the time-domain simulator.
-
-Step responses are evaluated by modal decomposition of G(s)/s with the
-repeated-pole case handled explicitly via the t*exp(p t) mode; the
-critically damped boundary is exactly the case the tuning rules single
-out, so it is not approximated by pole perturbation.  Nearly-repeated
-poles (separation below 1e-7 relative) are collapsed onto the repeated
-formula to avoid the catastrophic residue cancellation of the two-mode
-form.
+Step responses are the partial fractions of G(s)/s, one mode per distinct
+pole, with the repeated-pole case handled explicitly via the t*exp(p t)
+mode; the critically damped boundary is exactly the case the tuning rules
+single out, so it is not approximated by pole perturbation.
+Nearly-repeated poles (separation below 1e-7 relative) are collapsed onto
+the repeated formula to avoid the catastrophic residue cancellation of the
+two-mode form.
 """
 
 from __future__ import annotations
@@ -50,7 +56,6 @@ __all__ = [
     "closed_loop_tf",
     "step_response",
     "nadir_of_response",
-    "pole_residual",
 ]
 
 # Pole pairs closer than this (relative to their magnitude) are treated as
@@ -63,6 +68,9 @@ _STATIONARY_TOL = 1e-9
 
 # Relative tolerance for recognizing the exact-cancellation tunings.
 _CANCEL_RTOL = 1e-12
+
+# Label suffix by the number of turbine factors (tau_T s + 1) the law cancels.
+_CANCELLED_LABELS = ("", "_matched_lag", "_nadir_tuned")
 
 
 class UnsupportedOrderError(ValueError):
@@ -96,23 +104,25 @@ class ClosedLoopLti:
         return len(self.den) - 1
 
 
-def _trim(coeffs: np.ndarray) -> np.ndarray:
-    """Drop leading zero coefficients (none expected for valid params)."""
-    nz = np.flatnonzero(np.abs(coeffs) > 0)
-    if len(nz) == 0:
-        return coeffs[-1:]
-    return coeffs[nz[0]:]
+def _law_polynomials(cfg: StorageController) -> tuple[list[float], list[float], str]:
+    """The law's c(s) = n_c(s) / d_c(s) from omega to p_b, written from its
+    definition, and the base of its label."""
+    if isinstance(cfg, NoStorage):
+        return [0.0], [1.0], "no_storage"
+    if isinstance(cfg, Droop):
+        return [-cfg.alpha_b], [1.0], "droop"
+    if isinstance(cfg, VirtualInertia):
+        return [-cfg.m_v, -cfg.alpha_b], [1.0], "virtual_inertia"
+    if isinstance(cfg, IDroop):
+        # (nu - alpha_b) / (tau_i s + 1) - nu over one denominator
+        return [-cfg.nu * cfg.tau_i, -cfg.alpha_b], [cfg.tau_i, 1.0], "idroop"
+    raise TypeError(f"unsupported controller type: {type(cfg).__name__}")
 
 
-def _build(num, den, label: str) -> ClosedLoopLti:
-    num = _trim(np.asarray(num, dtype=float))
-    den = _trim(np.asarray(den, dtype=float))
-    if len(num) > len(den):
-        raise ValueError("numerator degree exceeds denominator degree")
-    poles = np.roots(den) if len(den) > 1 else np.array([], dtype=complex)
-    poles = poles[np.argsort(poles.real)]
-    stable = bool(np.all(poles.real < 0.0))
-    return ClosedLoopLti(num=num, den=den, poles=poles, label=label, stable=stable)
+def _has_root(poly: np.ndarray, x: float) -> bool:
+    """Whether x is a root of ``poly`` to within _CANCEL_RTOL of its absolute-coefficient scale."""
+    scale = np.polyval(np.abs(poly), abs(x))
+    return abs(np.polyval(poly, x)) <= _CANCEL_RTOL * scale
 
 
 def closed_loop_tf(params: GridParams, cfg: StorageController) -> ClosedLoopLti:
@@ -124,51 +134,27 @@ def closed_loop_tf(params: GridParams, cfg: StorageController) -> ClosedLoopLti:
     """
     if params.deadband_omega_db != 0.0:
         raise ValueError("closed_loop_tf covers the linear loop only; deadband_omega_db must be 0")
-    two_h = 2.0 * params.inertia_h
-    tau_t = params.turbine_tau
-    a_l = params.load_damping_alpha_l
-    a_g = params.gen_inv_droop_alpha_g
-
-    if isinstance(cfg, (NoStorage, Droop, VirtualInertia)):
-        m_v = cfg.m_v if isinstance(cfg, VirtualInertia) else 0.0
-        a_b = cfg.alpha_b
-        m = two_h + m_v
-        num = [-tau_t, -1.0]
-        den = [m * tau_t, tau_t * (a_l + a_b) + m, a_l + a_b + a_g]
-        label = {NoStorage: "no_storage", Droop: "droop", VirtualInertia: "virtual_inertia"}[type(cfg)]
-        return _build(num, den, label)
-
-    if isinstance(cfg, IDroop):
-        nu, tau_i, a_b = cfg.nu, cfg.tau_i, cfg.alpha_b
-        sigma = a_l + a_b + a_g
-        if math.isclose(tau_i, tau_t, rel_tol=_CANCEL_RTOL, abs_tol=0.0):
-            if math.isclose(nu, a_b + a_g, rel_tol=_CANCEL_RTOL, abs_tol=0.0):
-                # lag cancels the turbine pole: first-order loop
-                return _build([-1.0], [two_h, sigma], "idroop_nadir_tuned")
-            num = [-tau_t, -1.0]
-            den = [two_h * tau_t, two_h + tau_t * (a_l + nu), sigma]
-            return _build(num, den, "idroop_matched_lag")
-        # general lag droop: third order, poles only (no closed-form step)
-        lag_i = np.array([tau_i, 1.0])
-        lag_t = np.array([tau_t, 1.0])
-        num = -np.polymul(lag_i, lag_t)
-        den = np.polymul(np.array([two_h, a_l + nu]), np.polymul(lag_i, lag_t))
-        den = np.polyadd(den, -(nu - a_b) * lag_t)
-        den = np.polyadd(den, a_g * lag_i)
-        return _build(num, den, "idroop")
-
-    raise TypeError(f"unsupported controller type: {type(cfg).__name__}")
-
-
-def pole_residual(lti: ClosedLoopLti) -> float:
-    """Worst relative residual |den(p)| / sum_i |den_i p^i| over the poles."""
-    worst = 0.0
-    for p in lti.poles:
-        scale = sum(
-            abs(c) * abs(p) ** (len(lti.den) - 1 - i) for i, c in enumerate(lti.den)
-        )
-        worst = max(worst, abs(np.polyval(lti.den, p)) / max(scale, 1e-300))
-    return worst
+    n_c, d_c, label = _law_polynomials(cfg)
+    lag_t = np.array([params.turbine_tau, 1.0])
+    swing = [2.0 * params.inertia_h, params.load_damping_alpha_l]
+    t_dc = np.polymul(lag_t, d_c)
+    num = -t_dc
+    den = np.polysub(np.polymul(swing, t_dc), np.polymul(lag_t, n_c))
+    den = np.polyadd(den, params.gen_inv_droop_alpha_g * np.asarray(d_c))
+    # Divide out each turbine factor the law cancels; the count names the tuning.
+    cancelled, turbine_pole = 0, -1.0 / params.turbine_tau
+    while _has_root(num, turbine_pole) and _has_root(den, turbine_pole):
+        num, den = np.polydiv(num, lag_t)[0], np.polydiv(den, lag_t)[0]
+        cancelled += 1
+    poles = np.roots(den)
+    poles = poles[np.argsort(poles.real)]
+    return ClosedLoopLti(
+        num=num,
+        den=den,
+        poles=poles,
+        label=label + _CANCELLED_LABELS[cancelled],
+        stable=bool(np.all(poles.real < 0.0)),
+    )
 
 
 def _classify_second_order(poles: np.ndarray) -> str:
@@ -213,31 +199,17 @@ def step_response(
         raise ValueError("t must be >= 0")
     num, den = lti.num, lti.den
 
-    if lti.order == 1:
-        d1, d0 = den
-        p = -d0 / d1
-        a = float(np.polyval(num, 0.0)) / d0
-        r = float(np.polyval(num, p)) / (p * d1)
-        y = a + r * np.exp(p * t_arr)
+    if lti.order == 2 and _classify_second_order(lti.poles) == "repeated":
+        p, a, b, c = _repeated_pole_modes(num, den, lti.poles)
+        y = a + (b + c * t_arr) * np.exp(p * t_arr)
     else:
-        kind = _classify_second_order(lti.poles)
-        if kind == "repeated":
-            p, a, b, c = _repeated_pole_modes(num, den, lti.poles)
-            y = a + (b + c * t_arr) * np.exp(p * t_arr)
-        elif kind == "complex":
-            p = lti.poles[0] if lti.poles[0].imag > 0 else lti.poles[1]
-            dprime = np.polyval(np.polyder(den), p)
-            rho_s = np.polyval(num, p) / (p * dprime)
-            a = float(np.polyval(num, 0.0)) / float(np.polyval(den, 0.0))
-            y = a + 2.0 * (rho_s * np.exp(p * t_arr)).real
-        else:
-            p1 = float(lti.poles[0].real)
-            p2 = float(lti.poles[1].real)
-            dprime = np.polyder(den)
-            r1 = float(np.polyval(num, p1)) / (p1 * float(np.polyval(dprime, p1)))
-            r2 = float(np.polyval(num, p2)) / (p2 * float(np.polyval(dprime, p2)))
-            a = float(np.polyval(num, 0.0)) / float(np.polyval(den, 0.0))
-            y = a + r1 * np.exp(p1 * t_arr) + r2 * np.exp(p2 * t_arr)
+        # G(s)/s = a/s + sum_i r_i/(s - p_i), one mode per distinct pole; a
+        # conjugate pair's two modes sum to twice the real part of either.
+        y = np.full(t_arr.shape, float(np.polyval(num, 0.0)) / float(np.polyval(den, 0.0)))
+        dprime = np.polyder(den)
+        for p in lti.poles:
+            r = np.polyval(num, p) / (p * np.polyval(dprime, p))
+            y += (r * np.exp(p * t_arr)).real
 
     y = delta_p * y
     if np.isscalar(t) or t_arr.ndim == 0:

@@ -399,10 +399,12 @@ def simulate(scenario: Scenario) -> Trajectory:
     return Trajectory(scenario, scenario.sim.dt, t, *x[:, : n + 1], *outputs)
 
 
-def _storage_maxima(scenario: Scenario) -> tuple[float, float]:
+def _storage_maxima(scenario: Scenario, with_p_b: bool = True) -> tuple[float, float]:
     """``p_b_max_norm`` and ``e_b_max_norm`` of ``extract_metrics(simulate(scenario))``,
     bit for bit, without a trajectory: the same samples, taken in a window of the
-    largest chunk and reduced run by run through the same p_b product."""
+    largest chunk and reduced run by run through the same p_b product.  With
+    ``with_p_b`` false that product is skipped, and only the e_b maximum is the
+    trajectory's."""
     d_p = scenario.disturbance.step_pu
     if d_p == 0:
         return 0.0, 0.0
@@ -414,11 +416,12 @@ def _storage_maxima(scenario: Scenario) -> tuple[float, float]:
     else:  # the sample at k_on, the zero state, if the step comes by the horizon
         runs = [window[:, :1]] if k_on == n else []
     for run in runs:
-        out = a[[3, 1], :5] @ run
-        out[0] += d_p * a[3, 5]
-        p_b = max(p_b, out[0].max())
+        if with_p_b:
+            out = a[[3, 1], :5] @ run
+            out[0] += d_p * a[3, 5]
+            p_b = max(p_b, out[0].max())
         e_b = max(e_b, run[3].max())
-    return float(p_b / d_p), float(e_b / d_p)
+    return float(p_b / d_p) if with_p_b else math.nan, float(e_b / d_p)
 
 
 def extract_metrics(traj: Trajectory, monotone_tol: float = MONOTONE_TOL) -> Metrics:

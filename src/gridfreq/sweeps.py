@@ -207,7 +207,7 @@ def capacity_curve(
                 delta_omega=target,
                 alpha_b=alpha_b,
                 p_b_max_norm=_storage_maxima(power_run)[0],
-                e_b_max_norm=_storage_maxima(energy_run)[1],
+                e_b_max_norm=_storage_maxima(energy_run, with_p_b=False)[1],
                 feasible=True,
             )
         )

@@ -3,6 +3,10 @@
 Covers:
  - polynomial forms per control law, including the first-order collapse of
    the turbine-cancelling lag droop and the order-3 off-tuned case
+ - the one closed-loop formula against the three per-law polynomial forms it
+   replaced, on random grids with tau_T != 1 and lags matched to within
+   rounding (deflated) or just beyond it (third order)
+ - the oracle's independence from the simulator's model
  - pole residuals <= 1e-10
  - step-response exactness: zero initial value, final-value consistency
  - nadir location against a frozen golden value (cross-checked offline by a
@@ -11,6 +15,10 @@ Covers:
  - the central equivalence: the algebraic nadir-elimination condition
    agrees with the oracle's monotone/nadir verdict on randomized parameters
 """
+
+import ast
+import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,7 +35,6 @@ from gridfreq import (
     gb_reference_params,
     mv_min_exact,
     nadir_of_response,
-    pole_residual,
     step_response,
     steady_state_deviation,
     vi_nadir_condition,
@@ -98,6 +105,94 @@ def test_off_tuned_idroop_is_third_order():
         step_response(lti, DP, 1.0)
     with pytest.raises(UnsupportedOrderError):
         nadir_of_response(lti, DP)
+
+
+def pole_residual(lti: ClosedLoopLti) -> float:
+    """Worst relative residual |den(p)| / sum_i |den_i p^i| over the poles."""
+    worst = 0.0
+    for p in lti.poles:
+        scale = sum(
+            abs(c) * abs(p) ** (len(lti.den) - 1 - i) for i, c in enumerate(lti.den)
+        )
+        worst = max(worst, abs(np.polyval(lti.den, p)) / max(scale, 1e-300))
+    return worst
+
+
+def _per_law_reference(params, cfg):
+    """``(label, num, den)`` of the closed loop, one polynomial form per law family."""
+    two_h, tau_t = 2.0 * params.inertia_h, params.turbine_tau
+    a_l, a_g = params.load_damping_alpha_l, params.gen_inv_droop_alpha_g
+    if isinstance(cfg, (NoStorage, Droop, VirtualInertia)):
+        m = two_h + (cfg.m_v if isinstance(cfg, VirtualInertia) else 0.0)
+        label = {NoStorage: "no_storage", Droop: "droop", VirtualInertia: "virtual_inertia"}[type(cfg)]
+        return label, [-tau_t, -1.0], [m * tau_t, tau_t * (a_l + cfg.alpha_b) + m, a_l + cfg.alpha_b + a_g]
+    nu, tau_i, a_b = cfg.nu, cfg.tau_i, cfg.alpha_b
+    sigma = a_l + a_b + a_g
+    if math.isclose(tau_i, tau_t, rel_tol=1e-12, abs_tol=0.0):
+        if math.isclose(nu, a_b + a_g, rel_tol=1e-12, abs_tol=0.0):
+            return "idroop_nadir_tuned", [-1.0], [two_h, sigma]
+        return "idroop_matched_lag", [-tau_t, -1.0], [two_h * tau_t, two_h + tau_t * (a_l + nu), sigma]
+    lags = np.polymul([tau_i, 1.0], [tau_t, 1.0])
+    den = np.polymul([two_h, a_l + nu], lags)
+    den = np.polyadd(den, -(nu - a_b) * np.array([tau_t, 1.0]))
+    den = np.polyadd(den, a_g * np.array([tau_i, 1.0]))
+    return "idroop", -lags, den
+
+
+def test_closed_loop_matches_per_law_polynomials():
+    """One formula for every law equals the per-law forms on random grids with
+    tau_T != 1, where -1/tau_T is inexact: a lag within 1e-13 of the turbine's
+    deflates, one 1e-9 away stays third order."""
+    rng = np.random.RandomState(2027)
+    orders = {}
+    for _ in range(150):
+        params = GridParams(
+            base_power=32.0,
+            nominal_freq=60.0,
+            inertia_h=rng.uniform(0.5, 10.0),
+            turbine_tau=rng.uniform(0.25, 3.0),
+            load_damping_alpha_l=rng.uniform(0.0, 2.0),
+            gen_inv_droop_alpha_g=rng.uniform(5.0, 30.0),
+            secondary_gain_k_i=0.0,
+        )
+        tau_t, alpha_b = params.turbine_tau, rng.uniform(0.0, 15.0)
+        tuned_nu = alpha_b + params.gen_inv_droop_alpha_g
+        laws = [
+            NoStorage(),
+            Droop(alpha_b=alpha_b),
+            VirtualInertia(m_v=rng.uniform(0.0, 150.0), alpha_b=alpha_b),
+            IDroop.nadir_tuned(params, alpha_b),
+            IDroop(nu=rng.uniform(1.0, 60.0), tau_i=tau_t, alpha_b=alpha_b),
+        ]
+        for factor in (1 + 1e-13, 1 - 1e-13, 1 + 1e-9, 1 - 1e-9):
+            for nu in (tuned_nu, rng.uniform(1.0, 60.0)):
+                laws.append(IDroop(nu=nu, tau_i=tau_t * factor, alpha_b=alpha_b))
+        for law in laws:
+            label, num, den = _per_law_reference(params, law)
+            lti = closed_loop_tf(params, law)
+            assert (lti.label, lti.order) == (label, len(den) - 1), law
+            assert lti.stable == bool(np.all(np.roots(den).real < 0.0)), law
+            np.testing.assert_allclose(lti.num, num, rtol=1e-12, atol=0.0, err_msg=repr(law))
+            np.testing.assert_allclose(lti.den, den, rtol=1e-12, atol=0.0, err_msg=repr(law))
+            orders[label, lti.order] = orders.get((label, lti.order), 0) + 1
+    # the near-matched lags take both sides of the deflation
+    assert orders["idroop_nadir_tuned", 1] == 450 and orders["idroop_matched_lag", 2] == 450
+    assert orders["idroop", 3] == 600
+
+
+def test_oracle_is_independent_of_the_simulator():
+    """lti.py writes its own polynomials: it never reads the realization or the
+    simulator's assembled matrix, and never imports the simulator."""
+    source = Path(closed_loop_tf.__code__.co_filename).read_text()
+    for name in ("realization", "_assemble"):
+        assert name not in source, name
+    imported = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            imported += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            imported += [node.module or ""] + [f"{node.module or ''}.{alias.name}" for alias in node.names]
+    assert not [m for m in imported if "simulate" in m.split(".")], imported
 
 
 def test_pole_residuals():

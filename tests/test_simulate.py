@@ -496,12 +496,15 @@ CAPACITY_RUNS = [TRANSIENT_OPTIONS, SimOptions(dt=ENERGY_RUN_DT, horizon=ENERGY_
 
 def _assert_maxima_match(sc):
     """The reducer gives extract_metrics(simulate(sc))'s p_b_max_norm and e_b_max_norm
-    bit for bit (``hex`` tells -0.0 from 0.0), as Python floats."""
+    bit for bit (``hex`` tells -0.0 from 0.0), as Python floats, and the same e_b
+    maximum when it skips p_b."""
     metrics = extract_metrics(simulate(sc))
     want = (metrics.p_b_max_norm, metrics.e_b_max_norm)
     got = _storage_maxima(sc)
     assert [type(v) for v in got] == [float, float]
     assert got == want and [v.hex() for v in got] == [v.hex() for v in want], sc
+    e_b = _storage_maxima(sc, with_p_b=False)[1]
+    assert type(e_b) is float and e_b == want[1] and e_b.hex() == want[1].hex(), sc
 
 
 @pytest.mark.parametrize("strategy", ["droop", "vi_min", "idroop_tuned"])
