@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import fields, replace
+from functools import cache
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -51,6 +52,7 @@ FIGURE_IDS = ("fig2", "fig3", "fig4", "fig5", "fig7", "fig8", "fig9", "fig10", "
 _TRAJ_STRIDE = 10  # trajectory figures are written every 10th sample (10 ms)
 
 
+@cache  # built once per process: parse_args leaves the parser as it found it
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gridfreq",

@@ -9,7 +9,9 @@ Covers:
    and exit code 2 for a target or disturbance the design cannot use
  - figure datasets: fig3 content and byte-identical reruns
  - one standard sweep end to end, and fig9 built from the same sweep
- - ``python -m gridfreq`` runs the same command line
+ - ``python -m gridfreq`` runs the same command line, and the parser built
+   once per process gives a usage error and then a valid simulate the
+   results each gives in a process of its own
 """
 
 import os
@@ -294,3 +296,31 @@ def test_python_m_gridfreq(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("usage: gridfreq figure")
+
+
+def test_parser_reuse_matches_separate_processes(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")  # usage text wraps at the terminal width
+    out = tmp_path / "traj.csv"
+    scenario = str(SCENARIO_DIR / "gb-idroop.scn")
+    calls = (
+        ["simulate", scenario, "--out", str(out), "--dt", "fast"],
+        ["simulate", scenario, "--out", str(out), "--horizon", "2"],
+    )
+    separate = []
+    for argv in calls:
+        proc = subprocess.run(
+            [sys.executable, "-m", "gridfreq", *argv],
+            env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        separate.append((proc.returncode, proc.stdout, proc.stderr, out.exists() and out.read_bytes()))
+    out.unlink()
+    in_process = []
+    for argv in calls:
+        rc = main(argv)
+        captured = capsys.readouterr()
+        in_process.append((rc, captured.out, captured.err, out.exists() and out.read_bytes()))
+    assert [r[0] for r in in_process] == [2, 0]
+    assert in_process == separate

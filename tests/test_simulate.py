@@ -12,7 +12,8 @@ Covers:
  - governor dead-band: branch values, deeper quasi-steady state, preserved
    monotonicity of the nadir-free tunings
  - divergence reporting, CSV layout (pre-step rows are unsigned zeros for
-   every law), settling time, contiguous trajectory arrays
+   every law), settling time, trajectory arrays as the contiguous rows of
+   one block
  - CSV cells byte for byte as Python's "%.12g" prints them, on edge values,
    time grids, random values over 600 decades and near-ties, and whole
    trajectories against a per-row "%" writer; the writer's working memory
@@ -872,11 +873,19 @@ def test_slow_recovery_is_not_monotone():
 
 
 def test_trajectory_arrays_are_contiguous():
-    """Each sampled array is one contiguous row, with a dead-band and without."""
-    for grid in (GB_DB, GB):
-        traj = simulate(_scenario(VirtualInertia(m_v=MV_MIN), grid=grid))
-        for arr in (traj.theta, traj.omega, traj.p_m, traj.e_b, traj.x_c, traj.p_b, traj.omega_dot):
-            assert arr.flags.c_contiguous
+    """The eight sampled arrays are the rows of one block, in order, each contiguous: with a
+    dead-band and without, and with a zero step or one after the horizon, where nothing is
+    sampled."""
+    vi = VirtualInertia(m_v=MV_MIN)
+    late = Scenario(GB, vi, Disturbance(step_pu=DP, step_time=2.0), replace(FROZEN, horizon=1.0))
+    for scenario in (_scenario(vi, grid=GB_DB), _scenario(vi), _scenario(vi, step=0.0), late):
+        traj = simulate(scenario)
+        arrays = (traj.t, traj.theta, traj.omega, traj.p_m, traj.e_b, traj.x_c, traj.p_b, traj.omega_dot)
+        block = traj.t.base
+        assert block is not None and block.shape[0] == 8
+        for arr, row in zip(arrays, block):
+            assert arr.base is block and arr.flags.c_contiguous
+            assert len(arr) == traj.n_samples and arr.ctypes.data == row.ctypes.data
 
 
 def test_state_accessors():
