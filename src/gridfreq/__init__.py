@@ -7,103 +7,23 @@ that remove the frequency nadir (minimum virtual inertia, droop sizing,
 turbine-cancelling lag droop), closed-form LTI step responses that
 cross-check the simulator, and sweep/capacity-curve engines that produce
 plot-ready tables.
+
+The package exports the union of its modules' ``__all__`` lists.
 """
 
-from .controllers import Droop, IDroop, NoStorage, StorageController, VirtualInertia
-from .lti import (
-    ClosedLoopLti,
-    NadirPoint,
-    UnsupportedOrderError,
-    closed_loop_tf,
-    nadir_of_response,
-    step_response,
-)
-from .model import (
-    Disturbance,
-    GridParams,
-    Scenario,
-    SimOptions,
-    SystemState,
-    gb_reference_params,
-    pu_disturbance,
-)
-from .scenariofile import ScenarioParseError, load_scenario, parse_scenario, serialize_scenario
-from .simulate import (
-    IntegrationError,
-    Metrics,
-    Trajectory,
-    deadband_response,
-    extract_metrics,
-    format_metrics,
-    simulate,
-    write_trajectory_csv,
-)
-from .sweeps import (
-    CapacityPoint,
-    SweepPoint,
-    SweepSpec,
-    capacity_curve,
-    sweep,
-    vi_min_retune,
-    write_sweep_csv,
-)
-from .tuning import (
-    ViNadirCheck,
-    design_droop_from_target,
-    energy_capacity_estimate,
-    mv_min_exact,
-    mv_min_from_target,
-    mv_min_linear,
-    steady_state_deviation,
-    vi_nadir_condition,
-)
+from . import controllers, lti, model, scenariofile, simulate, sweeps, tuning
+
+# Taken before the star imports, which rebind ``simulate`` to the function.
+_MODULES = (controllers, lti, model, scenariofile, simulate, sweeps, tuning)
+
+from .controllers import *  # noqa: E402, F403
+from .lti import *  # noqa: E402, F403
+from .model import *  # noqa: E402, F403
+from .scenariofile import *  # noqa: E402, F403
+from .simulate import *  # noqa: E402, F403
+from .sweeps import *  # noqa: E402, F403
+from .tuning import *  # noqa: E402, F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Droop",
-    "IDroop",
-    "NoStorage",
-    "StorageController",
-    "VirtualInertia",
-    "ClosedLoopLti",
-    "NadirPoint",
-    "UnsupportedOrderError",
-    "closed_loop_tf",
-    "nadir_of_response",
-    "step_response",
-    "Disturbance",
-    "GridParams",
-    "Scenario",
-    "SimOptions",
-    "SystemState",
-    "gb_reference_params",
-    "pu_disturbance",
-    "ScenarioParseError",
-    "load_scenario",
-    "parse_scenario",
-    "serialize_scenario",
-    "IntegrationError",
-    "Metrics",
-    "Trajectory",
-    "deadband_response",
-    "extract_metrics",
-    "format_metrics",
-    "simulate",
-    "write_trajectory_csv",
-    "CapacityPoint",
-    "SweepPoint",
-    "SweepSpec",
-    "capacity_curve",
-    "sweep",
-    "vi_min_retune",
-    "write_sweep_csv",
-    "ViNadirCheck",
-    "design_droop_from_target",
-    "energy_capacity_estimate",
-    "mv_min_exact",
-    "mv_min_from_target",
-    "mv_min_linear",
-    "steady_state_deviation",
-    "vi_nadir_condition",
-]
+__all__ = [name for module in _MODULES for name in module.__all__]

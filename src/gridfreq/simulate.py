@@ -51,10 +51,15 @@ crossing, so a dead-band run discards at most one chunk per crossing.
 One sampler has two consumers.  The chunk loop is one generator that writes
 each chunk into the buffer it is given and yields each accepted run of
 samples.  :func:`simulate` gives it the whole trajectory, so every sample
-is written in place.  :func:`_storage_maxima`, which sizes storage for
-capacity curves, gives it a window as wide as the largest chunk and keeps
-only the running maxima of p_b and e_b.  The chunks are the same, so its
-maxima are the trajectory's, bit for bit.
+of every state is written in place.  :func:`_storage_maxima`, which sizes
+storage for capacity curves, gives it a window as wide as the largest
+chunk and keeps only the running maximum of one quantity per run: p_b
+from the omega, p_m and x_c rows, or e_b from the omega and e_b rows.
+Each chunk's product then fills only those rows, one product per row,
+plus every row of its last two blocks, where the next chunk starts.  The
+rows it fills are the same products of the same starts, so the maxima
+are the trajectory's, bit for bit.  With a dead-band every row is filled,
+since the rows that screen a step's region read them all.
 
 Every path holds the imbalance at its step-start value within each step,
 exact for the piecewise-constant input; a ``step_time`` that is not a
@@ -311,7 +316,9 @@ def _most_blocks(steps: int) -> int:
     return 1 << max((-(-steps // _BLOCK)).bit_length() - 1, 0)
 
 
-def _sample_runs(scenario: Scenario, a: np.ndarray, k_on: int, n: int, buf: np.ndarray) -> Iterator[np.ndarray]:
+def _sample_runs(
+    scenario: Scenario, a: np.ndarray, k_on: int, n: int, buf: np.ndarray, rows: Sequence[int] = range(5)
+) -> Iterator[np.ndarray]:
     """Sample the loop of ``a`` from sample k_on, the zero state with the imbalance just
     switched on, to sample n, chunk by chunk into the five state rows of ``buf``.
 
@@ -322,10 +329,17 @@ def _sample_runs(scenario: Scenario, a: np.ndarray, k_on: int, n: int, buf: np.n
     it, yields the view of ``buf`` from the sample before the run to its last one,
     valid until the next sample is taken.  Raises :class:`IntegrationError` as
     :func:`simulate` documents.
+
+    Only the state ``rows`` the consumer reads are computed in full, and they must
+    hold omega (row 1), which the divergence test reads.  The other rows are exact
+    at the first sample of each yielded run and in the last two blocks of each
+    chunk, which start the next chunk, and stale elsewhere.  With a dead-band every
+    row is computed, since the stage rows that screen a step's region read them all.
     """
     grid, dt, d_p = scenario.grid, scenario.sim.dt, scenario.disturbance.step_pu
     w_db = grid.deadband_omega_db
     step1 = _expm1 if scenario.sim.exact and not w_db else _rk4_step1
+    every_row = bool(w_db) or len(rows) == 5
     # Region r is -1 below the band, 0 inside it, +1 above it (the one region without
     # a band), closed at the edges since phi is continuous there.
     bounds = {-1: (-np.inf, -w_db), 0: (-w_db, w_db), 1: (w_db, np.inf)}
@@ -349,7 +363,7 @@ def _sample_runs(scenario: Scenario, a: np.ndarray, k_on: int, n: int, buf: np.n
                 regions[r] = powers[:, :5].transpose(1, 2, 0).copy(), starts, stages
             powers, starts, stages = regions[r]
             # A chunk of c blocks: block i starts at Phi^(_BLOCK i) z, and one product
-            # takes every block's samples from its start.
+            # takes every block's samples from its start, for all rows or row by row.
             c = min(c, -(-(n - k) // _BLOCK))
             if i + 1 + c * _BLOCK > buf.shape[1]:  # a window: the chunk starts again at column 0
                 buf[:, 0] = buf[:, i]
@@ -357,9 +371,19 @@ def _sample_runs(scenario: Scenario, a: np.ndarray, k_on: int, n: int, buf: np.n
             z[:5] = buf[:, i]
             heads = starts[:c] @ z + z
             chunk = buf[:, i + 1 : i + 1 + c * _BLOCK].reshape(5, c, _BLOCK)
-            np.matmul(heads, powers, out=chunk)
-            for row, head in zip(chunk, heads.T):  # one broadcast add would copy the chunk
-                row += head[:, None]
+            if every_row or c <= 2:
+                np.matmul(heads, powers, out=chunk)
+                for row, head in zip(chunk, heads.T):  # one broadcast add would copy the chunk
+                    row += head[:, None]
+            else:
+                for q in rows:
+                    np.matmul(heads, powers[q], out=chunk[q])
+                    chunk[q] += heads[:, q, None]
+                # Every row of the last two blocks, from which the next chunk starts: two
+                # rows, because a one-row product goes through gemv and rounds otherwise.
+                last = chunk[:, -2:]
+                np.matmul(heads[-2:], powers, out=last)
+                last += heads[-2:, :5].T[:, :, None]
             size = j = min(c * _BLOCK, n - k)
             if w_db:  # keep the samples up to the first step whose stages leave the region
                 lo, hi = bounds[r]
@@ -367,9 +391,11 @@ def _sample_runs(scenario: Scenario, a: np.ndarray, k_on: int, n: int, buf: np.n
                 left = ~((lo <= stage_om.min(axis=0)) & (stage_om.max(axis=0) <= hi))
                 if left.any():
                     j = int(left.argmax())
-            diverged = ~(np.abs(buf[1, i + 1 : i + 1 + j]) < _DIVERGENCE_LIMIT)
-            if diverged.any():
-                raise IntegrationError(last_valid_time=(k + int(diverged.argmax())) * dt)
+            # min and max fail both bounds on a NaN; the first bad sample is sought only then.
+            om = buf[1, i + 1 : i + 1 + j]
+            if j and not (-_DIVERGENCE_LIMIT < om.min() and om.max() < _DIVERGENCE_LIMIT):
+                bad = int((~(np.abs(om) < _DIVERGENCE_LIMIT)).argmax())
+                raise IntegrationError(last_valid_time=(k + bad) * dt)
             first = i
             k, i, c = k + j, i + j, min(2 * c, most)
             if j < size:  # a band crossing: one RK4 step over A, then chunks start again at 1 block
@@ -411,29 +437,36 @@ def simulate(scenario: Scenario) -> Trajectory:
     return Trajectory(scenario, scenario.sim.dt, t, *x[:, : n + 1], *outputs)
 
 
-def _storage_maxima(scenario: Scenario, with_p_b: bool = True) -> tuple[float, float]:
-    """``p_b_max_norm`` and ``e_b_max_norm`` of ``extract_metrics(simulate(scenario))``,
-    bit for bit, without a trajectory: the same samples, taken in a window of the
-    largest chunk and reduced run by run through the same p_b product.  With
-    ``with_p_b`` false that product is skipped, and only the e_b maximum is the
-    trajectory's."""
+# The state rows each storage maximum reads: omega, which the divergence test reads,
+# and e_b, or the rows p_b is formed from.  The p_b product also multiplies theta and
+# e_b, by coefficients that are exactly +0.0, so their stale values cannot move it.
+_MAXIMUM_ROWS = {"p_b": (1, 2, 4), "e_b": (1, 3)}
+
+
+def _storage_maxima(scenario: Scenario, quantity: str) -> float:
+    """``p_b_max_norm`` or ``e_b_max_norm``, as ``quantity`` is "p_b" or "e_b", of
+    ``extract_metrics(simulate(scenario))``, bit for bit, without a trajectory: the
+    same samples of the state rows the quantity reads, taken in a window of the
+    largest chunk and reduced run by run, p_b through the same product."""
+    rows = _MAXIMUM_ROWS[quantity]
     d_p = scenario.disturbance.step_pu
     if d_p == 0:
-        return 0.0, 0.0
+        return 0.0
     a, n, k_on = _plan(scenario)
     window = np.zeros((5, 1 + _most_blocks(n - k_on) * _BLOCK))
-    p_b = e_b = 0.0 if k_on else -np.inf  # the zero samples before the step count
+    peak = 0.0 if k_on else -np.inf  # the zero samples before the step count
     if k_on < n:
-        runs = _sample_runs(scenario, a, k_on, n, window)
+        runs = _sample_runs(scenario, a, k_on, n, window, rows)
     else:  # the sample at k_on, the zero state, if the step comes by the horizon
         runs = [window[:, :1]] if k_on == n else []
     for run in runs:
-        if with_p_b:
+        if quantity == "p_b":
             out = a[[3, 1], :5] @ run
             out[0] += d_p * a[3, 5]
-            p_b = max(p_b, out[0].max())
-        e_b = max(e_b, run[3].max())
-    return float(p_b / d_p) if with_p_b else math.nan, float(e_b / d_p)
+            peak = max(peak, out[0].max())
+        else:
+            peak = max(peak, run[3].max())
+    return float(peak / d_p)
 
 
 def extract_metrics(traj: Trajectory, monotone_tol: float = MONOTONE_TOL) -> Metrics:

@@ -10,8 +10,9 @@ for each target the droop gain comes from the steady-state rule, the rest
 of the controller from the chosen strategy, the power requirement from a
 frozen-secondary transient run, and the energy requirement from a long run
 with the secondary loop active (the two quantities live on different
-timescales, ~seconds versus ~minutes).  Each run is reduced to its maxima
-chunk by chunk as the sampler takes it; no trajectory is built.
+timescales, ~seconds versus ~minutes).  Each run is reduced to the one
+maximum it is for, chunk by chunk as the sampler takes it, from only the
+state rows that maximum reads; no trajectory is built.
 """
 
 from __future__ import annotations
@@ -162,13 +163,14 @@ def capacity_curve(
     at zero, so curves flatten where the generators already meet the cap),
     the controller completed per ``strategy``, p_b,max from a 30 s
     frozen-secondary run, e_b,max from a 1200 s run with the secondary loop
-    active.  Both maxima are reduced chunk by chunk in one window of the
-    sampler, with no trajectory built, and equal ``extract_metrics`` on the
-    full trajectory bit for bit.  The energy approaches its limit
-    alpha_b/k_i along the secondary slow mode, tau_s = (alpha_l + alpha_g +
-    alpha_b)/k_i, so the 1200 s run captures about 1 - e^(-1200/tau_s) of
-    it: 86-97% on the GB grid (alpha_b in 0..15, tau_s = 320..620 s).  A
-    zero target is infeasible and is flagged rather than raised.
+    active.  Each run keeps one maximum, reduced chunk by chunk in one window
+    of the sampler from the state rows it reads, with no trajectory built,
+    and equals ``extract_metrics`` on the full trajectory bit for bit.  The
+    energy approaches its limit alpha_b/k_i along the secondary slow mode,
+    tau_s = (alpha_l + alpha_g + alpha_b)/k_i, so the 1200 s run captures
+    about 1 - e^(-1200/tau_s) of it: 86-97% on the GB grid (alpha_b in
+    0..15, tau_s = 320..620 s).  A zero target is infeasible and is flagged
+    rather than raised.
     """
     if strategy not in _STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}; expected one of {_STRATEGIES}")
@@ -206,8 +208,8 @@ def capacity_curve(
             CapacityPoint(
                 delta_omega=target,
                 alpha_b=alpha_b,
-                p_b_max_norm=_storage_maxima(power_run)[0],
-                e_b_max_norm=_storage_maxima(energy_run, with_p_b=False)[1],
+                p_b_max_norm=_storage_maxima(power_run, "p_b"),
+                e_b_max_norm=_storage_maxima(energy_run, "e_b"),
                 feasible=True,
             )
         )

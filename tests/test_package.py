@@ -1,0 +1,68 @@
+"""Package surface: what ``gridfreq`` exports, and the names the benchmark uses.
+
+Covers:
+ - the package ``__all__`` is the union of its modules' ``__all__`` lists,
+   with no name twice, each bound to its module's object
+ - every ``gridfreq`` name that ``bench/*.py`` imports resolves, and the
+   names its tracing shims replace are still bound where it replaces them
+   (the bench files are read as source, never run)
+"""
+
+import ast
+import importlib
+import pkgutil
+from pathlib import Path
+
+import gridfreq
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+# Names the benchmark's tracing shims and worker replace on these modules.
+SHIMMED = {
+    "gridfreq.cli": ("load_scenario", "simulate", "extract_metrics", "write_trajectory_csv"),
+    "gridfreq.sweeps": ("simulate", "extract_metrics", "mv_min_exact", "design_droop_from_target"),
+}
+
+
+def test_package_exports_the_union_of_module_exports():
+    modules = []
+    for info in pkgutil.iter_modules(gridfreq.__path__):
+        if info.name != "__main__":
+            module = importlib.import_module(f"gridfreq.{info.name}")
+            if hasattr(module, "__all__"):
+                modules.append(module)
+    union = [name for module in modules for name in module.__all__]
+    assert len(union) == len(set(union)), sorted(n for n in union if union.count(n) > 1)
+    assert len(gridfreq.__all__) == len(set(gridfreq.__all__))
+    assert set(gridfreq.__all__) == set(union)
+    for module in modules:
+        for name in module.__all__:
+            assert getattr(gridfreq, name) is getattr(module, name), (module.__name__, name)
+
+
+def _bench_imports():
+    """(module, name or None, file) for every gridfreq import in bench/*.py."""
+    found = []
+    for path in sorted(BENCH.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            if isinstance(node, ast.ImportFrom) and node.level == 0 and (node.module or "").split(".")[0] == "gridfreq":
+                found += [(node.module, alias.name, path.name) for alias in node.names]
+            elif isinstance(node, ast.Import):
+                found += [(a.name, None, path.name) for a in node.names if a.name.split(".")[0] == "gridfreq"]
+    return found
+
+
+def test_bench_imports_resolve():
+    imports = _bench_imports()
+    assert {f for _, _, f in imports} >= {"checks.py", "spans.py", "worker.py", "workloads.py"}
+    for module_name, name, _ in imports:
+        module = importlib.import_module(module_name)
+        if name is not None and not hasattr(module, name):
+            importlib.import_module(f"{module_name}.{name}")  # a submodule, as ``from`` finds it
+
+
+def test_bench_shimmed_names_are_bound():
+    for module_name, names in SHIMMED.items():
+        module = importlib.import_module(module_name)
+        for name in names:
+            assert callable(getattr(module, name, None)), (module_name, name)

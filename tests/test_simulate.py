@@ -28,10 +28,12 @@ Covers:
    the scalar RK4 loop to rounding over every law, both step signs, an
    off-grid step, the secondary loop and 18 band crossings, and the scalar
    loop's divergence times
- - capacity maxima reduced in one window of the sampler: extract_metrics on the
-   full trajectory bit for bit, over fig8's runs, dead-band runs, both step
-   signs, steps at 0, later, at or after the horizon, a zero step, and the
-   divergence times; k_on as np.searchsorted finds it
+ - capacity maxima reduced in one window of the sampler, each from only the
+   state rows it reads: extract_metrics on the full trajectory bit for bit,
+   over fig8's runs, dead-band runs, both step signs, steps at 0, later, at
+   or after the horizon, a zero step, the divergence times and 20 seeded
+   random grids; k_on as np.searchsorted finds it; the output rows read
+   theta and e_b only by exact +0.0 coefficients
 """
 
 import io
@@ -63,7 +65,15 @@ from gridfreq import (
     steady_state_deviation,
     write_trajectory_csv,
 )
-from gridfreq.simulate import TRAJECTORY_CSV_HEADER, _plan, _rk4_step1, _step_rows, _storage_maxima, write_csv_rows
+from gridfreq.simulate import (
+    TRAJECTORY_CSV_HEADER,
+    _assemble,
+    _plan,
+    _rk4_step1,
+    _step_rows,
+    _storage_maxima,
+    write_csv_rows,
+)
 from gridfreq.sweeps import ENERGY_RUN_DT, ENERGY_RUN_HORIZON, TRANSIENT_OPTIONS, _capacity_controller
 from gridfreq.tuning import design_droop_from_target, mv_min_exact
 
@@ -496,16 +506,13 @@ CAPACITY_RUNS = [TRANSIENT_OPTIONS, SimOptions(dt=ENERGY_RUN_DT, horizon=ENERGY_
 
 
 def _assert_maxima_match(sc):
-    """The reducer gives extract_metrics(simulate(sc))'s p_b_max_norm and e_b_max_norm
-    bit for bit (``hex`` tells -0.0 from 0.0), as Python floats, and the same e_b
-    maximum when it skips p_b."""
+    """The reducer gives extract_metrics(simulate(sc))'s p_b_max_norm and e_b_max_norm,
+    each from a run of its own rows, bit for bit (``hex`` tells -0.0 from 0.0), as
+    Python floats."""
     metrics = extract_metrics(simulate(sc))
-    want = (metrics.p_b_max_norm, metrics.e_b_max_norm)
-    got = _storage_maxima(sc)
-    assert [type(v) for v in got] == [float, float]
-    assert got == want and [v.hex() for v in got] == [v.hex() for v in want], sc
-    e_b = _storage_maxima(sc, with_p_b=False)[1]
-    assert type(e_b) is float and e_b == want[1] and e_b.hex() == want[1].hex(), sc
+    for quantity, want in (("p_b", metrics.p_b_max_norm), ("e_b", metrics.e_b_max_norm)):
+        got = _storage_maxima(sc, quantity)
+        assert type(got) is float and got == want and got.hex() == want.hex(), (quantity, sc)
 
 
 @pytest.mark.parametrize("strategy", ["droop", "vi_min", "idroop_tuned"])
@@ -566,11 +573,62 @@ def test_storage_maxima_divergence_times(grid, controller, sim, last_valid_time)
     """The reducer raises where simulate does, and returns for a horizon that ends at
     the last valid time."""
     sc = _scenario(controller, grid=grid, sim=sim)
-    for run in (simulate, _storage_maxima):
+    for run in (simulate, lambda sc: _storage_maxima(sc, "p_b"), lambda sc: _storage_maxima(sc, "e_b")):
         with pytest.raises(IntegrationError) as excinfo:
             run(sc)
         assert excinfo.value.last_valid_time == last_valid_time
     _assert_maxima_match(replace(sc, sim=replace(sim, horizon=last_valid_time)))
+
+
+def test_storage_maxima_match_metrics_on_random_grids():
+    """20 seeded random GB-like grids, every law, frozen and with the secondary, on both
+    paths.  Horizons of 5-60 s at 10 ms run chunks of 1 to 8 blocks, so the window
+    wraps and the run computes only its own rows in chunks of 3 blocks and more."""
+    rng = np.random.RandomState(2027)
+    for _ in range(20):
+        grid = gb_reference_params(
+            inertia_h=rng.uniform(1.0, 6.0),
+            turbine_tau=rng.uniform(0.25, 3.0),
+            load_damping_alpha_l=rng.uniform(0.0, 2.0),
+            gen_inv_droop_alpha_g=rng.uniform(5.0, 30.0),
+            secondary_gain_k_i=rng.uniform(0.02, 0.2),
+        )
+        alpha_b = rng.uniform(0.0, 15.0)
+        laws = (
+            NoStorage(),
+            Droop(alpha_b=alpha_b),
+            VirtualInertia(m_v=max(0.0, mv_min_exact(grid, alpha_b)), alpha_b=alpha_b),
+            IDroop.nadir_tuned(grid, alpha_b),
+            IDroop(nu=alpha_b + rng.uniform(1.0, 30.0), tau_i=rng.uniform(0.25, 3.0), alpha_b=alpha_b),
+        )
+        disturbance = Disturbance(step_pu=rng.choice([-1.0, 1.0]) * rng.uniform(0.01, 0.1), step_time=rng.uniform(0.0, 2.0))
+        horizon = rng.uniform(5.0, 60.0)
+        for controller in laws:
+            for freeze in (True, False):
+                for sim in _both_paths(SimOptions(dt=1e-2, horizon=horizon, freeze_secondary=freeze)):
+                    _assert_maxima_match(Scenario(grid, controller, disturbance, sim))
+
+
+@pytest.mark.parametrize("k_i", [0.0, GB.secondary_gain_k_i], ids=["frozen", "secondary"])
+@pytest.mark.parametrize(
+    "controller",
+    [
+        NoStorage(),
+        Droop(alpha_b=0.0),
+        Droop(alpha_b=5.0),
+        VirtualInertia(m_v=MV_MIN, alpha_b=0.0),
+        VirtualInertia(m_v=20.0, alpha_b=2.0),
+        IDroop.nadir_tuned(GB, 0.0),
+        IDroop.nadir_tuned(GB, 5.0),
+        IDroop(nu=10.0, tau_i=1.0, alpha_b=3.0),
+    ],
+    ids=["nostorage", "droop0", "droop", "vi_boundary", "vi", "idroop0", "idroop", "idroop_off_tuned"],
+)
+def test_output_rows_read_theta_and_e_b_by_positive_zeros(controller, k_i):
+    """p_b and omega_dot take theta and e_b with coefficients that are exactly +0.0, so
+    the p_b maximum of a run that leaves those rows stale is the trajectory's."""
+    coef = _assemble(_scenario(controller), k_i)[[3, 1]][:, [0, 3]]
+    assert np.all(coef == 0.0) and not np.any(np.signbit(coef)), coef
 
 
 # ----------------------------------------------------------- energy account
