@@ -8,7 +8,11 @@ turbine-cancelling lag droop), closed-form LTI step responses that
 cross-check the simulator, and sweep/capacity-curve engines that produce
 plot-ready tables.
 
-The package exports the union of its modules' ``__all__`` lists.
+The package exports the union of its modules' ``__all__`` lists.  So
+``gridfreq.simulate`` is the function :func:`~gridfreq.simulate.simulate`,
+bound over the submodule of the same name, and ``import gridfreq.simulate
+as m`` gives the function too; the module's other names are reached with
+``from gridfreq.simulate import ...``.
 """
 
 from . import controllers, lti, model, scenariofile, simulate, sweeps, tuning

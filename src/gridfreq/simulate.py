@@ -78,7 +78,15 @@ block freed and its trim threshold to twice that.  With three arrays, the
 largest 1.2 MB, a 30 s / 1 ms sweep point freed ~2.5 MB, over the 2.4 MB
 trim threshold, so the heap was trimmed and its pages faulted in again at
 the next point (560 minor faults per point).  The 1.94 MB block raises the
-trim threshold to 3.9 MB, and the pages are reused (0 faults).
+trim threshold to 3.9 MB, and the pages are reused (0 faults).  The block is
+not zero-filled: the sampler and the output product write every column from
+the step's first sample on, and only the columns up to it, the zero state,
+are zeroed (every column when nothing is sampled).
+
+:func:`extract_metrics` reduces a trajectory with whole-array min, max,
+argmin and argmax, bit for bit what the running-extreme scans of the
+metrics' definitions give; a scan runs only over a prefix that moves
+against the step before its extreme.
 
 CSV cells (:func:`write_trajectory_csv`, :func:`write_csv_rows`) are byte
 for byte what Python's ``"%.12g" %`` prints, formatted in numpy 1024 rows
@@ -169,7 +177,8 @@ class Trajectory:
     equilibrium.  ``p_b`` and ``omega_dot`` are evaluated at the sample
     instants (disturbance active for t >= step_time).  The eight arrays are
     the contiguous rows of one block, in field order, allocated once per run
-    so that repeated runs reuse the allocator's pages (module docstring).
+    so that repeated runs reuse the allocator's pages, and not zero-filled:
+    only the samples before the step are zeroed (module docstring).
     """
 
     scenario: Scenario
@@ -260,10 +269,16 @@ def _rk4_step1(m: np.ndarray) -> np.ndarray:
 
 def _powers(p: np.ndarray, count: int) -> np.ndarray:
     """P_1 .. P_count for P_j = Phi^j - I, from p = P_1 by doubling: Phi^(i+j) - I =
-    P_i + P_j + P_i P_j."""
-    powers = p[None]
-    while len(powers) < count:
-        powers = np.concatenate([powers, powers + powers[-1] + powers @ powers[-1]])
+    P_i + P_j + P_i P_j.  Each doubling fills P_(k+1) .. P_2k of one table in place,
+    as (P_i + P_k) + P_i P_k, with the k products P_i P_k as one matrix product."""
+    powers = np.empty((1 << max(count - 1, 0).bit_length(), *p.shape))
+    powers[0] = p
+    flat = powers.reshape(-1, p.shape[1])  # P_1 .. P_k stacked row-wise
+    k = 1
+    while k < count:
+        np.add(powers[:k], powers[k - 1], out=powers[k : 2 * k])
+        powers[k : 2 * k] += (flat[: len(p) * k] @ powers[k - 1]).reshape(k, *p.shape)
+        k *= 2
     return powers[:count]
 
 
@@ -424,12 +439,15 @@ def simulate(scenario: Scenario) -> Trajectory:
     a, n, k_on = _plan(scenario)
     # One block of eight rows, t, the five states, p_b and omega_dot: one allocation lifts
     # glibc's trim threshold above a sweep point's churn (560 -> 0 page faults per point).
-    # The state rests at zero until k_on, and the last chunk's last block may run past n.
-    block = np.zeros((8, n + _BLOCK))
+    # The last chunk's last block may run past n.  Every column the sampler and the output
+    # product write is left unfilled; the rest, up to sample k_on, is the zero state.
+    block = np.empty((8, n + _BLOCK))
     t, x, outputs = block[0, : n + 1], block[1:6], block[6:, : n + 1]
     np.multiply(np.arange(n + 1), scenario.sim.dt, out=t)
     d_p = scenario.disturbance.step_pu
-    if d_p and k_on <= n:
+    sampled = bool(d_p) and k_on <= n
+    block[1:, : (k_on if sampled else n) + 1] = 0.0
+    if sampled:
         for _ in _sample_runs(scenario, a, k_on, n, x[:, k_on:]):
             pass
         np.matmul(a[[3, 1], :5], x[:, k_on : n + 1], out=outputs[:, k_on:])
@@ -469,12 +487,48 @@ def _storage_maxima(scenario: Scenario, quantity: str) -> float:
     return float(peak / d_p)
 
 
+def _largest_abs(v: np.ndarray) -> float:
+    """max |v|, from max and min alone, never -0.0."""
+    return max(abs(float(v.max())), abs(float(v.min())))
+
+
+def _largest_rise(omega: np.ndarray, k_min: int) -> float:
+    """max(omega - np.minimum.accumulate(omega)), given k_min, the first argmin of omega.
+
+    From k_min on the running minimum is omega[k_min], and rounded subtraction
+    is monotone, so the largest rise there is max(omega[k_min:]) - omega[k_min].
+    Before it every rise is 0 while omega does not increase; the running
+    minimum of the prefix is taken only when it does."""
+    rise = float(omega[k_min:].max() - omega[k_min])
+    head = omega[: k_min + 1]
+    if not np.all(head[1:] <= head[:-1]):
+        rise = max(rise, float((head - np.minimum.accumulate(head)).max()))
+    return rise
+
+
+def _largest_fall(omega: np.ndarray, k_max: int) -> float:
+    """max(np.maximum.accumulate(omega) - omega), given k_max, the first argmax of omega;
+    the mirror of :func:`_largest_rise`."""
+    fall = float(omega[k_max] - omega[k_max:].min())
+    head = omega[: k_max + 1]
+    if not np.all(head[1:] >= head[:-1]):
+        fall = max(fall, float((np.maximum.accumulate(head) - head).max()))
+    return fall
+
+
 def extract_metrics(traj: Trajectory, monotone_tol: float = MONOTONE_TOL) -> Metrics:
     """Reduce a trajectory to its transient and capacity metrics.
 
     ``monotone_tol`` separates a true nadir from integrator jitter: the
     response counts as monotone while its recovery above the running
     minimum stays within this bound.
+
+    Every field comes from whole-array reductions (min, max, argmin, argmax)
+    and equals, bit for bit, the running-extreme and last-index formulas of
+    its definition.  The largest recovery is read off the first global
+    extreme (:func:`_largest_rise`): exact, since rounded subtraction is
+    monotone.  The last sample outside the settling band is the first of the
+    reversed test, and max |v| is the larger of |max v| and |min v|.
     """
     if traj.n_samples == 0:
         raise ValueError("empty trajectory")
@@ -492,26 +546,24 @@ def extract_metrics(traj: Trajectory, monotone_tol: float = MONOTONE_TOL) -> Met
     k_on = int(np.searchsorted(traj.t, t_on, side="left"))
     k_on = min(k_on, traj.n_samples - 1)
     rocof_initial = float(traj.omega_dot[k_on])
-    rocof_max_abs = float(np.max(np.abs(traj.omega_dot)))
+    rocof_max_abs = _largest_abs(traj.omega_dot)
 
     band = traj.scenario.sim.settling_band * abs(final)
-    outside = np.abs(omega - final) > band
-    if not outside.any():
+    outside = np.abs(omega[::-1] - final) > band  # from the last sample back
+    k_back = int(np.argmax(outside))
+    if not outside[k_back]:
         settling_time = 0.0
     else:
-        k_last = int(np.flatnonzero(outside)[-1])
-        settling_time = float(traj.t[min(k_last + 1, traj.n_samples - 1)])
+        settling_time = float(traj.t[min(traj.n_samples - k_back, traj.n_samples - 1)])
 
     # Monotone means no recovery from an interior extreme: the response never
     # rises above its running minimum (falls below its running maximum, for a
     # negative step) by more than the tolerance.  A per-step test would let a
     # slow dip-and-recovery pass as jitter at small dt.
     if d_p > 0:
-        rise = omega - np.minimum.accumulate(omega)
-        monotone = bool(np.max(rise) <= monotone_tol)
+        monotone = _largest_rise(omega, k_min) <= monotone_tol
     elif d_p < 0:
-        fall = np.maximum.accumulate(omega) - omega
-        monotone = bool(np.max(fall) <= monotone_tol)
+        monotone = _largest_fall(omega, int(np.argmax(omega))) <= monotone_tol
     else:
         monotone = True
 
@@ -520,7 +572,7 @@ def extract_metrics(traj: Trajectory, monotone_tol: float = MONOTONE_TOL) -> Met
         zero_disturbance = True
     else:
         p_b_max_norm = float(np.max(traj.p_b) / d_p)
-        p_b_max_abs_norm = float(np.max(np.abs(traj.p_b)) / abs(d_p))
+        p_b_max_abs_norm = _largest_abs(traj.p_b) / abs(d_p)
         e_b_max_norm = float(np.max(traj.e_b) / d_p)
         zero_disturbance = False
 

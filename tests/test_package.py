@@ -6,11 +6,15 @@ Covers:
  - every ``gridfreq`` name that ``bench/*.py`` imports resolves, and the
    names its tracing shims replace are still bound where it replaces them
    (the bench files are read as source, never run)
+ - ``gridfreq.simulate`` is the function, bound over the submodule, which
+   ``from gridfreq.simulate import ...`` still reaches
 """
 
 import ast
 import importlib
 import pkgutil
+import sys
+import types
 from pathlib import Path
 
 import gridfreq
@@ -66,3 +70,15 @@ def test_bench_shimmed_names_are_bound():
         module = importlib.import_module(module_name)
         for name in names:
             assert callable(getattr(module, name, None)), (module_name, name)
+
+
+def test_simulate_is_the_function_and_its_module_is_reached_by_from_import():
+    """``gridfreq.simulate`` is bound to the function over the submodule of that name;
+    ``from gridfreq.simulate import ...`` and ``sys.modules`` still reach the module."""
+    from gridfreq.simulate import extract_metrics, simulate
+
+    module = sys.modules["gridfreq.simulate"]
+    assert isinstance(module, types.ModuleType) and importlib.import_module("gridfreq.simulate") is module
+    assert gridfreq.simulate is simulate is module.simulate and callable(gridfreq.simulate)
+    assert not isinstance(gridfreq.simulate, types.ModuleType)
+    assert module.extract_metrics is extract_metrics is gridfreq.extract_metrics

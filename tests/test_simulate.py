@@ -13,13 +13,20 @@ Covers:
    monotonicity of the nadir-free tunings
  - divergence reporting, CSV layout (pre-step rows are unsigned zeros for
    every law), settling time, trajectory arrays as the contiguous rows of
-   one block
+   one block, which is not zero-filled: the columns before the step, or of
+   a run with nothing sampled, are +0.0 in memory that held NaNs
+ - extract_metrics by reductions against a test-local copy of the running
+   extreme, last-index and max |v| formulas, every field by ``hex``, at four
+   tolerances: seeded random grids, every law, both step signs, a delayed
+   step, a zero step, the dead-band runs, and hand-built trajectories (a
+   rise before the extreme, ties, a run that never settles, +-0.0)
  - CSV cells byte for byte as Python's "%.12g" prints them, on edge values,
    time grids, random values over 600 decades and near-ties, and whole
    trajectories against a per-row "%" writer; the writer's working memory
  - the exact (matrix-exponential) path: the oracle to 1e-9 pu, RK4 on the
    1200 s capacity runs, independence of the step, RK4 unchanged with a
    dead-band, zero disturbance, step snapping and divergence as in RK4
+ - power tables filled in place equal the batched doubling bit for bit
  - linear RK4 through powers of its step matrix: the scalar RK4 loop to
    rounding, also for runs and steps at the edges of a block or a chunk,
    fourth order against the exact path, the scalar loop's divergence times,
@@ -53,6 +60,7 @@ from gridfreq import (
     NoStorage,
     Scenario,
     SimOptions,
+    Trajectory,
     VirtualInertia,
     closed_loop_tf,
     deadband_response,
@@ -66,9 +74,12 @@ from gridfreq import (
     write_trajectory_csv,
 )
 from gridfreq.simulate import (
+    METRIC_FIELDS,
     TRAJECTORY_CSV_HEADER,
     _assemble,
+    _expm1,
     _plan,
+    _powers,
     _rk4_step1,
     _step_rows,
     _storage_maxima,
@@ -133,6 +144,23 @@ def test_pre_step_samples_are_zero():
     assert np.all(traj.omega[before] == 0.0)
     m = extract_metrics(traj)
     assert m.rocof_initial == pytest.approx(-DP / (2 * GB.inertia_h), rel=1e-12)
+
+
+@pytest.mark.parametrize("step, step_time", [(DP, 12.3456), (0.0, 12.3456), (DP, 40.0)], ids=["mid-run", "zero", "after-horizon"])
+def test_pre_step_columns_are_zero_on_a_dirty_heap(step, step_time):
+    """The block is not zero-filled, yet every state and output before the step, or of
+    the whole run when nothing is sampled, is +0.0 when the memory it reuses held NaNs:
+    a run of the same size lets the allocator keep such a block on its heap, and a NaN
+    block is freed just before the run."""
+    sc = Scenario(GB, IDroop(nu=10.0, tau_i=1.0, alpha_b=3.0), Disturbance(step_pu=step, step_time=step_time), FROZEN)
+    _, n, k_on = _plan(sc)
+    simulate(sc)
+    dirty = np.full((8, n + 256), np.nan)
+    del dirty
+    block = simulate(sc).t.base
+    zero = block[1:, : k_on if step and k_on <= n else n + 1]
+    assert zero.shape[1] == (12346 if step and step_time < FROZEN.horizon else n + 1)
+    assert np.all(zero == 0.0) and not np.any(np.signbit(zero))
 
 
 # -------------------------------------------------------- tuned first order
@@ -445,6 +473,23 @@ def test_stage_rows_give_rk4_stage_omegas():
         stage.append(z + h * (m @ stage[-1]))
     _, rows = _step_rows(m, _rk4_step1)
     np.testing.assert_allclose(rows[:, :5] @ z[:5] + rows[:, 5] * z[5], [s[1] for s in stage], rtol=1e-14)
+
+
+def test_power_tables_match_batched_doubling():
+    """Each table of powers, filled in place with one stacked product per doubling,
+    equals the batched doubling P_(i+k) = (P_i + P_k) + P_i P_k bit for bit: the step
+    rows and start tables of every law, on RK4 and on the exact path, at every count a
+    run uses (0 .. 255 starts, 256 step rows)."""
+    for controller in (NoStorage(), Droop(alpha_b=5.0), VirtualInertia(m_v=MV_MIN, alpha_b=2.0), *DEADBAND_LAWS[3:]):
+        a, _, _ = _plan(_scenario(controller, sim=SimOptions(dt=1e-3, horizon=30.0)))
+        for step1 in (_rk4_step1, _expm1):
+            steps = _step_rows(a * 1e-3, step1)[0]
+            for p, count in ((step1(a * 1e-3), 256), *((steps[-1], c) for c in (0, 1, 2, 3, 63, 127, 255))):
+                want = p[None]
+                while len(want) < count:
+                    want = np.concatenate([want, want + want[-1] + want @ want[-1]])
+                got = _powers(p, count)
+                assert got.shape == (count, 6, 6) and np.array_equal(got, want[:count]), (controller, count)
 
 
 @pytest.mark.parametrize("case", DEADBAND_CASES)
@@ -928,6 +973,134 @@ def test_slow_recovery_is_not_monotone():
         m = extract_metrics(simulate(_scenario(controller)))
         assert m.monotone
         assert m.nadir_deviation == pytest.approx(m.steady_state_deviation, abs=1e-6)
+
+
+def _reference_metrics(traj, monotone_tol):
+    """extract_metrics by running extremes, the last index outside the band and max |v|:
+    the definitions the reductions of extract_metrics must reproduce bit for bit."""
+    omega, d_p = traj.omega, traj.scenario.disturbance.step_pu
+    k_min = int(np.argmin(omega))
+    nadir = float(omega[k_min])
+    k_nadir = int(np.argmax(omega[: k_min + 1] <= nadir + 1e-12 * abs(nadir)))
+    final = float(omega[-1])
+    k_on = min(int(np.searchsorted(traj.t, traj.scenario.disturbance.step_time)), traj.n_samples - 1)
+    outside = np.abs(omega - final) > traj.scenario.sim.settling_band * abs(final)
+    settling_time = 0.0
+    if outside.any():
+        settling_time = float(traj.t[min(int(np.flatnonzero(outside)[-1]) + 1, traj.n_samples - 1)])
+    if d_p > 0:
+        monotone = bool(np.max(omega - np.minimum.accumulate(omega)) <= monotone_tol)
+    elif d_p < 0:
+        monotone = bool(np.max(np.maximum.accumulate(omega) - omega) <= monotone_tol)
+    else:
+        monotone = True
+    capacities = (0.0, 0.0, 0.0)
+    if d_p:
+        capacities = (
+            float(np.max(traj.p_b) / d_p),
+            float(np.max(np.abs(traj.p_b)) / abs(d_p)),
+            float(np.max(traj.e_b) / d_p),
+        )
+    return (
+        nadir,
+        float(traj.t[k_nadir]),
+        float(traj.omega_dot[k_on]),
+        float(np.max(np.abs(traj.omega_dot))),
+        final,
+        settling_time,
+        *capacities,
+        monotone,
+        d_p == 0,
+    )
+
+
+def _assert_metrics_match_reference(traj):
+    """Every field at every tolerance, by type and ``hex`` (which tells -0.0 from 0.0)."""
+    for tol in (0.0, 1e-9, 1e-6, 1e-5):
+        got = tuple(getattr(extract_metrics(traj, tol), name) for name in METRIC_FIELDS)
+        for name, g, w in zip(METRIC_FIELDS, got, _reference_metrics(traj, tol)):
+            assert type(g) is type(w), (name, tol, traj.scenario)
+            assert (g.hex() == w.hex()) if type(w) is float else g == w, (name, g, w, tol, traj.scenario)
+
+
+def _rises_before_extreme(traj):
+    """Whether omega moves against the step before its first global extreme, the case
+    in which extract_metrics takes the running extreme of that prefix."""
+    om, d_p = traj.omega, traj.scenario.disturbance.step_pu
+    head = om[: int(np.argmin(om) if d_p > 0 else np.argmax(om)) + 1]
+    return bool(d_p) and bool(np.any(head[1:] > head[:-1]) if d_p > 0 else np.any(head[1:] < head[:-1]))
+
+
+def test_metrics_match_reference_on_random_grids():
+    """Ten seeded random grids, every law, both step signs, at 0 and delayed, frozen and
+    with the secondary; a zero step; the dead-band runs."""
+    rng = np.random.RandomState(2027)
+    fallbacks = monotone = 0
+    runs = []
+    for _ in range(10):
+        grid = gb_reference_params(
+            inertia_h=rng.uniform(1.0, 6.0),
+            turbine_tau=rng.uniform(0.25, 3.0),
+            load_damping_alpha_l=rng.uniform(0.0, 2.0),
+            gen_inv_droop_alpha_g=rng.uniform(5.0, 30.0),
+            secondary_gain_k_i=rng.uniform(0.02, 0.2),
+        )
+        alpha_b = rng.uniform(0.0, 15.0)
+        laws = (
+            NoStorage(),
+            Droop(alpha_b=alpha_b),
+            VirtualInertia(m_v=max(0.0, mv_min_exact(grid, alpha_b)), alpha_b=alpha_b),
+            IDroop.nadir_tuned(grid, alpha_b),
+            IDroop(nu=alpha_b + rng.uniform(1.0, 30.0), tau_i=rng.uniform(0.25, 3.0), alpha_b=alpha_b),
+        )
+        size, delay, horizon = rng.uniform(0.01, 0.1), rng.uniform(0.1, 2.0), rng.uniform(5.0, 30.0)
+        for controller in laws:
+            for step, step_time in ((size, 0.0), (-size, delay)):
+                for freeze in (True, False):
+                    sim = SimOptions(dt=1e-3, horizon=horizon, freeze_secondary=freeze)
+                    runs.append(Scenario(grid, controller, Disturbance(step_pu=step, step_time=step_time), sim))
+    runs.append(_scenario(Droop(alpha_b=5.0), step=0.0))
+    for step, step_time, sim in DEADBAND_CASES.values():
+        runs += [Scenario(GB_DB, law, Disturbance(step_pu=step, step_time=step_time), sim) for law in DEADBAND_LAWS]
+    for sc in runs:
+        traj = simulate(sc)
+        _assert_metrics_match_reference(traj)
+        fallbacks += _rises_before_extreme(traj)
+        monotone += extract_metrics(traj).monotone
+    assert fallbacks and 0 < monotone < len(runs), (fallbacks, monotone)
+
+
+def _hand_trajectory(omega, step=DP, p_b=None, omega_dot=None, step_time=0.0):
+    omega = np.asarray(omega, dtype=float)
+    zeros = np.zeros_like(omega)
+    sim = SimOptions(dt=1.0, horizon=len(omega) - 1.0)
+    sc = Scenario(GB, NoStorage(), Disturbance(step_pu=step, step_time=step_time), sim)
+    p_b = zeros if p_b is None else np.asarray(p_b, dtype=float)
+    omega_dot = zeros if omega_dot is None else np.asarray(omega_dot, dtype=float)
+    return Trajectory(sc, 1.0, np.arange(len(omega), dtype=float), zeros, omega, zeros, omega * 0.5, zeros, p_b, omega_dot)
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0], ids=["positive", "negative"])
+def test_metrics_match_reference_on_hand_built_trajectories(sign):
+    """A rise before the global extreme (the prefix fallback), ties at the extreme, a run
+    that never settles, one that is settled throughout, and p_b and omega_dot of +-0.0,
+    mirrored for a negative step."""
+    cases = [
+        ([0.0, -1.0, -0.4, -2.0, -1.9, -1.95], {}),
+        ([0.0, -1e-7, 2e-7, -3.0, -3.0, -2.0, -3.0, -2.5], {}),
+        ([0.0, -3.0, -3.0, -3.0], {}),
+        ([0.0, -1.0, 0.0, -1.0, 0.0, -0.5], {"p_b": [0.0, -0.0, -0.0, 0.0, 0.0, -0.0]}),
+        ([-2.0] * 5, {"p_b": [-0.0] * 5, "omega_dot": [-0.0] * 5}),
+        ([0.0] * 4, {"p_b": [0.0] * 4, "omega_dot": [0.0, -0.0, 0.0, -0.0]}),
+        ([0.0, 0.0, -1.0, -1.5, -1.2], {"p_b": [0.0, 0.0, 2.0, -3.0, -1.0], "step_time": 1.5}),
+    ]
+    for omega, extra in cases:
+        extra = {k: np.multiply(v, sign) if k != "step_time" else v for k, v in extra.items()}
+        for step in (sign * DP, 0.0):
+            traj = _hand_trajectory(np.multiply(omega, sign), step=step, **extra)
+            _assert_metrics_match_reference(traj)
+    assert _rises_before_extreme(_hand_trajectory(np.multiply(cases[0][0], sign), step=sign * DP))
+    assert extract_metrics(_hand_trajectory(np.multiply(cases[3][0], sign), step=sign * DP)).settling_time == 5.0
 
 
 def test_trajectory_arrays_are_contiguous():

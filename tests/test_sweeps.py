@@ -11,14 +11,20 @@ Covers:
    deviation shifts by at most w_db * a_g / sigma (+10% margin)
  - capacity curves: alpha_b = 0 start, lag droop beating virtual inertia
    on power, energy matching alpha_b / k_i
+ - ten warm sweep points in a fresh interpreter fault in no memory they freed
 """
 
 import io
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import gridfreq
 from gridfreq import (
     Disturbance,
     Droop,
@@ -229,6 +235,42 @@ def test_capacity_point_working_memory_is_small():
         tracemalloc.stop()
     print(f"\n  traced peak of one capacity point: {peak / 1e6:.2f} MB")
     assert peak < 5e6
+
+
+# Ten warm one-value sweep points, 30 s at 1 ms, in a fresh interpreter as the benchmark
+# worker runs them; prints the minor page faults the ten took.
+FAULT_PROBE = """
+import resource
+from gridfreq import Disturbance, Droop, Scenario, SimOptions, SweepSpec, gb_reference_params, sweep
+
+base = Scenario(gb_reference_params(), Droop(alpha_b=0.0), Disturbance(step_pu=0.05625),
+                SimOptions(dt=1e-3, horizon=30.0, freeze_secondary=True))
+values = [1.5 * k for k in range(13)]
+for value in values[:3]:
+    sweep(SweepSpec(base=base, parameter="controller.alpha_b", values=[value]))
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for value in values[3:]:
+    sweep(SweepSpec(base=base, parameter="controller.alpha_b", values=[value]))
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="minor page faults are counted on Linux")
+def test_sweep_points_do_not_fault_pages_in(tmp_path):
+    """Warm sweep points reuse the allocator's pages.  A point whose freed memory is
+    trimmed from the heap faults it in again at the next one, ~560 minor faults per
+    point; ten warm points take a handful.  The probe runs as a script in a fresh
+    interpreter, as the benchmark worker does: the test run's own allocations have moved
+    the allocator's thresholds, and in this process the three-array trajectory that takes
+    ~5600 faults in a fresh one read 0."""
+    env = {**os.environ, "PYTHONPATH": str(Path(gridfreq.__file__).resolve().parents[1])}
+    probe = tmp_path / "probe.py"
+    probe.write_text(FAULT_PROBE, encoding="utf-8")
+    proc = subprocess.run([sys.executable, str(probe)], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    faults = int(proc.stdout)
+    print(f"\n  minor page faults over ten warm sweep points: {faults}")
+    assert faults <= 64
 
 
 def test_capacity_curve_flags_zero_target():
