@@ -10,7 +10,7 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import fields, replace
-from functools import cache
+from functools import cache, partial
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -28,6 +28,7 @@ from .simulate import (
     write_trajectory_csv,
 )
 from .sweeps import (
+    _CAPACITY_CONTROLLERS,
     TRANSIENT_OPTIONS,
     SweepSpec,
     capacity_curve,
@@ -46,8 +47,6 @@ from .tuning import (
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_NUMERICAL = 3
-
-FIGURE_IDS = ("fig2", "fig3", "fig4", "fig5", "fig7", "fig8", "fig9", "fig10", "fig11")
 
 _TRAJ_STRIDE = 10  # trajectory figures are written every 10th sample (10 ms)
 
@@ -90,13 +89,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p_tune.add_argument("--k-i", dest="secondary_gain_k_i", type=float, help="secondary gain [1/s]")
 
     p_sweep = sub.add_parser("sweep", help="run a standard parameter sweep, write CSV")
-    p_sweep.add_argument("kind", choices=("mv", "alpha-b", "tau-t"))
+    p_sweep.add_argument("kind", choices=_SWEEP_NAMES)
     p_sweep.add_argument("--out-dir", default=".", help="output directory")
     p_sweep.add_argument("--alpha-b", type=float, default=0.0, help="storage droop for the mv sweep [pu]")
     p_sweep.add_argument("--step-gw", type=float, default=1.8, help="disturbance [GW]")
 
     p_fig = sub.add_parser("figure", help="regenerate a bundled figure dataset")
-    p_fig.add_argument("id", choices=FIGURE_IDS)
+    p_fig.add_argument("id", choices=_FIGURE_BUILDERS)
     p_fig.add_argument("--out-dir", default=".", help="output directory")
 
     return parser
@@ -252,25 +251,33 @@ def _grid_values(start: float, stop: float, step: float) -> list[float]:
 # figure datasets
 
 
-def _decimate(arr: np.ndarray) -> np.ndarray:
-    return arr[::_TRAJ_STRIDE]
+# A trajectory figure is a table of runs (column tag, grid, controller,
+# fields); each field is (column prefix, value read off the trajectory) and
+# fills the column <prefix>_<tag>.
+_OMEGA = (("omega_pu", lambda traj: traj.omega),)
 
 
-def _fig2_rows(grid, delta_p):
+def _trajectory_rows(runs, grid, delta_p):
+    """Simulate each run of ``runs(grid, delta_p)`` with TRANSIENT_OPTIONS and keep
+    every _TRAJ_STRIDE-th sample: ``t``, then each run's fields in table order."""
     cols = ["t"]
     data = []
-    for h in (4.06, 2.19):
-        sc = Scenario(
-            grid=replace(grid, inertia_h=h),
-            controller=NoStorage(),
-            disturbance=Disturbance(step_pu=delta_p),
-            sim=TRANSIENT_OPTIONS,
-        )
-        traj = simulate(sc)
-        cols.append(f"omega_hz_h{str(h).replace('.', 'p')}")
-        data.append(_decimate(traj.omega) * grid.nominal_freq)
-    t = _decimate(traj.t)
-    return cols, [t] + data
+    for tag, run_grid, controller, run_fields in runs(grid, delta_p):
+        traj = simulate(Scenario(run_grid, controller, Disturbance(step_pu=delta_p), TRANSIENT_OPTIONS))
+        for prefix, value in run_fields:
+            cols.append(f"{prefix}_{tag}")
+            data.append(value(traj)[::_TRAJ_STRIDE])
+    return cols, [traj.t[::_TRAJ_STRIDE]] + data
+
+
+def _nadir_free_tunings(grid):
+    """VI on the nadir-elimination boundary and the tuned iDroop, both at alpha_b = 0."""
+    return {"vi": VirtualInertia(m_v=mv_min_exact(grid, 0.0), alpha_b=0.0), "idroop": IDroop.nadir_tuned(grid, 0.0)}
+
+
+def _fig2_runs(grid, _delta_p):
+    hz = (("omega_hz", lambda traj: traj.omega * grid.nominal_freq),)
+    return [(f"h{h}".replace(".", "p"), replace(grid, inertia_h=h), NoStorage(), hz) for h in (4.06, 2.19)]
 
 
 def _fig3_rows(grid, _delta_p):
@@ -280,21 +287,9 @@ def _fig3_rows(grid, _delta_p):
     return ["alpha_b", "mv_min_exact", "mv_min_linear"], [alpha_grid, exact, linear]
 
 
-def _fig4_rows(grid, delta_p):
-    mv_crit = mv_min_exact(grid, 0.0)
-    cols = ["t"]
-    data = []
-    for m_v, tag in ((0.0, "mv0"), (15.0, "mv15"), (35.0, "mv35"), (mv_crit, "mv_min"), (100.0, "mv100"), (150.0, "mv150")):
-        sc = Scenario(
-            grid=grid,
-            controller=VirtualInertia(m_v=m_v, alpha_b=0.0),
-            disturbance=Disturbance(step_pu=delta_p),
-            sim=TRANSIENT_OPTIONS,
-        )
-        traj = simulate(sc)
-        cols.append(f"omega_pu_{tag}")
-        data.append(_decimate(traj.omega))
-    return cols, [_decimate(traj.t)] + data
+def _fig4_runs(grid, _delta_p):
+    m_vs = {"mv0": 0.0, "mv15": 15.0, "mv35": 35.0, "mv_min": mv_min_exact(grid, 0.0), "mv100": 100.0, "mv150": 150.0}
+    return [(tag, grid, VirtualInertia(m_v=m_v, alpha_b=0.0), _OMEGA) for tag, m_v in m_vs.items()]
 
 
 def _fig5_rows(grid, delta_p):
@@ -309,40 +304,22 @@ def _fig5_rows(grid, delta_p):
     return cols, [spec.values] + data
 
 
-def _fig7_rows(grid, delta_p):
-    mv_crit = mv_min_exact(grid, 0.0)
-    runs = {
-        "nostorage": NoStorage(),
-        "vi": VirtualInertia(m_v=mv_crit, alpha_b=0.0),
-        "idroop": IDroop.nadir_tuned(grid, 0.0),
-    }
-    cols = ["t"]
-    data = []
-    t = None
-    for tag, ctrl in runs.items():
-        sc = Scenario(grid=grid, controller=ctrl, disturbance=Disturbance(step_pu=delta_p), sim=TRANSIENT_OPTIONS)
-        traj = simulate(sc)
-        t = _decimate(traj.t)
-        cols.append(f"omega_pu_{tag}")
-        data.append(_decimate(traj.omega))
-        if tag != "nostorage":
-            cols.extend([f"p_m_pu_{tag}", f"p_b_norm_{tag}", f"e_b_norm_{tag}"])
-            data.extend(
-                [_decimate(traj.p_m), _decimate(traj.p_b) / delta_p, _decimate(traj.e_b) / delta_p]
-            )
-    return cols, [t] + data
+def _fig7_runs(grid, delta_p):
+    storage = _OMEGA + (
+        ("p_m_pu", lambda traj: traj.p_m),
+        ("p_b_norm", lambda traj: traj.p_b / delta_p),
+        ("e_b_norm", lambda traj: traj.e_b / delta_p),
+    )
+    tunings = [(tag, grid, controller, storage) for tag, controller in _nadir_free_tunings(grid).items()]
+    return [("nostorage", grid, NoStorage(), _OMEGA)] + tunings
 
 
 def _fig8_rows(grid, delta_p):
     targets = [round(v, 10) for v in np.linspace(1.875e-3, 3.75e-3, 21)]
+    curves = {strategy: capacity_curve(grid, strategy, targets, delta_p) for strategy in _CAPACITY_CONTROLLERS}
     cols = ["delta_omega_pu", "alpha_b"]
-    per_strategy = {}
-    for strategy in ("droop", "vi_min", "idroop_tuned"):
-        per_strategy[strategy] = capacity_curve(grid, strategy, targets, delta_p)
-    alpha_col = [pt.alpha_b for pt in per_strategy["droop"]]
-    data: list = [targets, alpha_col]
-    for strategy in ("droop", "vi_min", "idroop_tuned"):
-        pts = per_strategy[strategy]
+    data: list = [targets, [pt.alpha_b for pt in curves["droop"]]]
+    for strategy, pts in curves.items():
         cols.extend([f"p_b_max_norm_{strategy}", f"e_b_max_norm_{strategy}"])
         data.extend([[pt.p_b_max_norm for pt in pts], [pt.e_b_max_norm for pt in pts]])
     return cols, data
@@ -354,49 +331,29 @@ def _fig9_rows(grid, delta_p):
     return ["tau_t", "max_deviation_pu"], [spec.values, maxdev]
 
 
-def _fig10_rows(grid, delta_p):
+def _fig10_runs(grid, _delta_p):
     controller = IDroop.nadir_tuned(grid, 0.0)
-    cols = ["t"]
-    data = []
-    for tau_t in (0.25, 0.5, 1.0, 1.5, 2.0, 3.0):
-        sc = Scenario(
-            grid=replace(grid, turbine_tau=tau_t),
-            controller=controller,
-            disturbance=Disturbance(step_pu=delta_p),
-            sim=TRANSIENT_OPTIONS,
-        )
-        traj = simulate(sc)
-        cols.append(f"omega_pu_taut{str(tau_t).replace('.', 'p')}")
-        data.append(_decimate(traj.omega))
-    return cols, [_decimate(traj.t)] + data
+    return [
+        (f"taut{tau_t}".replace(".", "p"), replace(grid, turbine_tau=tau_t), controller, _OMEGA)
+        for tau_t in (0.25, 0.5, 1.0, 1.5, 2.0, 3.0)
+    ]
 
 
-def _fig11_rows(grid, delta_p):
+def _fig11_runs(grid, _delta_p):
     db_grid = replace(grid, deadband_omega_db=0.0006)
-    mv_crit = mv_min_exact(grid, 0.0)
-    cols = ["t"]
-    data = []
-    for tag, ctrl in (
-        ("vi", VirtualInertia(m_v=mv_crit, alpha_b=0.0)),
-        ("idroop", IDroop.nadir_tuned(grid, 0.0)),
-    ):
-        sc = Scenario(grid=db_grid, controller=ctrl, disturbance=Disturbance(step_pu=delta_p), sim=TRANSIENT_OPTIONS)
-        traj = simulate(sc)
-        cols.append(f"omega_pu_{tag}")
-        data.append(_decimate(traj.omega))
-    return cols, [_decimate(traj.t)] + data
+    return [(tag, db_grid, controller, _OMEGA) for tag, controller in _nadir_free_tunings(grid).items()]
 
 
 _FIGURE_BUILDERS = {
-    "fig2": _fig2_rows,
+    "fig2": partial(_trajectory_rows, _fig2_runs),
     "fig3": _fig3_rows,
-    "fig4": _fig4_rows,
+    "fig4": partial(_trajectory_rows, _fig4_runs),
     "fig5": _fig5_rows,
-    "fig7": _fig7_rows,
+    "fig7": partial(_trajectory_rows, _fig7_runs),
     "fig8": _fig8_rows,
     "fig9": _fig9_rows,
-    "fig10": _fig10_rows,
-    "fig11": _fig11_rows,
+    "fig10": partial(_trajectory_rows, _fig10_runs),
+    "fig11": partial(_trajectory_rows, _fig11_runs),
 }
 
 

@@ -86,11 +86,13 @@ def _with_value(scenario: Scenario, parameter: str, value: float) -> Scenario:
     return replace(scenario, **{section: replace(target, **{field_name: value})})
 
 
+def _vi_min(params: GridParams, alpha_b: float) -> VirtualInertia:
+    return VirtualInertia(m_v=max(0.0, mv_min_exact(params, alpha_b)), alpha_b=alpha_b)
+
+
 def vi_min_retune(scenario: Scenario) -> Scenario:
     """Keep the virtual inertia pinned to the nadir-elimination boundary."""
-    alpha_b = scenario.controller.alpha_b
-    m_v = max(0.0, mv_min_exact(scenario.grid, alpha_b))
-    return replace(scenario, controller=VirtualInertia(m_v=m_v, alpha_b=alpha_b))
+    return replace(scenario, controller=_vi_min(scenario.grid, scenario.controller.alpha_b))
 
 
 def sweep(spec: SweepSpec) -> list[SweepPoint]:
@@ -138,17 +140,12 @@ class CapacityPoint:
     feasible: bool
 
 
-_STRATEGIES = ("droop", "vi_min", "idroop_tuned")
-
-
-def _capacity_controller(strategy: str, params: GridParams, alpha_b: float):
-    if strategy == "droop":
-        return Droop(alpha_b=alpha_b)
-    if strategy == "vi_min":
-        return VirtualInertia(m_v=max(0.0, mv_min_exact(params, alpha_b)), alpha_b=alpha_b)
-    if strategy == "idroop_tuned":
-        return IDroop.nadir_tuned(params, alpha_b)
-    raise ValueError(f"unknown strategy {strategy!r}; expected one of {_STRATEGIES}")
+# controller factory of each capacity strategy, called with (params, alpha_b)
+_CAPACITY_CONTROLLERS = {
+    "droop": lambda params, alpha_b: Droop(alpha_b=alpha_b),
+    "vi_min": _vi_min,
+    "idroop_tuned": IDroop.nadir_tuned,
+}
 
 
 def capacity_curve(
@@ -172,8 +169,8 @@ def capacity_curve(
     0..15, tau_s = 320..620 s).  A zero target is infeasible and is flagged
     rather than raised.
     """
-    if strategy not in _STRATEGIES:
-        raise ValueError(f"unknown strategy {strategy!r}; expected one of {_STRATEGIES}")
+    if strategy not in _CAPACITY_CONTROLLERS:
+        raise ValueError(f"unknown strategy {strategy!r}; expected one of {tuple(_CAPACITY_CONTROLLERS)}")
     if params.secondary_gain_k_i <= 0:
         raise ValueError("capacity_curve needs secondary_gain_k_i > 0 for the energy run")
     points: list[CapacityPoint] = []
@@ -190,7 +187,7 @@ def capacity_curve(
             )
             continue
         alpha_b = design_droop_from_target(delta_p, target, params.gen_inv_droop_alpha_g)
-        controller = _capacity_controller(strategy, params, alpha_b)
+        controller = _CAPACITY_CONTROLLERS[strategy](params, alpha_b)
         disturbance = Disturbance(step_pu=delta_p)
         power_run = Scenario(
             grid=params,

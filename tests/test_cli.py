@@ -7,7 +7,9 @@ Covers:
    value types reject (including nan/inf), 3 for numerical failure
  - tune report values for the worked 0.2 Hz example and the clamped case,
    and exit code 2 for a target or disturbance the design cannot use
- - figure datasets: fig3 content and byte-identical reruns
+ - figure datasets: fig3 content and byte-identical reruns, and the header,
+   row count and nadir verdicts of each trajectory figure
+ - README's figure table and sweep usage line list the CLI's choices
  - one standard sweep end to end, and fig9 built from the same sweep
  - ``python -m gridfreq`` runs the same command line, and the parser built
    once per process gives a usage error and then a valid simulate the
@@ -15,14 +17,18 @@ Covers:
 """
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from gridfreq.cli import main
-from gridfreq.simulate import TRAJECTORY_CSV_HEADER
+from gridfreq.cli import _FIGURE_BUILDERS, _SWEEP_NAMES, main
+from gridfreq.model import gb_reference_params, pu_disturbance
+from gridfreq.simulate import MONOTONE_TOL, TRAJECTORY_CSV_HEADER
+from gridfreq.tuning import mv_min_exact
 
 ROOT = Path(__file__).resolve().parent.parent
 SCENARIO_DIR = ROOT / "scenarios"
@@ -248,8 +254,62 @@ def test_figure_fig2_trajectories(tmp_path):
     assert low_h_nadir < high_h_nadir < 0
 
 
+# header of each trajectory figure, and the omega columns that recover above
+# their running minimum by more than MONOTONE_TOL (the ones with a nadir)
+TRAJECTORY_FIGURES = {
+    "fig4": (
+        "t,omega_pu_mv0,omega_pu_mv15,omega_pu_mv35,omega_pu_mv_min,omega_pu_mv100,omega_pu_mv150",
+        {"omega_pu_mv0", "omega_pu_mv15", "omega_pu_mv35"},
+    ),
+    "fig7": (
+        "t,omega_pu_nostorage,omega_pu_vi,p_m_pu_vi,p_b_norm_vi,e_b_norm_vi,"
+        "omega_pu_idroop,p_m_pu_idroop,p_b_norm_idroop,e_b_norm_idroop",
+        {"omega_pu_nostorage"},
+    ),
+    "fig10": (
+        "t,omega_pu_taut0p25,omega_pu_taut0p5,omega_pu_taut1p0,omega_pu_taut1p5,omega_pu_taut2p0,omega_pu_taut3p0",
+        {"omega_pu_taut1p5", "omega_pu_taut2p0", "omega_pu_taut3p0"},
+    ),
+    "fig11": ("t,omega_pu_vi,omega_pu_idroop", set()),
+}
+
+
+@pytest.mark.parametrize("fig", list(TRAJECTORY_FIGURES))
+def test_figure_trajectory_datasets(tmp_path, fig):
+    """Header, 10 ms rows, and which runs show a nadir: VI only from m_v_min on
+    (fig4), the tuned iDroop only while the turbine is no slower than tau_i = 1 s
+    (fig10), neither nadir-free tuning in fig7 nor with a dead-band (fig11)."""
+    assert main(["figure", fig, "--out-dir", str(tmp_path)]) == 0
+    header, with_nadir = TRAJECTORY_FIGURES[fig]
+    lines = (tmp_path / f"{fig}.csv").read_text().splitlines()
+    assert lines[0] == header
+    assert len(lines) == 1 + 3001  # 30 s at 10 ms plus t = 0
+    data = np.array([[float(c) for c in row.split(",")] for row in lines[1:]])
+    cols = dict(zip(header.split(","), data.T))
+    recovery = {name: np.max(x - np.minimum.accumulate(x)) for name, x in cols.items() if name.startswith("omega")}
+    assert {name for name, r in recovery.items() if r > MONOTONE_TOL} == with_nadir
+    grid = gb_reference_params()
+    delta_p = pu_disturbance(1.8, grid)
+    if fig == "fig7":  # the VI power peak is the first post-step sample, m_v/(2H + m_v) per unit step
+        m_v = mv_min_exact(grid, 0.0)
+        assert cols["p_b_norm_vi"][0] == pytest.approx(m_v / (2 * grid.inertia_h + m_v), abs=1e-12)
+    if fig == "fig11":  # the no-dead-band minimum moved by the static shift w_db*alpha_g/sigma
+        sigma = grid.load_damping_alpha_l + grid.gen_inv_droop_alpha_g
+        expected = -delta_p / sigma - 0.0006 * grid.gen_inv_droop_alpha_g / sigma
+        # boundary VI still approaches its minimum from above at 30 s (9.8e-9 pu short)
+        assert cols["omega_pu_idroop"].min() == pytest.approx(expected, abs=1e-9)
+        assert cols["omega_pu_vi"].min() == pytest.approx(expected, abs=2e-8)
+
+
 def test_figure_unknown_id(tmp_path, capsys):
     assert main(["figure", "fig6", "--out-dir", str(tmp_path)]) == 2
+
+
+def test_readme_lists_the_figure_ids_and_sweep_kinds():
+    """README's figure table and `gridfreq sweep {...}` usage line name the CLI's choices, in order."""
+    readme = (ROOT / "README.md").read_text()
+    assert re.findall(r"^\| (fig\d+) +\|", readme, re.M) == list(_FIGURE_BUILDERS)
+    assert re.findall(r"^gridfreq sweep \{([^}]*)\}", readme, re.M) == [",".join(_SWEEP_NAMES)]
 
 
 # ------------------------------------------------------------------- sweep

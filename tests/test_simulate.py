@@ -85,7 +85,7 @@ from gridfreq.simulate import (
     _storage_maxima,
     write_csv_rows,
 )
-from gridfreq.sweeps import ENERGY_RUN_DT, ENERGY_RUN_HORIZON, TRANSIENT_OPTIONS, _capacity_controller
+from gridfreq.sweeps import ENERGY_RUN_DT, ENERGY_RUN_HORIZON, TRANSIENT_OPTIONS, _CAPACITY_CONTROLLERS
 from gridfreq.tuning import design_droop_from_target, mv_min_exact
 
 GB = gb_reference_params()
@@ -565,7 +565,7 @@ def test_storage_maxima_match_metrics_on_fig8(strategy):
     """Every fig8 target, on the power run and on the energy run of capacity_curve."""
     for target in FIG8_TARGETS:
         alpha_b = design_droop_from_target(DP, target, GB.gen_inv_droop_alpha_g)
-        controller = _capacity_controller(strategy, GB, alpha_b)
+        controller = _CAPACITY_CONTROLLERS[strategy](GB, alpha_b)
         for sim in CAPACITY_RUNS:
             _assert_maxima_match(_scenario(controller, sim=sim))
 
