@@ -41,25 +41,26 @@ plus the dead-band's correction, without event detection.  ``exact`` has
 no such form and then leaves RK4 in charge.
 
 The sampler works in blocks of 256 steps and chunks of blocks.  Block i of
-a chunk starts at Phi^(256 i) z, from a per-region table of those powers,
-and one matrix product fills every block of the chunk from its start with
-the rows of Phi^j, j = 1 .. 256.  A chunk starts at one block and doubles
-while the RK4 stages stay in the region, so a linear run takes about
-log2(n / 256) products, and it starts again at one block after each band
-crossing, so a dead-band run discards at most one chunk per crossing.
+a chunk starts at Phi^(256 i) z, from a per-region table of those powers.
+A second per-region table holds, for j = 1 .. 256, the state rows of Phi^j
+and the outputs c Phi^j, with c the rows of A that give p_b and omega_dot,
+so one matrix product of the block starts with it writes every sample of
+the chunk, states and outputs alike, with no pass after it.  A chunk starts
+at one block and doubles while the RK4 stages stay in the region, so a
+linear run takes about log2(n / 256) products, and it starts again at one
+block after each band crossing, so a dead-band run discards at most one
+chunk per crossing.
 
 One sampler has two consumers.  The chunk loop is one generator that writes
 each chunk into the buffer it is given and yields each accepted run of
-samples.  :func:`simulate` gives it the whole trajectory, so every sample
-of every state is written in place.  :func:`_storage_maxima`, which sizes
-storage for capacity curves, gives it a window as wide as the largest
-chunk and keeps only the running maximum of one quantity per run: p_b
-from the omega, p_m and x_c rows, or e_b from the omega and e_b rows.
-Each chunk's product then fills only those rows, one product per row,
-plus every row of its last two blocks, where the next chunk starts.  The
-rows it fills are the same products of the same starts, so the maxima
-are the trajectory's, bit for bit.  With a dead-band every row is filled,
-since the rows that screen a step's region read them all.
+samples.  :func:`simulate` gives it the trajectory's rows, so every sample
+is written in place.  :func:`_storage_maxima`, which sizes storage for
+capacity curves, gives it a window as wide as the largest chunk and keeps
+only the running maximum of p_b or of e_b per run.  Each chunk's product
+then fills only omega and that row, plus the states of its last two blocks,
+where the next chunk starts: the same products of the same starts, so the
+maxima are the trajectory's, bit for bit.  With a dead-band every row is
+filled, since the rows that screen a step's region read every state.
 
 Every path holds the imbalance at its step-start value within each step,
 exact for the piecewise-constant input; a ``step_time`` that is not a
@@ -79,9 +80,9 @@ largest 1.2 MB, a 30 s / 1 ms sweep point freed ~2.5 MB, over the 2.4 MB
 trim threshold, so the heap was trimmed and its pages faulted in again at
 the next point (560 minor faults per point).  The 1.94 MB block raises the
 trim threshold to 3.9 MB, and the pages are reused (0 faults).  The block is
-not zero-filled: the sampler and the output product write every column from
-the step's first sample on, and only the columns up to it, the zero state,
-are zeroed (every column when nothing is sampled).
+not zero-filled: the sampler writes every column from the step's first
+sample on, and only the columns before it are zeroed (every column when
+nothing is sampled).
 
 :func:`extract_metrics` reduces a trajectory with whole-array min, max,
 argmin and argmax, bit for bit what the running-extreme scans of the
@@ -102,7 +103,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 from functools import cache
-from typing import Callable, Iterator, Sequence, TextIO
+from typing import Iterator, Sequence, TextIO
 
 import numpy as np
 
@@ -175,10 +176,11 @@ class Trajectory:
 
     Parallel arrays of length ``n_samples``; sample 0 is the pre-disturbance
     equilibrium.  ``p_b`` and ``omega_dot`` are evaluated at the sample
-    instants (disturbance active for t >= step_time).  The eight arrays are
-    the contiguous rows of one block, in field order, allocated once per run
-    so that repeated runs reuse the allocator's pages, and not zero-filled:
-    only the samples before the step are zeroed (module docstring).
+    instants (disturbance active for t >= step_time), sampled with the
+    states from the same tables, never from the stored states.  The eight
+    arrays are the contiguous rows of one block, in field order, allocated
+    once per run so that repeated runs reuse the allocator's pages, and not
+    zero-filled: only the samples before the step are zeroed.
     """
 
     scenario: Scenario
@@ -282,15 +284,24 @@ def _powers(p: np.ndarray, count: int) -> np.ndarray:
     return powers[:count]
 
 
-def _step_rows(m: np.ndarray, step1: Callable) -> tuple[np.ndarray, np.ndarray]:
-    """For the step matrix m = M dt of an affine loop: Phi^j - I for j = 1 .. _BLOCK,
-    Phi = I + step1(m), and the rows giving the omegas of RK4's four stages of one
-    step from (x, p_L)."""
+def _stage_rows(m: np.ndarray) -> np.ndarray:
+    """For the step matrix m = M dt of an affine loop: the rows giving the omegas of
+    RK4's four stages of one step from (x, p_L)."""
     half = m / 2.0
     third = half + half @ half  # stages: x, (I + m/2) x, (I + m/2 + m^2/4) x, (I + m + m^2/2 + m^3/4) x
-    stages = np.array([np.zeros(6), half[1], third[1], m[1] + m[1] @ third])
-    stages[:, 1] += 1.0
-    return _powers(step1(m), _BLOCK), stages
+    return np.array([np.zeros(6), half[1], third[1], m[1] + m[1] @ third]) + np.eye(6)[1]
+
+
+def _sample_table(p: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The (7, 6, _BLOCK) table of a block's samples from its start (x, p_L), from p =
+    P_1 .. P_256, P_j = Phi^j - I, and the output rows c of A: rows 0-4 are the state
+    rows of Phi^j = P_j + I, rows 5-6 the outputs (p_b, omega_dot) c Phi^j as c + c P_j."""
+    table = np.empty((7, 6, _BLOCK))
+    table[:5] = p[:, :5].transpose(1, 2, 0)
+    np.matmul(out[:, :5], table[:5].reshape(5, -1), out=table[5:].reshape(2, -1))  # c P_j: its p_L row is 0
+    table[5:] += out[:, :, None]
+    table[range(5), range(5)] += 1.0
+    return table
 
 
 def _crossing_step(a: np.ndarray, z: np.ndarray, dt: float, grid: GridParams) -> np.ndarray:
@@ -332,35 +343,41 @@ def _most_blocks(steps: int) -> int:
 
 
 def _sample_runs(
-    scenario: Scenario, a: np.ndarray, k_on: int, n: int, buf: np.ndarray, rows: Sequence[int] = range(5)
+    scenario: Scenario, a: np.ndarray, k_on: int, n: int, buf: np.ndarray, rows: Sequence[int] = range(7)
 ) -> Iterator[np.ndarray]:
     """Sample the loop of ``a`` from sample k_on, the zero state with the imbalance just
-    switched on, to sample n, chunk by chunk into the five state rows of ``buf``.
+    switched on, to sample n, chunk by chunk into the rows of ``buf``: the five states,
+    then the outputs p_b and omega_dot.
 
-    Column 0 of ``buf`` holds sample k_on.  With n - k_on + _BLOCK columns every
-    sample stays in place.  A window of 1 + _most_blocks(n - k_on) _BLOCK columns
-    also does: before a chunk that would overrun it, the chunk's first sample moves
-    to column 0.  After each accepted run of samples, and the band crossing behind
-    it, yields the view of ``buf`` from the sample before the run to its last one,
-    valid until the next sample is taken.  Raises :class:`IntegrationError` as
-    :func:`simulate` documents.
+    Column 0 of ``buf`` holds sample k_on, which the sampler writes, its outputs as
+    0.0 + d_p A[[3, 1], 5] (never -0.0).  With n - k_on + _BLOCK columns every sample
+    stays in place.  A window of 1 + _most_blocks(n - k_on) _BLOCK columns also does:
+    before a chunk that would overrun it, the chunk's first sample moves to column 0.
+    After each accepted run of samples, and the band crossing behind it, yields the
+    view of ``buf`` from the sample before the run to its last one, valid until the
+    next sample is taken (column 0 alone if k_on = n).  Raises
+    :class:`IntegrationError` as :func:`simulate` documents.
 
-    Only the state ``rows`` the consumer reads are computed in full, and they must
-    hold omega (row 1), which the divergence test reads.  The other rows are exact
-    at the first sample of each yielded run and in the last two blocks of each
-    chunk, which start the next chunk, and stale elsewhere.  With a dead-band every
-    row is computed, since the stage rows that screen a step's region read them all.
+    Only the ``rows`` the consumer reads are computed in full; they must hold omega
+    (row 1), which the divergence test reads.  The others are written only at column
+    0 and, for the states, in the last two blocks of each chunk, where the next chunk
+    starts.  A dead-band run computes every row: its stage screen reads every state.
     """
     grid, dt, d_p = scenario.grid, scenario.sim.dt, scenario.disturbance.step_pu
     w_db = grid.deadband_omega_db
     step1 = _expm1 if scenario.sim.exact and not w_db else _rk4_step1
-    every_row = bool(w_db) or len(rows) == 5
+    every_row = bool(w_db) or len(rows) == 7
+    out = a[[3, 1]]  # p_b and omega_dot of (x, p_L)
     # Region r is -1 below the band, 0 inside it, +1 above it (the one region without
     # a band), closed at the edges since phi is continuous there.
     bounds = {-1: (-np.inf, -w_db), 0: (-w_db, w_db), 1: (w_db, np.inf)}
     most = _most_blocks(n - k_on)
-    regions = {}  # r -> (Phi^j - I state rows as (5, 6, _BLOCK), Phi^(_BLOCK i) - I, stage rows)
+    regions = {}  # r -> (sample table, Phi^(_BLOCK i) - I, stage rows)
     z = np.array([0.0, 0.0, 0.0, 0.0, 0.0, d_p])  # p_L is not stored: d_p from k_on on
+    buf[:5, 0] = 0.0
+    np.add(0.0, d_p * out[:, 5], out=buf[5:, 0])
+    if k_on == n:
+        yield buf[:, :1]
     k, i, c = k_on, 0, 1  # sample k sits in column i
     # An unstable step overflows, and a NaN stage reads as leaving the region; the
     # divergence checks on the accepted samples and on the crossing step report both.
@@ -373,36 +390,32 @@ def _sample_runs(
                     m[2, 5] += r * grid.gen_inv_droop_alpha_g * w_db / (grid.turbine_tau * d_p)
                 elif w_db:  # inside the band the governor is idle
                     m[2, 1] = 0.0
-                powers, stages = _step_rows(m * dt, step1)
+                m *= dt
+                powers = _powers(step1(m), _BLOCK)
                 starts = np.concatenate([np.zeros((1, 6, 6)), _powers(powers[-1], most - 1)])
-                regions[r] = powers[:, :5].transpose(1, 2, 0).copy(), starts, stages
-            powers, starts, stages = regions[r]
+                regions[r] = _sample_table(powers, out), starts, _stage_rows(m) if w_db else None
+            table, starts, stages = regions[r]
             # A chunk of c blocks: block i starts at Phi^(_BLOCK i) z, and one product
             # takes every block's samples from its start, for all rows or row by row.
             c = min(c, -(-(n - k) // _BLOCK))
             if i + 1 + c * _BLOCK > buf.shape[1]:  # a window: the chunk starts again at column 0
                 buf[:, 0] = buf[:, i]
                 i = 0
-            z[:5] = buf[:, i]
+            z[:5] = buf[:5, i]
             heads = starts[:c] @ z + z
-            chunk = buf[:, i + 1 : i + 1 + c * _BLOCK].reshape(5, c, _BLOCK)
+            chunk = buf[:, i + 1 : i + 1 + c * _BLOCK].reshape(7, c, _BLOCK)
             if every_row or c <= 2:
-                np.matmul(heads, powers, out=chunk)
-                for row, head in zip(chunk, heads.T):  # one broadcast add would copy the chunk
-                    row += head[:, None]
+                np.matmul(heads, table, out=chunk)
             else:
                 for q in rows:
-                    np.matmul(heads, powers[q], out=chunk[q])
-                    chunk[q] += heads[:, q, None]
-                # Every row of the last two blocks, from which the next chunk starts: two
+                    np.matmul(heads, table[q], out=chunk[q])
+                # The states of the last two blocks, from which the next chunk starts: two
                 # rows, because a one-row product goes through gemv and rounds otherwise.
-                last = chunk[:, -2:]
-                np.matmul(heads[-2:], powers, out=last)
-                last += heads[-2:, :5].T[:, :, None]
+                np.matmul(heads[-2:], table[:5], out=chunk[:5, -2:])
             size = j = min(c * _BLOCK, n - k)
             if w_db:  # keep the samples up to the first step whose stages leave the region
                 lo, hi = bounds[r]
-                stage_om = stages[:, :5] @ buf[:, i : i + j] + d_p * stages[:, 5:]
+                stage_om = stages[:, :5] @ buf[:5, i : i + j] + d_p * stages[:, 5:]
                 left = ~((lo <= stage_om.min(axis=0)) & (stage_om.max(axis=0) <= hi))
                 if left.any():
                     j = int(left.argmax())
@@ -414,9 +427,10 @@ def _sample_runs(
             first = i
             k, i, c = k + j, i + j, min(2 * c, most)
             if j < size:  # a band crossing: one RK4 step over A, then chunks start again at 1 block
-                z[:5] = buf[:, i]
-                buf[:, i + 1] = _crossing_step(a, z, dt, grid)[:5]
-                if not abs(buf[1, i + 1]) < _DIVERGENCE_LIMIT:
+                z[:5] = buf[:5, i]
+                z[:5] = _crossing_step(a, z, dt, grid)[:5]
+                buf[:, i + 1] = np.concatenate([z[:5], out @ z])
+                if not abs(z[1]) < _DIVERGENCE_LIMIT:
                     raise IntegrationError(last_valid_time=k * dt)
                 k, i, c = k + 1, i + 1, 1
             yield buf[:, first : i + 1]
@@ -439,57 +453,38 @@ def simulate(scenario: Scenario) -> Trajectory:
     a, n, k_on = _plan(scenario)
     # One block of eight rows, t, the five states, p_b and omega_dot: one allocation lifts
     # glibc's trim threshold above a sweep point's churn (560 -> 0 page faults per point).
-    # The last chunk's last block may run past n.  Every column the sampler and the output
-    # product write is left unfilled; the rest, up to sample k_on, is the zero state.
+    # The last chunk's last block may run past n.  Only the columns before k_on are zeroed.
     block = np.empty((8, n + _BLOCK))
-    t, x, outputs = block[0, : n + 1], block[1:6], block[6:, : n + 1]
+    t, x = block[0, : n + 1], block[1:, : n + 1]
     np.multiply(np.arange(n + 1), scenario.sim.dt, out=t)
-    d_p = scenario.disturbance.step_pu
-    sampled = bool(d_p) and k_on <= n
-    block[1:, : (k_on if sampled else n) + 1] = 0.0
+    sampled = bool(scenario.disturbance.step_pu) and k_on <= n
+    block[1:, : k_on if sampled else n + 1] = 0.0
     if sampled:
-        for _ in _sample_runs(scenario, a, k_on, n, x[:, k_on:]):
+        for _ in _sample_runs(scenario, a, k_on, n, block[1:, k_on:]):
             pass
-        np.matmul(a[[3, 1], :5], x[:, k_on : n + 1], out=outputs[:, k_on:])
-        outputs[:, k_on:] += d_p * a[[3, 1], 5:]
-    return Trajectory(scenario, scenario.sim.dt, t, *x[:, : n + 1], *outputs)
-
-
-# The state rows each storage maximum reads: omega, which the divergence test reads,
-# and e_b, or the rows p_b is formed from.  The p_b product also multiplies theta and
-# e_b, by coefficients that are exactly +0.0, so their stale values cannot move it.
-_MAXIMUM_ROWS = {"p_b": (1, 2, 4), "e_b": (1, 3)}
+    return Trajectory(scenario, scenario.sim.dt, t, *x)
 
 
 def _storage_maxima(scenario: Scenario, quantity: str) -> float:
     """``p_b_max_norm`` or ``e_b_max_norm``, as ``quantity`` is "p_b" or "e_b", of
     ``extract_metrics(simulate(scenario))``, bit for bit, without a trajectory: the
-    same samples of the state rows the quantity reads, taken in a window of the
-    largest chunk and reduced run by run, p_b through the same product."""
-    rows = _MAXIMUM_ROWS[quantity]
+    same samples of omega and of the quantity's row, taken by the same products in a
+    window of the largest chunk and reduced run by run."""
+    row = {"p_b": 5, "e_b": 3}[quantity]  # the sampler's row
     d_p = scenario.disturbance.step_pu
     if d_p == 0:
         return 0.0
     a, n, k_on = _plan(scenario)
-    window = np.zeros((5, 1 + _most_blocks(n - k_on) * _BLOCK))
+    window = np.empty((7, 1 + _most_blocks(n - k_on) * _BLOCK))
     peak = 0.0 if k_on else -np.inf  # the zero samples before the step count
-    if k_on < n:
-        runs = _sample_runs(scenario, a, k_on, n, window, rows)
-    else:  # the sample at k_on, the zero state, if the step comes by the horizon
-        runs = [window[:, :1]] if k_on == n else []
-    for run in runs:
-        if quantity == "p_b":
-            out = a[[3, 1], :5] @ run
-            out[0] += d_p * a[3, 5]
-            peak = max(peak, out[0].max())
-        else:
-            peak = max(peak, run[3].max())
+    for run in _sample_runs(scenario, a, k_on, n, window, (1, row)) if k_on <= n else ():
+        peak = max(peak, run[row].max())
     return float(peak / d_p)
 
 
-def _largest_abs(v: np.ndarray) -> float:
-    """max |v|, from max and min alone, never -0.0."""
-    return max(abs(float(v.max())), abs(float(v.min())))
+def _largest_abs(v: np.ndarray, v_max: float) -> float:
+    """max |v|, from v's max, already taken, and its min alone, never -0.0."""
+    return max(abs(float(v_max)), abs(float(v.min())))
 
 
 def _largest_rise(omega: np.ndarray, k_min: int) -> float:
@@ -497,11 +492,13 @@ def _largest_rise(omega: np.ndarray, k_min: int) -> float:
 
     From k_min on the running minimum is omega[k_min], and rounded subtraction
     is monotone, so the largest rise there is max(omega[k_min:]) - omega[k_min].
-    Before it every rise is 0 while omega does not increase; the running
-    minimum of the prefix is taken only when it does."""
+    Before it the running minimum is taken only if omega rises there, and only
+    from the sample before its first rise: up to it every rise is 0."""
     rise = float(omega[k_min:].max() - omega[k_min])
     head = omega[: k_min + 1]
-    if not np.all(head[1:] <= head[:-1]):
+    up = head[1:] > head[:-1]
+    if up.any():
+        head = head[int(up.argmax()) :]
         rise = max(rise, float((head - np.minimum.accumulate(head)).max()))
     return rise
 
@@ -511,7 +508,9 @@ def _largest_fall(omega: np.ndarray, k_max: int) -> float:
     the mirror of :func:`_largest_rise`."""
     fall = float(omega[k_max] - omega[k_max:].min())
     head = omega[: k_max + 1]
-    if not np.all(head[1:] >= head[:-1]):
+    down = head[1:] < head[:-1]
+    if down.any():
+        head = head[int(down.argmax()) :]
         fall = max(fall, float((np.maximum.accumulate(head) - head).max()))
     return fall
 
@@ -546,7 +545,7 @@ def extract_metrics(traj: Trajectory, monotone_tol: float = MONOTONE_TOL) -> Met
     k_on = int(np.searchsorted(traj.t, t_on, side="left"))
     k_on = min(k_on, traj.n_samples - 1)
     rocof_initial = float(traj.omega_dot[k_on])
-    rocof_max_abs = _largest_abs(traj.omega_dot)
+    rocof_max_abs = _largest_abs(traj.omega_dot, traj.omega_dot.max())
 
     band = traj.scenario.sim.settling_band * abs(final)
     outside = np.abs(omega[::-1] - final) > band  # from the last sample back
@@ -571,8 +570,9 @@ def extract_metrics(traj: Trajectory, monotone_tol: float = MONOTONE_TOL) -> Met
         p_b_max_norm = p_b_max_abs_norm = e_b_max_norm = 0.0
         zero_disturbance = True
     else:
-        p_b_max_norm = float(np.max(traj.p_b) / d_p)
-        p_b_max_abs_norm = _largest_abs(traj.p_b) / abs(d_p)
+        p_b_max = np.max(traj.p_b)
+        p_b_max_norm = float(p_b_max / d_p)
+        p_b_max_abs_norm = _largest_abs(traj.p_b, p_b_max) / abs(d_p)
         e_b_max_norm = float(np.max(traj.e_b) / d_p)
         zero_disturbance = False
 

@@ -11,8 +11,8 @@ of the controller from the chosen strategy, the power requirement from a
 frozen-secondary transient run, and the energy requirement from a long run
 with the secondary loop active (the two quantities live on different
 timescales, ~seconds versus ~minutes).  Each run is reduced to the one
-maximum it is for, chunk by chunk as the sampler takes it, from only the
-state rows that maximum reads; no trajectory is built.
+maximum it is for, chunk by chunk as the sampler takes it, which computes
+only omega and that maximum's row, p_b or e_b; no trajectory is built.
 """
 
 from __future__ import annotations

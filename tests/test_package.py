@@ -6,6 +6,8 @@ Covers:
  - every ``gridfreq`` name that ``bench/*.py`` imports resolves, and the
    names its tracing shims replace are still bound where it replaces them
    (the bench files are read as source, never run)
+ - the capacity strategies the benchmark cycles are sweeps' capacity
+   controllers, in order
  - ``gridfreq.simulate`` is the function, bound over the submodule, which
    ``from gridfreq.simulate import ...`` still reaches
 """
@@ -82,3 +84,18 @@ def test_simulate_is_the_function_and_its_module_is_reached_by_from_import():
     assert gridfreq.simulate is simulate is module.simulate and callable(gridfreq.simulate)
     assert not isinstance(gridfreq.simulate, types.ModuleType)
     assert module.extract_metrics is extract_metrics is gridfreq.extract_metrics
+
+
+def test_bench_capacity_strategies_are_the_sweeps_table():
+    """``bench/workloads.py`` names the capacity strategies it cycles; they are the keys
+    of ``sweeps._CAPACITY_CONTROLLERS``, in order, so a renamed or added strategy is
+    benchmarked as ``capacity_curve`` knows it."""
+    from gridfreq.sweeps import _CAPACITY_CONTROLLERS
+
+    tree = ast.parse((BENCH / "workloads.py").read_text(encoding="utf-8"))
+    values = [
+        ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == ["CAPACITY_STRATEGIES"]
+    ]
+    assert values == [tuple(_CAPACITY_CONTROLLERS)]

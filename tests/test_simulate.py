@@ -39,8 +39,12 @@ Covers:
    state rows it reads: extract_metrics on the full trajectory bit for bit,
    over fig8's runs, dead-band runs, both step signs, steps at 0, later, at
    or after the horizon, a zero step, the divergence times and 20 seeded
-   random grids; k_on as np.searchsorted finds it; the output rows read
-   theta and e_b only by exact +0.0 coefficients
+   random grids; a window that reused freed NaN memory; k_on as
+   np.searchsorted finds it
+ - the outputs p_b and omega_dot, sampled from the same tables as the
+   states, against A's output rows applied to the sampled states, with +0.0
+   at and before the step; those rows read theta and e_b only by exact +0.0
+   coefficients
 """
 
 import io
@@ -78,10 +82,11 @@ from gridfreq.simulate import (
     TRAJECTORY_CSV_HEADER,
     _assemble,
     _expm1,
+    _most_blocks,
     _plan,
     _powers,
     _rk4_step1,
-    _step_rows,
+    _stage_rows,
     _storage_maxima,
     write_csv_rows,
 )
@@ -471,7 +476,7 @@ def test_stage_rows_give_rk4_stage_omegas():
     stage = [z]
     for h in (0.5, 0.5, 1.0):
         stage.append(z + h * (m @ stage[-1]))
-    _, rows = _step_rows(m, _rk4_step1)
+    rows = _stage_rows(m)
     np.testing.assert_allclose(rows[:, :5] @ z[:5] + rows[:, 5] * z[5], [s[1] for s in stage], rtol=1e-14)
 
 
@@ -483,7 +488,7 @@ def test_power_tables_match_batched_doubling():
     for controller in (NoStorage(), Droop(alpha_b=5.0), VirtualInertia(m_v=MV_MIN, alpha_b=2.0), *DEADBAND_LAWS[3:]):
         a, _, _ = _plan(_scenario(controller, sim=SimOptions(dt=1e-3, horizon=30.0)))
         for step1 in (_rk4_step1, _expm1):
-            steps = _step_rows(a * 1e-3, step1)[0]
+            steps = _powers(step1(a * 1e-3), 256)
             for p, count in ((step1(a * 1e-3), 256), *((steps[-1], c) for c in (0, 1, 2, 3, 63, 127, 255))):
                 want = p[None]
                 while len(want) < count:
@@ -595,6 +600,23 @@ def test_storage_maxima_match_metrics_on_edges(step, step_time):
             _assert_maxima_match(Scenario(GB, controller, Disturbance(step_pu=step, step_time=step_time), sim))
 
 
+@pytest.mark.parametrize("step, step_time", [(DP, 0.0), (-DP, 0.0), (DP, 12.3456)], ids=["at-0", "negative", "delayed"])
+def test_storage_maxima_read_no_unwritten_window_cell(step, step_time):
+    """The window is not filled: the sampler writes its column 0 and the rows each chunk
+    computes, and the maxima read no other cell.  A NaN array of the window's size is
+    freed just before each run, so the window reuses memory that held NaNs, and both
+    maxima still equal the trajectory's by ``hex``."""
+    sc = Scenario(GB, IDroop(nu=10.0, tau_i=1.0, alpha_b=3.0), Disturbance(step_pu=step, step_time=step_time), FROZEN)
+    _, n, k_on = _plan(sc)
+    metrics = extract_metrics(simulate(sc))
+    for quantity, want in (("p_b", metrics.p_b_max_norm), ("e_b", metrics.e_b_max_norm)):
+        _storage_maxima(sc, quantity)
+        dirty = np.full((7, 1 + _most_blocks(n - k_on) * 256), np.nan)
+        del dirty
+        got = _storage_maxima(sc, quantity)
+        assert got.hex() == want.hex(), (quantity, got, want)
+
+
 def test_first_step_sample_matches_searchsorted():
     """k_on is the first sample time at or after the step, as np.searchsorted finds it."""
     for dt, horizon in ((1e-3, 30.0), (1e-2, 1200.0), (0.3, 7.0), (2.0, 8.0)):
@@ -670,10 +692,36 @@ def test_storage_maxima_match_metrics_on_random_grids():
     ids=["nostorage", "droop0", "droop", "vi_boundary", "vi", "idroop0", "idroop", "idroop_off_tuned"],
 )
 def test_output_rows_read_theta_and_e_b_by_positive_zeros(controller, k_i):
-    """p_b and omega_dot take theta and e_b with coefficients that are exactly +0.0, so
-    the p_b maximum of a run that leaves those rows stale is the trajectory's."""
+    """The output rows of A, which the sample tables fold in as c + c P_j, take theta
+    and e_b with coefficients that are exactly +0.0: neither p_b nor omega_dot depends
+    on the angle or on the stored energy, and a nonzero or -0.0 coefficient leaking in
+    through ``_assemble`` fails here before it moves a sample."""
     coef = _assemble(_scenario(controller), k_i)[[3, 1]][:, [0, 3]]
     assert np.all(coef == 0.0) and not np.any(np.signbit(coef)), coef
+
+
+@pytest.mark.parametrize("controller", DEADBAND_LAWS, ids=["nostorage", "droop", "vi", "idroop", "idroop_off_tuned"])
+def test_output_rows_match_the_states(controller):
+    """p_b and omega_dot, sampled with the states from the same tables, equal A[[3, 1]]
+    (x, d_p) recomputed from the sampled state rows, to 1e-13 of each row's maximum: on
+    RK4, on the exact path and on dead-band runs that cross the band, for both step
+    signs, at 0 and delayed.  Every output before k_on is +0.0, and the one at k_on is
+    0.0 + d_p A[[3, 1], 5], so it is never -0.0."""
+    dead_band = (FROZEN, SimOptions(dt=1e-2, horizon=600.0))
+    for grid, sims in ((GB, _both_paths(FROZEN)), (GB_DB, dead_band)):
+        for step, step_time in ((DP, 0.0), (-DP, 0.5)):
+            for sim in sims:
+                sc = Scenario(grid, controller, Disturbance(step_pu=step, step_time=step_time), sim)
+                a, n, k_on = _plan(sc)
+                traj = simulate(sc)
+                x = np.vstack([traj.theta, traj.omega, traj.p_m, traj.e_b, traj.x_c, np.full(n + 1, step)])
+                if grid is GB_DB:
+                    assert np.any(np.abs(traj.omega) >= grid.deadband_omega_db), sc
+                for got, row in ((traj.p_b, a[3]), (traj.omega_dot, a[1])):
+                    want = row @ x[:, k_on:]
+                    assert np.max(np.abs(got[k_on:] - want)) <= 1e-13 * np.max(np.abs(want)), sc
+                    assert np.all(got[:k_on] == 0.0) and not np.any(np.signbit(got[:k_on])), sc
+                    assert got[k_on].hex() == (0.0 + step * row[5]).hex(), sc
 
 
 # ----------------------------------------------------------- energy account
@@ -1083,8 +1131,9 @@ def _hand_trajectory(omega, step=DP, p_b=None, omega_dot=None, step_time=0.0):
 @pytest.mark.parametrize("sign", [1.0, -1.0], ids=["positive", "negative"])
 def test_metrics_match_reference_on_hand_built_trajectories(sign):
     """A rise before the global extreme (the prefix fallback), ties at the extreme, a run
-    that never settles, one that is settled throughout, and p_b and omega_dot of +-0.0,
-    mirrored for a negative step."""
+    that never settles, one that is settled throughout, p_b and omega_dot of +-0.0, and a
+    long monotone stretch with a tie before the first rise, the only one above some
+    tolerances, mirrored for a negative step."""
     cases = [
         ([0.0, -1.0, -0.4, -2.0, -1.9, -1.95], {}),
         ([0.0, -1e-7, 2e-7, -3.0, -3.0, -2.0, -3.0, -2.5], {}),
@@ -1093,6 +1142,7 @@ def test_metrics_match_reference_on_hand_built_trajectories(sign):
         ([-2.0] * 5, {"p_b": [-0.0] * 5, "omega_dot": [-0.0] * 5}),
         ([0.0] * 4, {"p_b": [0.0] * 4, "omega_dot": [0.0, -0.0, 0.0, -0.0]}),
         ([0.0, 0.0, -1.0, -1.5, -1.2], {"p_b": [0.0, 0.0, 2.0, -3.0, -1.0], "step_time": 1.5}),
+        ([0.0, *np.linspace(-0.1, -4.0, 40), -4.0, -4.0 + 5e-7, -4.0 + 1e-7, -5.0, -5.0], {}),
     ]
     for omega, extra in cases:
         extra = {k: np.multiply(v, sign) if k != "step_time" else v for k, v in extra.items()}
@@ -1101,6 +1151,8 @@ def test_metrics_match_reference_on_hand_built_trajectories(sign):
             _assert_metrics_match_reference(traj)
     assert _rises_before_extreme(_hand_trajectory(np.multiply(cases[0][0], sign), step=sign * DP))
     assert extract_metrics(_hand_trajectory(np.multiply(cases[3][0], sign), step=sign * DP)).settling_time == 5.0
+    late = _hand_trajectory(np.multiply(cases[-1][0], sign), step=sign * DP)
+    assert not extract_metrics(late, 1e-7).monotone and extract_metrics(late, 1e-6).monotone
 
 
 def test_trajectory_arrays_are_contiguous():
