@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .controllers import IDroop, NoStorage, VirtualInertia
-from .model import Disturbance, GridParams, Scenario, gb_reference_params, pu_disturbance
+from .model import Disturbance, GridParams, Scenario, SimOptions, gb_reference_params, pu_disturbance
 from .scenariofile import ScenarioParseError, load_scenario
 from .simulate import (
     IntegrationError,
@@ -101,6 +101,22 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _field_flags(args: argparse.Namespace, cls: type) -> dict:
+    """The flags set on the command line whose ``dest`` is a field of dataclass ``cls``."""
+    return {f.name: getattr(args, f.name) for f in fields(cls) if getattr(args, f.name, None) is not None}
+
+
+def _make_out_dir(path: str) -> Optional[Path]:
+    """Output directory ``path``, created if missing; None, after the usage error, if it cannot be."""
+    out_dir = Path(path)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        print(f"error: cannot write to {path!r}: {exc.strerror}", file=sys.stderr)
+        return None
+    return out_dir
+
+
 # ---------------------------------------------------------------------------
 # simulate
 
@@ -116,24 +132,16 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         print("error: give --step-gw or --step-pu, not both", file=sys.stderr)
         return EXIT_USAGE
 
-    try:
-        grid = scenario.grid
-        if args.inertia_h is not None:
-            grid = replace(grid, inertia_h=args.inertia_h)
+    try:  # one replace per parameter type, so its joint checks see the final values
+        grid_flags = _field_flags(args, GridParams)
         if args.deadband_mhz is not None:
-            grid = replace(grid, deadband_omega_db=args.deadband_mhz / 1000.0 / grid.nominal_freq)
-        disturbance = scenario.disturbance
-        if args.step_pu is not None:
-            disturbance = replace(disturbance, step_pu=args.step_pu)
-        elif args.step_gw is not None:
-            disturbance = replace(disturbance, step_pu=pu_disturbance(args.step_gw, grid))
-        sim = scenario.sim
-        if args.dt is not None:
-            sim = replace(sim, dt=args.dt)
-        if args.horizon is not None:
-            sim = replace(sim, horizon=args.horizon)
-        if args.freeze_secondary is not None:
-            sim = replace(sim, freeze_secondary=args.freeze_secondary)
+            grid_flags["deadband_omega_db"] = args.deadband_mhz / 1000.0 / scenario.grid.nominal_freq
+        grid = replace(scenario.grid, **grid_flags)
+        dist_flags = _field_flags(args, Disturbance)
+        if args.step_gw is not None:
+            dist_flags["step_pu"] = pu_disturbance(args.step_gw, grid)
+        disturbance = replace(scenario.disturbance, **dist_flags)
+        sim = replace(scenario.sim, **_field_flags(args, SimOptions))
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -170,11 +178,8 @@ def _cmd_tune(args: argparse.Namespace) -> int:
     if args.target_hz == 0:
         print("error: --target-hz must be nonzero", file=sys.stderr)
         return EXIT_USAGE
-    overrides = {
-        f.name: getattr(args, f.name) for f in fields(GridParams) if getattr(args, f.name, None) is not None
-    }
     try:
-        grid = gb_reference_params(**overrides)
+        grid = gb_reference_params(**_field_flags(args, GridParams))
         delta_p = Disturbance(step_pu=pu_disturbance(args.delta_p_gw, grid)).step_pu
         target_pu = args.target_hz / grid.nominal_freq
         alpha_b = design_droop_from_target(delta_p, target_pu, grid.gen_inv_droop_alpha_g)
@@ -231,8 +236,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _make_out_dir(args.out_dir)
+    if out_dir is None:
+        return EXIT_USAGE
     name, value_name = _SWEEP_NAMES[args.kind]
     points = sweep(spec)
     out_path = out_dir / f"{name}.csv"
@@ -360,9 +366,10 @@ _FIGURE_BUILDERS = {
 def _cmd_figure(args: argparse.Namespace) -> int:
     grid = gb_reference_params()
     delta_p = pu_disturbance(1.8, grid)
+    out_dir = _make_out_dir(args.out_dir)
+    if out_dir is None:
+        return EXIT_USAGE
     cols, data = _FIGURE_BUILDERS[args.id](grid, delta_p)
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     out_path = out_dir / f"{args.id}.csv"
     with out_path.open("w") as stream:
         stream.write(",".join(cols) + "\n")

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .model import GridParams, require_finite
+from .model import GridParams, require_bound, require_fields
 
 __all__ = [
     "StorageController",
@@ -77,9 +77,7 @@ class Droop(StorageController):
     alpha_b: float
 
     def __post_init__(self) -> None:
-        require_finite(self)
-        if self.alpha_b < 0:
-            raise ValueError(f"alpha_b must be >= 0, got {self.alpha_b}")
+        require_fields(self, non_negative=("alpha_b",))
 
     @property
     def realization(self) -> tuple[float, float, float, float]:
@@ -100,11 +98,7 @@ class VirtualInertia(StorageController):
     alpha_b: float = 0.0
 
     def __post_init__(self) -> None:
-        require_finite(self)
-        if self.m_v < 0:
-            raise ValueError(f"m_v must be >= 0, got {self.m_v}")
-        if self.alpha_b < 0:
-            raise ValueError(f"alpha_b must be >= 0, got {self.alpha_b}")
+        require_fields(self, non_negative=("m_v", "alpha_b"))
 
     @property
     def realization(self) -> tuple[float, float, float, float]:
@@ -131,13 +125,7 @@ class IDroop(StorageController):
     alpha_b: float = 0.0
 
     def __post_init__(self) -> None:
-        require_finite(self)
-        if self.nu <= 0:
-            raise ValueError(f"nu must be > 0, got {self.nu}")
-        if self.tau_i <= 0:
-            raise ValueError(f"tau_i must be > 0, got {self.tau_i}")
-        if self.alpha_b < 0:
-            raise ValueError(f"alpha_b must be >= 0, got {self.alpha_b}")
+        require_fields(self, positive=("nu", "tau_i"), non_negative=("alpha_b",))
 
     @classmethod
     def nadir_tuned(cls, params: GridParams, alpha_b: float = 0.0) -> "IDroop":
@@ -147,8 +135,7 @@ class IDroop(StorageController):
         time constant; the lag then cancels the turbine pole and the closed
         loop collapses to first order.
         """
-        if alpha_b < 0:
-            raise ValueError(f"alpha_b must be >= 0, got {alpha_b}")
+        require_bound("alpha_b", alpha_b)
         return cls(
             nu=alpha_b + params.gen_inv_droop_alpha_g,
             tau_i=params.turbine_tau,

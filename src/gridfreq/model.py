@@ -38,12 +38,28 @@ __all__ = [
 ]
 
 
-def require_finite(obj: object) -> None:
-    """Reject a dataclass whose numeric fields are not all finite."""
+def require_bound(name: str, value: float, positive: bool = False) -> None:
+    """Reject ``value`` of ``name`` unless it is > 0 (``positive``) or >= 0;
+    NaN fails neither test, and :func:`require_fields` rejects it first."""
+    if positive:
+        if value <= 0:
+            raise ValueError(f"{name} must be > 0, got {value}")
+    elif value < 0:
+        raise ValueError(f"{name} must be >= 0, got {value}")
+
+
+def require_fields(obj: object, positive: tuple[str, ...] = (), non_negative: tuple[str, ...] = ()) -> None:
+    """Reject a dataclass whose numeric fields are not all finite, then one whose
+    fields named in ``positive`` are not all > 0 or in ``non_negative`` not all
+    >= 0, in that order."""
     for f in fields(obj):
         value = getattr(obj, f.name)
         if not math.isfinite(value):
             raise ValueError(f"{f.name} must be finite, got {value}")
+    for name in positive:
+        require_bound(name, getattr(obj, name), positive=True)
+    for name in non_negative:
+        require_bound(name, getattr(obj, name))
 
 
 @dataclass(frozen=True)
@@ -70,31 +86,11 @@ class GridParams:
     deadband_omega_db: float = 0.0
 
     def __post_init__(self) -> None:
-        require_finite(self)
-        if self.base_power <= 0:
-            raise ValueError(f"base_power must be > 0, got {self.base_power}")
-        if self.nominal_freq <= 0:
-            raise ValueError(f"nominal_freq must be > 0, got {self.nominal_freq}")
-        if self.inertia_h <= 0:
-            raise ValueError(f"inertia_h must be > 0, got {self.inertia_h}")
-        if self.turbine_tau <= 0:
-            raise ValueError(f"turbine_tau must be > 0, got {self.turbine_tau}")
-        if self.gen_inv_droop_alpha_g <= 0:
-            raise ValueError(
-                f"gen_inv_droop_alpha_g must be > 0, got {self.gen_inv_droop_alpha_g}"
-            )
-        if self.load_damping_alpha_l < 0:
-            raise ValueError(
-                f"load_damping_alpha_l must be >= 0, got {self.load_damping_alpha_l}"
-            )
-        if self.secondary_gain_k_i < 0:
-            raise ValueError(
-                f"secondary_gain_k_i must be >= 0, got {self.secondary_gain_k_i}"
-            )
-        if self.deadband_omega_db < 0:
-            raise ValueError(
-                f"deadband_omega_db must be >= 0, got {self.deadband_omega_db}"
-            )
+        require_fields(
+            self,
+            positive=("base_power", "nominal_freq", "inertia_h", "turbine_tau", "gen_inv_droop_alpha_g"),
+            non_negative=("load_damping_alpha_l", "secondary_gain_k_i", "deadband_omega_db"),
+        )
 
 
 def gb_reference_params(**overrides: float) -> GridParams:
@@ -121,8 +117,6 @@ def gb_reference_params(**overrides: float) -> GridParams:
 
 def pu_disturbance(delta_p_gw: float, params: GridParams) -> float:
     """Convert a physical power imbalance [GW] to per-unit on the system base."""
-    if params.base_power <= 0:
-        raise ValueError(f"base_power must be > 0, got {params.base_power}")
     return delta_p_gw / params.base_power
 
 
@@ -139,9 +133,7 @@ class Disturbance:
     step_time: float = 0.0
 
     def __post_init__(self) -> None:
-        require_finite(self)
-        if self.step_time < 0:
-            raise ValueError(f"step_time must be >= 0, got {self.step_time}")
+        require_fields(self, non_negative=("step_time",))
 
 
 @dataclass(frozen=True)
@@ -162,7 +154,7 @@ class SystemState:
     x_c: float = 0.0
 
     def __post_init__(self) -> None:
-        require_finite(self)
+        require_fields(self)
 
     @classmethod
     def zeros(cls) -> "SystemState":
@@ -202,7 +194,7 @@ class SimOptions:
     exact: bool = False
 
     def __post_init__(self) -> None:
-        require_finite(self)
+        require_fields(self)
         if not 0 < self.dt <= self.horizon:
             raise ValueError(f"need 0 < dt <= horizon, got dt={self.dt}, horizon={self.horizon}")
         if self.horizon / self.dt > MAX_SAMPLES:

@@ -107,7 +107,7 @@ from typing import Iterator, Sequence, TextIO
 
 import numpy as np
 
-from .model import GridParams, Scenario
+from .model import GridParams, Scenario, require_bound
 
 __all__ = [
     "IntegrationError",
@@ -159,8 +159,7 @@ def deadband_response(omega: float, omega_db: float, alpha_g: float) -> float:
     zero inside, -alpha_g (omega - omega_db) above.  omega_db = 0 reduces to
     the plain -alpha_g * omega.
     """
-    if omega_db < 0:
-        raise ValueError(f"omega_db must be >= 0, got {omega_db}")
+    require_bound("omega_db", omega_db)
     if omega_db == 0.0:
         return -alpha_g * omega
     if omega <= -omega_db:
@@ -503,18 +502,6 @@ def _largest_rise(omega: np.ndarray, k_min: int) -> float:
     return rise
 
 
-def _largest_fall(omega: np.ndarray, k_max: int) -> float:
-    """max(np.maximum.accumulate(omega) - omega), given k_max, the first argmax of omega;
-    the mirror of :func:`_largest_rise`."""
-    fall = float(omega[k_max] - omega[k_max:].min())
-    head = omega[: k_max + 1]
-    down = head[1:] < head[:-1]
-    if down.any():
-        head = head[int(down.argmax()) :]
-        fall = max(fall, float((np.maximum.accumulate(head) - head).max()))
-    return fall
-
-
 def extract_metrics(traj: Trajectory, monotone_tol: float = MONOTONE_TOL) -> Metrics:
     """Reduce a trajectory to its transient and capacity metrics.
 
@@ -558,11 +545,12 @@ def extract_metrics(traj: Trajectory, monotone_tol: float = MONOTONE_TOL) -> Met
     # Monotone means no recovery from an interior extreme: the response never
     # rises above its running minimum (falls below its running maximum, for a
     # negative step) by more than the tolerance.  A per-step test would let a
-    # slow dip-and-recovery pass as jitter at small dt.
+    # slow dip-and-recovery pass as jitter at small dt.  A fall is a rise of
+    # -omega, exactly: negation rounds nothing.
     if d_p > 0:
         monotone = _largest_rise(omega, k_min) <= monotone_tol
     elif d_p < 0:
-        monotone = _largest_fall(omega, int(np.argmax(omega))) <= monotone_tol
+        monotone = _largest_rise(-omega, int(np.argmax(omega))) <= monotone_tol
     else:
         monotone = True
 

@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .model import GridParams
+from .model import GridParams, require_bound
 
 __all__ = [
     "ViNadirCheck",
@@ -63,8 +63,7 @@ def steady_state_deviation(
     fixes where the frequency lands.
     """
     total = alpha_l + alpha_g + alpha_b
-    if total <= 0:
-        raise ValueError(f"aggregate inverse droop must be > 0, got {total}")
+    require_bound("aggregate inverse droop", total, positive=True)
     return -delta_p / total
 
 
@@ -74,10 +73,8 @@ def vi_nadir_condition(params: GridParams, alpha_b: float, m_v: float) -> ViNadi
     margin = (2H + m_v) (1/tau_T - 2 sqrt(alpha_g / ((2H + m_v) tau_T)))
              - alpha_l - alpha_b
     """
-    if m_v < 0:
-        raise ValueError(f"m_v must be >= 0, got {m_v}")
-    if alpha_b < 0:
-        raise ValueError(f"alpha_b must be >= 0, got {alpha_b}")
+    require_bound("m_v", m_v)
+    require_bound("alpha_b", alpha_b)
     m = 2.0 * params.inertia_h + m_v
     tau = params.turbine_tau
     margin = (
@@ -95,8 +92,7 @@ def mv_min_exact(params: GridParams, alpha_b: float) -> float:
     result means the physical inertia already suffices; callers clamp to 0
     when configuring a controller (the raw value carries the design margin).
     """
-    if alpha_b < 0:
-        raise ValueError(f"alpha_b must be >= 0, got {alpha_b}")
+    require_bound("alpha_b", alpha_b)
     beta = math.sqrt(params.gen_inv_droop_alpha_g) + math.sqrt(
         params.load_damping_alpha_l + params.gen_inv_droop_alpha_g + alpha_b
     )
@@ -105,8 +101,7 @@ def mv_min_exact(params: GridParams, alpha_b: float) -> float:
 
 def mv_min_linear(params: GridParams, alpha_b: float) -> float:
     """Linearized minimum virtual inertia 2 tau_T alpha_b + 4 tau_T alpha_g - 2H."""
-    if alpha_b < 0:
-        raise ValueError(f"alpha_b must be >= 0, got {alpha_b}")
+    require_bound("alpha_b", alpha_b)
     tau = params.turbine_tau
     return 2.0 * tau * alpha_b + 4.0 * tau * params.gen_inv_droop_alpha_g - 2.0 * params.inertia_h
 
@@ -133,22 +128,13 @@ def mv_min_from_target(
     delta_omega_target: float,
     params: GridParams,
 ) -> float:
-    """Minimum virtual inertia for a deviation target, via the linear rule.
+    """Minimum virtual inertia for a deviation target: the linear rule at the
+    droop :func:`design_droop_from_target` sizes for it.
 
-    2 tau_T |delta_p/delta_omega| + 2 tau_T alpha_g - 2H when the droop
-    design is unclamped; when the target needs no storage droop this falls
-    back to the linear alpha_b = 0 rule, since the target formula is itself
-    the linearization.
+    Unclamped, this is 2 tau_T |delta_p/delta_omega| + 2 tau_T alpha_g - 2H;
+    when the target needs no storage droop it is the linear alpha_b = 0 rule.
     """
-    alpha_b = design_droop_from_target(delta_p, delta_omega_target, params.gen_inv_droop_alpha_g)
-    if alpha_b > 0:
-        tau = params.turbine_tau
-        return (
-            2.0 * tau * abs(delta_p / delta_omega_target)
-            + 2.0 * tau * params.gen_inv_droop_alpha_g
-            - 2.0 * params.inertia_h
-        )
-    return mv_min_linear(params, 0.0)
+    return mv_min_linear(params, design_droop_from_target(delta_p, delta_omega_target, params.gen_inv_droop_alpha_g))
 
 
 def energy_capacity_estimate(alpha_b: float, k_i: float) -> float:
@@ -160,8 +146,7 @@ def energy_capacity_estimate(alpha_b: float, k_i: float) -> float:
     is alpha_b / k_i seconds.  Undefined without secondary control (the
     droop part then stores energy without bound).
     """
-    if alpha_b < 0:
-        raise ValueError(f"alpha_b must be >= 0, got {alpha_b}")
+    require_bound("alpha_b", alpha_b)
     if k_i <= 0:
         raise ValueError("energy estimate needs k_i > 0; without secondary control the stored energy is unbounded for alpha_b > 0")
     return alpha_b / k_i

@@ -2,9 +2,10 @@
 
 Covers:
  - simulate on the bundled scenarios: outputs, metrics content, overrides
- - exit code 2 for usage/parse problems (including an unreadable scenario
-   and a missing output directory) and for overrides or sweep values the
-   value types reject (including nan/inf), 3 for numerical failure
+ - exit code 2 for usage/parse problems (including an unreadable scenario,
+   a missing output directory, and an --out-dir that is a file) and for
+   overrides or sweep values the value types reject (including nan/inf), 3
+   for numerical failure; a parameter type's flags are checked together
  - tune report values for the worked 0.2 Hz example and the clamped case,
    and exit code 2 for a target or disturbance the design cannot use
  - figure datasets: fig3 content and byte-identical reruns, and the header,
@@ -179,6 +180,29 @@ def test_simulate_rejected_override_is_usage_error(tmp_path, capsys, flags):
     assert not (tmp_path / "o.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "flags, rows, rc",
+    [
+        (["--dt", "50", "--horizon", "100", "--step-pu", "0"], 3, 0),  # two steps, at rest
+        (["--dt", "2e-6", "--horizon", "0.003"], 1501, 0),
+        # the file's 1.8 GW step: the pair is accepted and RK4 at 50 s diverges
+        (["--dt", "50", "--horizon", "100"], None, 3),
+    ],
+    ids=["two_steps_at_rest", "fine_step_short_horizon", "two_steps_diverge"],
+)
+def test_simulate_override_pair_checked_together(tmp_path, capsys, flags, rows, rc):
+    """--dt and --horizon are applied in one step: a pair valid together is not checked
+    against the 30 s file's horizon (dt <= horizon, horizon/dt <= MAX_SAMPLES)."""
+    out = tmp_path / "o.csv"
+    assert main(["simulate", str(SCENARIO_DIR / "gb-idroop.scn"), "--out", str(out)] + flags) == rc
+    err = capsys.readouterr().err
+    assert "need" not in err
+    if rows is not None:
+        assert len(out.read_text().splitlines()) == 1 + rows
+    else:
+        assert "diverged" in err
+
+
 # -------------------------------------------------------------------- tune
 
 
@@ -335,6 +359,22 @@ def test_sweep_tau_t(tmp_path):
 def test_sweep_rejected_value_is_usage_error(tmp_path, capsys, flags):
     assert main(["sweep"] + flags + ["--out-dir", str(tmp_path)]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["sweep", "mv"], ["figure", "fig3"], ["figure", "fig8"]], ids="-".join)
+@pytest.mark.parametrize("where", ["file", "under_file"])
+def test_out_dir_that_is_a_file_is_usage_error(tmp_path, capsys, monkeypatch, argv, where):
+    """An --out-dir that is an existing file, or lies under one, is refused before any
+    run: nothing is simulated and nothing is written."""
+    blocker = tmp_path / "blocker"
+    blocker.write_text("keep\n")
+    out_dir = blocker if where == "file" else blocker / "sub"
+    monkeypatch.setattr("gridfreq.cli.sweep", lambda *a, **k: pytest.fail("ran a sweep"))
+    monkeypatch.setattr("gridfreq.cli.capacity_curve", lambda *a, **k: pytest.fail("ran a capacity curve"))
+    assert main(argv + ["--out-dir", str(out_dir)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: cannot write to {str(out_dir)!r}: ") and captured.out == ""
+    assert blocker.read_text() == "keep\n"
 
 
 def test_sweep_unknown_kind():

@@ -4,7 +4,10 @@ Covers:
  - the Great Britain reference set and its documented variants
  - GW -> pu disturbance conversion
  - pu <-> Hz round trips to machine precision
- - invariant enforcement (positivity/sign constraints raise ValueError)
+ - invariant enforcement (positivity/sign constraints raise ValueError):
+   each bounded field and bounded argument, written out below, rejects a
+   value past its bound with ``<name> must be > 0 / >= 0, got <value>``,
+   and the first bad one in check order is the one reported
  - every numeric field of every value type rejects nan and +-inf
  - immutability of the value types
 """
@@ -23,7 +26,13 @@ from gridfreq import (
     SystemState,
     gb_reference_params,
     VirtualInertia,
+    deadband_response,
+    energy_capacity_estimate,
+    mv_min_exact,
+    mv_min_linear,
     pu_disturbance,
+    steady_state_deviation,
+    vi_nadir_condition,
 )
 from gridfreq.model import MAX_SAMPLES
 
@@ -69,6 +78,103 @@ def test_reference_overrides():
 def test_grid_params_validation(field, value):
     with pytest.raises(ValueError):
         gb_reference_params(**{field: value})
+
+
+# Every bounded dataclass field, in the order its class checks them: the
+# "> 0" fields first, then the ">= 0" ones.  Written out here, not read from
+# the classes, so that a bound dropped or moved there fails this table.
+BOUNDED_FIELDS = {
+    GridParams: [
+        ("base_power", ">"),
+        ("nominal_freq", ">"),
+        ("inertia_h", ">"),
+        ("turbine_tau", ">"),
+        ("gen_inv_droop_alpha_g", ">"),
+        ("load_damping_alpha_l", ">="),
+        ("secondary_gain_k_i", ">="),
+        ("deadband_omega_db", ">="),
+    ],
+    Disturbance: [("step_time", ">=")],
+    Droop: [("alpha_b", ">=")],
+    VirtualInertia: [("m_v", ">="), ("alpha_b", ">=")],
+    IDroop: [("nu", ">"), ("tau_i", ">"), ("alpha_b", ">=")],
+}
+# The smallest value past each bound, and a plain one.
+_BAD = {">": (0.0, -0.0, -1.5), ">=": (-5e-324, -1.5)}
+
+
+def _message(cls, kwargs):
+    with pytest.raises(ValueError) as excinfo:
+        cls(**kwargs)
+    return str(excinfo.value)
+
+
+@pytest.mark.parametrize(
+    "cls, name, bound",
+    [
+        pytest.param(cls, name, bound, id=f"{cls.__name__}.{name}")
+        for cls, table in BOUNDED_FIELDS.items()
+        for name, bound in table
+    ],
+)
+def test_bounded_field_message(cls, name, bound):
+    """A value past the bound is rejected with the field, the bound and the value; the bound itself
+    is accepted by ">= 0" fields."""
+    for value in _BAD[bound]:
+        assert _message(cls, {**_VALID[cls], name: value}) == f"{name} must be {bound} 0, got {value}"
+    if bound == ">=":
+        assert getattr(cls(**{**_VALID[cls], name: 0.0}), name) == 0.0
+
+
+@pytest.mark.parametrize("cls", list(BOUNDED_FIELDS), ids=lambda cls: cls.__name__)
+def test_first_bad_field_in_check_order_is_reported(cls):
+    """With several fields past their bounds the first in check order is named, and a
+    non-finite field anywhere is named before any bound."""
+    table = BOUNDED_FIELDS[cls]
+    for i, (first, _) in enumerate(table):
+        bad = {name: -1.5 for name, _ in table[i:]}
+        assert _message(cls, {**_VALID[cls], **bad}).startswith(f"{first} must be")
+    last = [f.name for f in dataclasses.fields(cls)][-1]
+    kwargs = {**_VALID[cls], **{name: -1.5 for name, _ in table}, last: math.nan}
+    assert _message(cls, kwargs) == f"{last} must be finite, got nan"
+
+
+# Every bounded bare argument: (call with the value, name, bound).
+BOUNDED_ARGUMENTS = {
+    "vi_nadir_condition.m_v": (lambda v: vi_nadir_condition(gb_reference_params(), 0.0, v), "m_v", ">="),
+    "vi_nadir_condition.alpha_b": (lambda v: vi_nadir_condition(gb_reference_params(), v, 0.0), "alpha_b", ">="),
+    "mv_min_exact.alpha_b": (lambda v: mv_min_exact(gb_reference_params(), v), "alpha_b", ">="),
+    "mv_min_linear.alpha_b": (lambda v: mv_min_linear(gb_reference_params(), v), "alpha_b", ">="),
+    "energy_capacity_estimate.alpha_b": (lambda v: energy_capacity_estimate(v, 0.05), "alpha_b", ">="),
+    "IDroop.nadir_tuned.alpha_b": (lambda v: IDroop.nadir_tuned(gb_reference_params(), v), "alpha_b", ">="),
+    "deadband_response.omega_db": (lambda v: deadband_response(0.0, v, 15.0), "omega_db", ">="),
+    "steady_state_deviation.sum": (  # -0.0 terms keep the sum's sign of zero
+        lambda v: steady_state_deviation(0.05, v, -0.0, -0.0),
+        "aggregate inverse droop",
+        ">",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(BOUNDED_ARGUMENTS))
+def test_bounded_argument_message(case):
+    call, name, bound = BOUNDED_ARGUMENTS[case]
+    for value in _BAD[bound]:
+        with pytest.raises(ValueError) as excinfo:
+            call(value)
+        assert str(excinfo.value) == f"{name} must be {bound} 0, got {value}"
+    if bound == ">=":
+        call(0.0)
+
+
+def test_bounded_arguments_report_in_check_order():
+    """vi_nadir_condition checks m_v before alpha_b; nadir_tuned checks alpha_b before
+    building the controller, whose nu = alpha_b + alpha_g would fail first."""
+    grid = gb_reference_params()
+    with pytest.raises(ValueError, match="^m_v must be >= 0, got -1.0$"):
+        vi_nadir_condition(grid, -2.0, -1.0)
+    with pytest.raises(ValueError, match="^alpha_b must be >= 0, got -20.0$"):
+        IDroop.nadir_tuned(grid, -20.0)
 
 
 def test_pu_disturbance():

@@ -10,11 +10,15 @@ Covers:
    controllers, in order
  - ``gridfreq.simulate`` is the function, bound over the submodule, which
    ``from gridfreq.simulate import ...`` still reaches
+ - every ``<name> must be > 0 / >= 0, got <value>`` message is written once,
+   in ``model.require_bound``
 """
 
 import ast
 import importlib
+import inspect
 import pkgutil
+import re
 import sys
 import types
 from pathlib import Path
@@ -22,6 +26,7 @@ from pathlib import Path
 import gridfreq
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
+SRC = Path(__file__).resolve().parent.parent / "src" / "gridfreq"
 
 # Names the benchmark's tracing shims and worker replace on these modules.
 SHIMMED = {
@@ -99,3 +104,21 @@ def test_bench_capacity_strategies_are_the_sweeps_table():
         if isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == ["CAPACITY_STRATEGIES"]
     ]
     assert values == [tuple(_CAPACITY_CONTROLLERS)]
+
+
+def test_bound_messages_are_written_once():
+    """No module writes the bound rule's message by hand: the only string constants
+    holding ``must be > 0, got`` or ``must be >= 0, got`` are the two in
+    ``model.require_bound``, which every dataclass and bounded argument calls."""
+    from gridfreq import model
+
+    rule = re.compile(r"must be >=? 0, got")
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str) and rule.search(node.value):
+                found.append((path.name, node.lineno))
+    lines, start = inspect.getsourcelines(model.require_bound)
+    assert len(found) == 2 and all(
+        name == "model.py" and start <= lineno < start + len(lines) for name, lineno in found
+    ), found

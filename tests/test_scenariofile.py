@@ -6,6 +6,7 @@ Covers:
  - GW -> pu conversion against the file's own power base
  - line-anchored rejection of unknown sections/keys, duplicates, bad
    values, and domain-invariant violations, each on the offending key's line
+   (every bounded key, written out, with its exact message)
  - parse -> serialize -> parse identity for every controller type and the
    bundled files, and the canonical text of one bundled file
 """
@@ -166,6 +167,49 @@ def test_domain_invariants_surface_with_line():
     ):
         err = _error_of(text)
         assert err.line == line and name in str(err), text
+
+
+# Every bounded dataclass key: (scenario text with ``{}`` for the key's bad value,
+# bound, message prefix).  No key is its section's first, so the line reported is
+# the key's own.
+BOUNDED_KEYS = [
+    ("[grid]\nsecondary_gain_k_i = 0.05\nbase_power = {}", ">", ""),
+    ("[grid]\nbase_power = 32.0\nnominal_freq = {}", ">", ""),
+    ("[grid]\nbase_power = 32.0\ninertia_h = {}", ">", ""),
+    ("[grid]\nbase_power = 32.0\nturbine_tau = {}", ">", ""),
+    ("[grid]\nbase_power = 32.0\ngen_inv_droop_alpha_g = {}", ">", ""),
+    ("[grid]\nbase_power = 32.0\nload_damping_alpha_l = {}", ">=", ""),
+    ("[grid]\nbase_power = 32.0\nsecondary_gain_k_i = {}", ">=", ""),
+    ("[grid]\nbase_power = 32.0\ndeadband_omega_db = {}", ">=", ""),
+    ("[disturbance]\nstep_pu = 0.05\nstep_time = {}", ">=", ""),
+    ("[controller]\ntype = droop\nalpha_b = {}", ">=", "bad controller: "),
+    ("[controller]\ntype = virtual_inertia\nalpha_b = 1.0\nm_v = {}", ">=", "bad controller: "),
+    ("[controller]\ntype = virtual_inertia\nm_v = 10.0\nalpha_b = {}", ">=", "bad controller: "),
+    ("[controller]\ntype = idroop\ntau_i = 1.0\nnu = {}", ">", "bad controller: "),
+    ("[controller]\ntype = idroop\nnu = 16.0\ntau_i = {}\nalpha_b = 1.0", ">", "bad controller: "),
+    ("[controller]\ntype = idroop\nnu = 16.0\ntau_i = 1.0\nalpha_b = {}", ">=", "bad controller: "),
+]
+
+
+def _bad_line(template):
+    """(line number, key) of the ``{}`` line."""
+    lines = template.split("\n")
+    line = next(i for i, text in enumerate(lines, start=1) if text.endswith("{}"))
+    return line, lines[line - 1].split(" = ")[0]
+
+
+def _case_id(template):
+    section, second = template.split("\n")[:2]
+    kind = [second.split(" = ")[1]] if second.startswith("type = ") else []
+    return ".".join([section.strip("[]"), *kind, _bad_line(template)[1]])
+
+
+@pytest.mark.parametrize("template, bound, prefix", BOUNDED_KEYS, ids=[_case_id(t) for t, _, _ in BOUNDED_KEYS])
+def test_bounded_key_reported_on_its_line(template, bound, prefix):
+    line, key = _bad_line(template)
+    err = _error_of(template.format("-1.5") + "\n")
+    assert str(err) == f"case.scn:{line}: {prefix}{key} must be {bound} 0, got -1.5"
+    assert err.line == line
 
 
 def test_unknown_controller_type():
