@@ -153,6 +153,9 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         if path.is_dir() or not path.parent.is_dir():
             print(f"error: cannot write {str(path)!r}: not a file in an existing directory", file=sys.stderr)
             return EXIT_USAGE
+    if metrics_path.resolve() == out_path.resolve():
+        print(f"error: --metrics-out {args.metrics_out!r} names the --out file", file=sys.stderr)
+        return EXIT_USAGE
 
     try:
         traj = simulate(scenario)

@@ -39,12 +39,12 @@ __all__ = [
 
 
 def require_bound(name: str, value: float, positive: bool = False) -> None:
-    """Reject ``value`` of ``name`` unless it is > 0 (``positive``) or >= 0;
-    NaN fails neither test, and :func:`require_fields` rejects it first."""
+    """Reject ``value`` of ``name`` unless it is > 0 (``positive``) or >= 0; NaN is
+    neither (:func:`require_fields` rejects it as not finite first)."""
     if positive:
-        if value <= 0:
+        if not value > 0:
             raise ValueError(f"{name} must be > 0, got {value}")
-    elif value < 0:
+    elif not value >= 0:
         raise ValueError(f"{name} must be >= 0, got {value}")
 
 

@@ -92,10 +92,13 @@ against the step before its extreme.
 CSV cells (:func:`write_trajectory_csv`, :func:`write_csv_rows`) are byte
 for byte what Python's ``"%.12g" %`` prints, formatted in numpy 1024 rows
 at a time.  A cell's 12 digits are round(|v| 10^(11 - e)) for its decimal
-exponent e, scaled exactly enough by a double-double power of ten to know
-the rounding digit, and its text is gathered as fixed-width words from
-tables and stripped of padding.  Values near a rounding tie, non-finite
-values and magnitudes outside [1e-279, 1e12) go to ``%``.
+exponent e, which a table indexed by the float's binary exponent gives.
+One product |v| 10^(11 - e) is within 2.3e-4 of that, so only cells within
+1e-3 of a rounding tie are scaled again, by a double-double power of ten,
+exactly enough to know the rounding digit.  The text is gathered as
+fixed-width words from tables and stripped of padding.  Values within 1e-9
+of a tie, non-finite values and magnitudes outside [2^-933, 1e12) go to
+``%``.
 """
 
 from __future__ import annotations
@@ -137,7 +140,7 @@ _NADIR_RTOL = 1e-12
 TRAJECTORY_CSV_HEADER = "t,omega_pu,omega_hz,p_m_pu,p_b_pu,e_b_pu_s,theta_pu_s"
 # Rows formatted per write: few Python-level calls, little text in memory.
 _CSV_CHUNK = 1024
-# Decimal exponents of the cells formatted in numpy, after rounding: |v| in [1e-279, 1e12).
+# Decimal exponents of the cells formatted in numpy, after rounding: |v| in [2^-933, 1e12).
 _E_MIN, _E_MAX = -281, 12
 
 # Samples per block, from Phi^j - I for j <= _BLOCK; a chunk of blocks is one product.
@@ -346,7 +349,7 @@ def _sample_runs(
 ) -> Iterator[np.ndarray]:
     """Sample the loop of ``a`` from sample k_on, the zero state with the imbalance just
     switched on, to sample n, chunk by chunk into the rows of ``buf``: the five states,
-    then the outputs p_b and omega_dot.
+    then the outputs p_b and omega_dot, as many of the two as ``buf`` has rows for.
 
     Column 0 of ``buf`` holds sample k_on, which the sampler writes, its outputs as
     0.0 + d_p A[[3, 1], 5] (never -0.0).  With n - k_on + _BLOCK columns every sample
@@ -374,7 +377,7 @@ def _sample_runs(
     regions = {}  # r -> (sample table, Phi^(_BLOCK i) - I, stage rows)
     z = np.array([0.0, 0.0, 0.0, 0.0, 0.0, d_p])  # p_L is not stored: d_p from k_on on
     buf[:5, 0] = 0.0
-    np.add(0.0, d_p * out[:, 5], out=buf[5:, 0])
+    np.add(0.0, d_p * out[: len(buf) - 5, 5], out=buf[5:, 0])
     if k_on == n:
         yield buf[:, :1]
     k, i, c = k_on, 0, 1  # sample k sits in column i
@@ -402,9 +405,9 @@ def _sample_runs(
                 i = 0
             z[:5] = buf[:5, i]
             heads = starts[:c] @ z + z
-            chunk = buf[:, i + 1 : i + 1 + c * _BLOCK].reshape(7, c, _BLOCK)
+            chunk = buf[:, i + 1 : i + 1 + c * _BLOCK].reshape(len(buf), c, _BLOCK)
             if every_row or c <= 2:
-                np.matmul(heads, table, out=chunk)
+                np.matmul(heads, table[: len(buf)], out=chunk)
             else:
                 for q in rows:
                     np.matmul(heads, table[q], out=chunk[q])
@@ -428,7 +431,7 @@ def _sample_runs(
             if j < size:  # a band crossing: one RK4 step over A, then chunks start again at 1 block
                 z[:5] = buf[:5, i]
                 z[:5] = _crossing_step(a, z, dt, grid)[:5]
-                buf[:, i + 1] = np.concatenate([z[:5], out @ z])
+                buf[:, i + 1] = np.concatenate([z[:5], out @ z])[: len(buf)]
                 if not abs(z[1]) < _DIVERGENCE_LIMIT:
                     raise IntegrationError(last_valid_time=k * dt)
                 k, i, c = k + 1, i + 1, 1
@@ -468,13 +471,14 @@ def _storage_maxima(scenario: Scenario, quantity: str) -> float:
     """``p_b_max_norm`` or ``e_b_max_norm``, as ``quantity`` is "p_b" or "e_b", of
     ``extract_metrics(simulate(scenario))``, bit for bit, without a trajectory: the
     same samples of omega and of the quantity's row, taken by the same products in a
-    window of the largest chunk and reduced run by run."""
+    window of the largest chunk and reduced run by run.  The window holds the rows up to
+    the quantity's: the states the chunks start from, and p_b for p_b alone."""
     row = {"p_b": 5, "e_b": 3}[quantity]  # the sampler's row
     d_p = scenario.disturbance.step_pu
     if d_p == 0:
         return 0.0
     a, n, k_on = _plan(scenario)
-    window = np.empty((7, 1 + _most_blocks(n - k_on) * _BLOCK))
+    window = np.empty((max(row + 1, 5), 1 + _most_blocks(n - k_on) * _BLOCK))
     peak = 0.0 if k_on else -np.inf  # the zero samples before the step count
     for run in _sample_runs(scenario, a, k_on, n, window, (1, row)) if k_on <= n else ():
         peak = max(peak, run[row].max())
@@ -583,128 +587,137 @@ def extract_metrics(traj: Trajectory, monotone_tol: float = MONOTONE_TOL) -> Met
 def _cell_tables() -> tuple[np.ndarray, ...]:
     """Tables for :func:`_csv_rows`, built on first use from exact integers.
 
-    Per decimal exponent e in [_E_MIN, _E_MAX] (index e - _E_MIN): 10^(11 - e)
-    as a double, its two Dekker halves and the low part it rounds off, and
-    10^(e + 1) rounded.  ``lead[2 ie + sign]``: the sign and a fixed cell's "0.",
-    "0.0", ... below 1; ``tail[2 ie + last]``: "e+XX" or "e-XXX" in exponent form,
-    then "," or, in the row's last column, a newline.  ``words[16 g + 4 count +
-    dot]``: the first ``count`` digits of the 3-digit group g, with a point after
-    digit ``dot`` (3: none).  ``ends[j, g]``: the end of g's last nonzero digit as
-    group j of the 12 digits (0 for g = 0).  ``layout[j, n_sig * E + ie]``, E
-    exponents: group j's ``4 count + dot`` for n_sig significant digits.  Words are
-    read as native integers from their bytes, so they store back as the same bytes.
+    Rows 0 .. E - 1 are the decimal exponents e in [_E_MIN, _E_MAX]; row E is
+    zero and row E + 1 a cell left to ``%``, both laid out as e = 0.  Per row:
+    10^(11 - e) as a double, then in ``dd`` its two Dekker halves and the low
+    part it rounds off, and 10^(e + 1) rounded (zero's is 5e-324, which moves
+    subnormals on to row E + 1).  NaN marks the rows whose cells go to ``%``,
+    e = 12 among them: a cell keeps that row only through a carry.
+
+    ``first[b]``: the row of floor((b - 1023) log10 2), e or one below it, for
+    the biased binary exponent b of |v|.  ``cells[4 row + 2 last + sign]``: a
+    cell's 32 bytes with the sign and a fixed cell's "0.", "0.0", ... below 1,
+    and "e+XX" or "e-XXX" in exponent form, then "," or, in the row's last
+    column, a newline.  ``words[1000 (5 rest + c) + g]``: the 3-digit group g,
+    with a point after its digit c - 1, all before the point if c = 4 and all
+    after it (or no point) if c = 0; its trailing zeros print if a later digit
+    is nonzero (``rest``) or they precede the point.  ``base[j, row]``: 1000 c
+    for group j.  Words are read as native integers from their bytes, so they
+    store back as the same bytes.
     """
-    e = np.arange(_E_MIN, _E_MAX + 1)
-    scale = [10 ** max(11 - k, 0) for k in e.tolist()]
-    hi = np.array([float(s) for s in scale])
-    lo = np.array([float(s - int(h)) for s, h in zip(scale, hi.tolist())])
+    e = np.arange(_E_MIN, _E_MAX + 1).tolist()
+    scale = [10 ** max(11 - k, 0) for k in e]
+    hi = np.array([float(s) for s in scale[:-1]] + [np.nan, 0.0, np.nan])
+    lo = np.array([float(s - int(h)) for s, h in zip(scale, hi[:-3].tolist())] + [np.nan, 0.0, np.nan])
+    above = np.array([float(10**k) if k >= 0 else 1 / 10**-k for k in e[1:]] + [np.nan, 5e-324, np.nan])
     split = hi * 134217729.0  # 2^27 + 1
     hi_hi = split - (split - hi)
-    above = np.array([float(10**k) if k >= 0 else 1 / 10**-k for k in (e + 1).tolist()])
+    est = np.floor(np.arange(-1023, 1025) * 0.30102999566398120).astype(np.intp) - _E_MIN
+    first = np.where((est >= 0) & (est < len(e) - 1), est, len(e) + 1)
+    first[0] = len(e)
 
+    e = np.array(e + [0, 0])
     fixed = (e >= -4) & (e < 12)
     heads = [b"0." + b"0" * (-k - 1) if f and k < 0 else b"" for k, f in zip(e.tolist(), fixed.tolist())]
     exps = [b"" if f else b"e%+03d" % k for k, f in zip(e.tolist(), fixed.tolist())]
-    lead = b"".join(h.ljust(8, b"\0") + (b"-" + h).ljust(8, b"\0") for h in heads)
-    tail = b"".join((x + b",").ljust(8, b"\0") + (x + b"\n").ljust(8, b"\0") for x in exps)
+    cells = b"".join(
+        (sign + h).ljust(24, b"\0") + (x + end).ljust(8, b"\0")
+        for h, x in zip(heads, exps)
+        for end in (b",", b"\n")
+        for sign in (b"", b"-")
+    )
 
-    g, count, dot, k = np.ix_(np.arange(1000), np.arange(4), np.arange(4), np.arange(4))
+    rest, c, g, k = np.ix_(np.arange(2), np.arange(5), np.arange(1000), np.arange(4))
+    last = np.where(g % 10, 3, np.where(g % 100, 2, np.where(g, 1, 0)))
+    count = np.where(rest, 3, np.maximum(last, np.minimum(c, 3)))
+    dot = np.where((c > 0) & (c < 4), c - 1, 3)
     src = k - (k > dot)  # digit written at byte k, one back after the point
     digit = 48 + np.choose(np.minimum(src, 2), [g // 100, g // 10 % 10, g % 10])
-    words = np.where(src < count, np.where(k == dot + 1, ord("."), digit), 0).astype(np.uint8)
-    g = g.ravel()
-    last = np.where(g % 10, 3, np.where(g % 100, 2, np.where(g, 1, 0)))
-    j = np.arange(4)[:, None]
-    ends = np.where(g > 0, last + 3 * j, 0)
+    point = np.where(rest | (count > dot + 1), ord("."), 0)
+    words = np.where(k == dot + 1, point, np.where(src < count, digit, 0)).astype(np.uint8)
+    at = np.where(fixed, np.where(e < 0, -1, e), 0)  # digit the point follows; -1: the lead holds it
+    base = 1000 * (np.clip(at - 3 * np.arange(4)[:, None], -1, 3) + 1)
+    dd = np.stack([hi_hi, hi - hi_hi, lo], axis=1)
+    return hi, above, first, dd, np.frombuffer(cells, "V32"), words.view(np.uint32).ravel(), base
 
-    n_sig = np.arange(13)[:, None]
-    n_out = np.maximum(n_sig, np.where(fixed, np.maximum(e + 1, 0), 0))  # integer digits always print
-    point = np.where(fixed, np.where(e < 0, 99, e), 0)  # digit the point follows; 99: the lead holds it
-    at = np.where(n_out > point + 1, point, 99)[None] - 3 * j[..., None]
-    layout = np.clip(n_out - 3 * j[..., None], 0, 3) * 4 + np.where((at >= 0) & (at < 3), at, 3)
-    return (
-        hi,
-        hi_hi,
-        hi - hi_hi,
-        lo,
-        above,
-        np.frombuffer(lead, np.uint64),
-        np.frombuffer(tail, np.uint64),
-        words.view(np.uint32).ravel(),
-        ends,
-        layout.reshape(4, -1),
-    )
+
+@cache
+def _last_column(n_cols: int) -> np.ndarray:
+    """2 at each row's last cell, else 0, over _CSV_CHUNK rows of n_cols cells: the
+    ``last`` term of a ``cells`` index, for any chunk of up to _CSV_CHUNK rows."""
+    return np.tile(np.arange(n_cols) == n_cols - 1, _CSV_CHUNK) * 2
 
 
 def _round12(v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """For each value: its decimal exponent e as the index e - _E_MIN of :func:`_cell_tables`,
-    its 12 significant digits as one integer q (0 for zero), and whether ``%`` must print it.
+    """For each value: its row of :func:`_cell_tables` (its decimal exponent e, zero,
+    or ``%``), its 12 significant digits as one float integer q (0 for zero and ``%``),
+    and the indices of the cells ``%`` must print.
 
-    q = round(|v| 10^(11 - e)), with |v| 10^(11 - e) known to ~1e-16 from a
-    Dekker product against a double-double power of ten, and rounded half up.
-    Non-finite values, |v| outside [1e-279, 1e12) and values within 1e-9 of a
-    rounding tie (which ``%`` breaks to even on the exact binary value) are
-    left to ``%``; they get e = 0, so their words carry no prefix or exponent.
+    q = round(|v| 10^(11 - e)), half up.  One product p = |v| hi[e] is within
+    2.3e-4 of |v| 10^(11 - e): two roundings of at most 2^-53 relative, below
+    1e12.  So rint(p) is q for every cell but those within 1e-3 of a rounding
+    tie.  Those alone are scaled again by a Dekker product against the
+    double-double power of ten, to ~1e-16, and the ones still within 1e-9 of a
+    tie (which ``%`` breaks to even on the exact binary value) go to ``%``,
+    with non-finite values and magnitudes outside [2^-933, 1e12).
     """
-    hi, hi_hi, hi_lo, lo, above = _cell_tables()[:5]
+    hi, above, first, dd = _cell_tables()[:4]
     a = np.abs(v)
-    zero = a == 0.0
-    fast = (a >= 1e-279) & (a < 1e12)
-    a = np.where(fast, a, 1.0)
-    # floor((binary exponent - 1) log10 2) is e or one below it.
-    i = np.floor((np.frexp(a)[1] - 1) * 0.30102999566398120).astype(np.intp) - _E_MIN
-    i += a >= above.take(i)
-    # |v| 10^(11 - e) = p + t, with p's rounding error exact by Dekker's product and t adding the low part.
-    split = a * 134217729.0
-    a_hi = split - (split - a)
-    a_lo = a - a_hi
-    h_hi, h_lo = hi_hi.take(i), hi_lo.take(i)
-    p = a * hi.take(i)
-    t = ((a_hi * h_hi - p) + a_hi * h_lo + a_lo * h_hi) + a_lo * h_lo + a * lo.take(i)
-    q = np.floor(p)
-    frac = (p - q) + t  # in [0, 1) but for t, |t| < 1e-4
-    q += frac >= 0.5  # half up; % breaks ties to even, so near-ties go to %
+    with np.errstate(over="ignore", invalid="ignore"):  # rows left to %: NaN, inf - inf, overflow
+        i = first.take(a.view(np.int64) >> 52)
+        i += a >= above.take(i)
+        p = a * hi.take(i)
+        q = np.rint(p)
+        near = np.flatnonzero(~(np.abs(p - q) < 0.499))  # ties and NaN rows too
+        if near.size:
+            # |v| 10^(11 - e) = p + t, with p's rounding error exact by Dekker's product and t adding the low part.
+            an, pn = a[near], p[near]
+            h_hi, h_lo, lo = dd[i[near]].T
+            split = an * 134217729.0
+            a_hi = split - (split - an)
+            a_lo = an - a_hi
+            t = ((a_hi * h_hi - pn) + a_hi * h_lo + a_lo * h_hi) + a_lo * h_lo + an * lo
+            qn = np.floor(pn)
+            frac = (pn - qn) + t
+            q[near] = qn + (frac >= 0.5)
+            near = near[~(np.abs(frac - 0.5) >= 1e-9)]  # now the cells left to %
+            q[near] = 0.0
+            i[near] = len(hi) - 1
     carry = q == 1e12  # rounded up to 10^(e + 1)
-    q[carry] = 1e11
-    i += carry
-    q[zero] = 0.0
-    slow = ~(fast | zero) | (np.abs(frac - 0.5) < 1e-9)
-    i[slow] = -_E_MIN
-    return i, q, slow
+    if carry.any():
+        q[carry] = 1e11
+        i += carry
+    return i, q, near
 
 
 def _cell_words(cols: Sequence) -> np.ndarray:
     """The cells of equal-length numeric columns, row by row, as 32 zero-padded bytes each
     (see :func:`_csv_rows`)."""
-    lead, tail, words, ends, layout = _cell_tables()[5:]
+    cells, words, base = _cell_tables()[4:]
     n_rows, n_cols = len(cols[0]), len(cols)
     v = np.empty((n_rows, n_cols))
     for j, col in enumerate(cols):
         v[:, j] = col
     v = v.ravel()
     i, q, slow = _round12(v)
-    # The 12 digits in four groups of three, most significant first (exact: q < 2^53).
-    groups = []
-    for unit in (1e9, 1e6, 1e3):
-        g = np.floor(q / unit)
-        q -= g * unit
-        groups.append(g.astype(np.intp))
-    groups.append(q.astype(np.intp))
-    n_sig = ends[0].take(groups[0])
-    for j in (1, 2, 3):
-        np.maximum(n_sig, ends[j].take(groups[j]), out=n_sig)
-    key = n_sig * (_E_MAX + 1 - _E_MIN) + i
-
     out = np.empty((len(v), 4), np.uint64)
-    out[:, 0] = lead.take(2 * i + np.signbit(v))
-    for j, g in enumerate(groups):
-        out.view(np.uint32)[:, 2 + j] = words.take(16 * g + layout[j].take(key))
-    last = np.zeros((n_rows, n_cols), np.intp)
-    last[:, -1] = 1
-    out[:, 3] = tail.take(2 * i + last.ravel())
-    if slow.any():
-        cells = np.array(["%.12g" % x for x in v[slow].tolist()], "S24")
-        out.view(np.uint8).reshape(-1, 32)[slow, :24] = cells.view(np.uint8).reshape(-1, 24)
+    lt = i * 4
+    lt += (v.view(np.uint64) >> 63).view(np.int64)  # the sign bit
+    lt += _last_column(n_cols)[: len(v)]
+    cells.take(lt, out=out.view("V32").ravel())  # the lead and tail words, digits zeroed
+    # The 12 digits in four groups of three, most significant first; q keeps the digits after.
+    q = q.astype(np.intp)
+    for j, unit in enumerate((10**9, 10**6, 1000)):
+        g = q // unit
+        q -= g * unit
+        g += base[j].take(i)
+        g += (q > 0) * 5000  # a later digit is nonzero, so g's trailing zeros print
+        out.view(np.uint32)[:, 2 + j] = words.take(g)
+    q += base[3].take(i)
+    out.view(np.uint32)[:, 5] = words.take(q)
+    if slow.size:
+        text = np.array(["%.12g" % x for x in v[slow].tolist()], "S24")
+        out.view(np.uint8).reshape(-1, 32)[slow, :24] = text.view(np.uint8).reshape(-1, 24)
     return out
 
 
@@ -714,9 +727,10 @@ def _csv_rows(cols: Sequence) -> str:
     A cell's digits and exponent come from :func:`_round12`.  Its text is 32
     bytes: an 8-byte word with the sign and a "0.000" prefix, four 4-byte
     words of three digits and a possible point, and an 8-byte word with
-    "e+XX" and the separator, each gathered from :func:`_cell_tables` and
-    zero-padded; one ``translate`` drops the padding.  Cells left to ``%``
-    write its text over the first 24 bytes.
+    "e+XX" and the separator, zero-padded.  One gather from :func:`_cell_tables`
+    writes the first and last word, one per group the digit words; one
+    ``translate`` drops the padding.  Cells left to ``%`` write its text over
+    the first 24 bytes.
     """
     return _cell_words(cols).tobytes().translate(None, b"\0").decode("ascii")
 

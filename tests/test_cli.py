@@ -3,7 +3,8 @@
 Covers:
  - simulate on the bundled scenarios: outputs, metrics content, overrides
  - exit code 2 for usage/parse problems (including an unreadable scenario,
-   a missing output directory, and an --out-dir that is a file) and for
+   a missing output directory, an --out-dir that is a file, and a
+   --metrics-out naming the --out file, checked before the run) and for
    overrides or sweep values the value types reject (including nan/inf), 3
    for numerical failure; a parameter type's flags are checked together
  - tune report values for the worked 0.2 Hz example and the clamped case,
@@ -26,6 +27,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from gridfreq import cli
 from gridfreq.cli import _FIGURE_BUILDERS, _SWEEP_NAMES, main
 from gridfreq.model import gb_reference_params, pu_disturbance
 from gridfreq.simulate import MONOTONE_TOL, TRAJECTORY_CSV_HEADER
@@ -130,6 +132,19 @@ def test_simulate_unwritable_out_is_usage_error(tmp_path, capsys, out):
     assert main(["simulate", str(SCENARIO_DIR / "gb-idroop.scn"), "--out", str(tmp_path / out)]) == 2
     assert "not a file in an existing directory" in capsys.readouterr().err
     assert not (tmp_path / "nodir").exists()
+
+
+@pytest.mark.parametrize("metrics_out", ["y.csv", "./y.csv"], ids=["same_spelling", "other_spelling"])
+def test_simulate_metrics_out_naming_out_is_usage_error(tmp_path, capsys, monkeypatch, metrics_out):
+    """--metrics-out naming the --out file, however spelled, is refused before the run
+    instead of overwriting the trajectory with the metrics."""
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli, "simulate", lambda scenario: pytest.fail("integrated"))
+    argv = ["simulate", str(SCENARIO_DIR / "gb-idroop.scn"), "--out", "y.csv", "--metrics-out", metrics_out]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: --metrics-out {metrics_out!r} names the --out file\n"
+    assert captured.out == "" and not (tmp_path / "y.csv").exists()
 
 
 def test_simulate_parse_error_is_line_anchored(tmp_path, capsys):

@@ -8,7 +8,8 @@ Covers:
    each bounded field and bounded argument, written out below, rejects a
    value past its bound with ``<name> must be > 0 / >= 0, got <value>``,
    and the first bad one in check order is the one reported
- - every numeric field of every value type rejects nan and +-inf
+ - every numeric field of every value type rejects nan and +-inf, and every
+   bounded argument rejects nan with its bound's message
  - immutability of the value types
 """
 
@@ -165,6 +166,17 @@ def test_bounded_argument_message(case):
         assert str(excinfo.value) == f"{name} must be {bound} 0, got {value}"
     if bound == ">=":
         call(0.0)
+
+
+@pytest.mark.parametrize("case", list(BOUNDED_ARGUMENTS))
+def test_bounded_argument_rejects_nan(case):
+    """NaN is past every bound.  It used to pass them: vi_nadir_condition(GB, nan, 0.0)
+    returned margin nan, mv_min_exact(GB, nan) returned nan, and nadir_tuned(GB, nan)
+    named nu, the controller field built from alpha_b."""
+    call, name, bound = BOUNDED_ARGUMENTS[case]
+    with pytest.raises(ValueError) as excinfo:
+        call(math.nan)
+    assert str(excinfo.value) == f"{name} must be {bound} 0, got nan"
 
 
 def test_bounded_arguments_report_in_check_order():

@@ -21,8 +21,10 @@ Covers:
    step, a zero step, the dead-band runs, and hand-built trajectories (a
    rise before the extreme, ties, a run that never settles, +-0.0)
  - CSV cells byte for byte as Python's "%.12g" prints them, on edge values,
-   time grids, random values over 600 decades and near-ties, and whole
-   trajectories against a per-row "%" writer; the writer's working memory
+   time grids, random values over 600 decades, near-ties, multiples of a
+   round step and cells 1e-9 to 1e-3 off a tie, and whole trajectories
+   against a per-row "%" writer; at most 100 cells of a bundled run left
+   to "%"; the writer's working memory
  - the exact (matrix-exponential) path: the oracle to 1e-9 pu, RK4 on the
    1200 s capacity runs, independence of the step, RK4 unchanged with a
    dead-band, zero disturbance, step snapping and divergence as in RK4
@@ -51,6 +53,7 @@ import io
 import math
 import tracemalloc
 from dataclasses import replace
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -86,6 +89,7 @@ from gridfreq.simulate import (
     _plan,
     _powers,
     _rk4_step1,
+    _round12,
     _stage_rows,
     _storage_maxima,
     write_csv_rows,
@@ -922,11 +926,36 @@ _EDGE_CELLS = [
 ]
 
 
+def _tie_window_cells(rng, n):
+    """n cells whose scaled value |v| 10^(11 - e) is exactly an integer + 0.5 + d, with |d|
+    log-uniform on [1e-9, 1e-3], both signs of d and of v, and e in [-5, 3].
+
+    v = m 2^-E with m < 2^53, so the scaled value is m 5^k / 2^(E - k) for k = 11 - e:
+    m modulo 2^(E - k) sets the fraction, and a multiple of 2^(E - k) moves m into e's
+    decade.  The fraction's grid, 2^(k - E), is below 1e-9 from e = 3 on, and the decade
+    holds a multiple of 2^(E - k) up to e = -5.
+    """
+    cells = []
+    for _ in range(n):
+        e = int(rng.randint(-5, 4))
+        k, big = 11 - e, 52 - math.ceil((e + 1) * math.log2(10))  # 10^(e + 1) 2^big <= 2^52
+        mod = 1 << (big - k)
+        d = rng.choice([-1, 1]) * 10.0 ** rng.uniform(-9, -3)
+        m = (mod // 2 + round(d * mod)) * pow(5**k, -1, mod) % mod
+        lo, hi = (math.ceil(Fraction(10) ** x * 2**big) for x in (e, e + 1))
+        m += mod * int(rng.randint(-(-(lo - m) // mod), (hi - 1 - m) // mod + 1))
+        cells.append(rng.choice([-1.0, 1.0]) * math.ldexp(m, -big))
+    return np.array(cells)
+
+
 def test_csv_cells_match_percent_format():
     """Every cell is byte for byte what ``"%.12g" %`` prints, in one column and in rows of seven.
 
     Near-ties are 13-digit decimals ending in 5, within a few units of the last
-    bit of a tie: their rounding digit needs the double-double scaling.
+    bit of a tie: their rounding digit needs the double-double scaling.  So do
+    multiples of a round step, as in gb-idroop's theta column (a third of
+    them 13-digit ties), and cells 1e-9 to 1e-3 off a tie, which one product
+    cannot place: it is within 2.3e-4 of the scaled value.
     """
     rng = np.random.RandomState(2027)
     k = np.arange(120001)
@@ -934,7 +963,16 @@ def test_csv_cells_match_percent_format():
     random = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-300.0, 300.0, n)
     near_ties = (rng.randint(10**11, 10**12, n, dtype=np.int64) * 10.0 + 5.0) / 10.0 ** rng.randint(1, 291, n)
     edge = np.array(_EDGE_CELLS)
-    for values in (np.concatenate([edge, -edge]), k * 1e-3, k * 1e-2, random, np.concatenate([near_ties, -near_ties])):
+    steps = np.concatenate([k * 1.7578125e-6, k * -1.7578125e-5])
+    for values in (
+        np.concatenate([edge, -edge]),
+        k * 1e-3,
+        k * 1e-2,
+        random,
+        np.concatenate([near_ties, -near_ties]),
+        steps,
+        _tie_window_cells(rng, n // 4),
+    ):
         for width in (1, 7):
             rows = values[: len(values) // width * width].reshape(-1, width)
             buf = io.StringIO()
@@ -964,6 +1002,20 @@ def test_trajectory_csv_matches_reference_writer(case):
     buf = io.StringIO()
     write_trajectory_csv(traj, buf)
     assert buf.getvalue().splitlines() == _reference_trajectory_csv(traj).splitlines()
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["gb-equilibrium", "gb-idroop", "gb-nostorage", "gb-vi-deadband", "gb-vi-deadband:deadband", "gb-idroop:1200s"],
+)
+def test_trajectory_csv_leaves_few_cells_to_percent(case):
+    """Only cells within 1e-9 of a rounding tie are printed by ``%``: 20 of gb-idroop's
+    210 007 cells (its theta column has 20 547 within 1e-3, scaled again in numpy), 10
+    of the 1200 s run's and none of the others'."""
+    traj = _bundled_run(case)
+    f_nom = traj.scenario.grid.nominal_freq
+    cells = np.stack([traj.t, traj.omega, traj.omega * f_nom, traj.p_m, traj.p_b, traj.e_b, traj.theta], axis=1)
+    assert len(_round12(cells.ravel())[2]) <= 100
 
 
 def test_trajectory_csv_working_memory_is_small():

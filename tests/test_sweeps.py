@@ -10,7 +10,8 @@ Covers:
  - dead-band comparison: nadir-free tunings stay monotone and the final
    deviation shifts by at most w_db * a_g / sigma (+10% margin)
  - capacity curves: alpha_b = 0 start, lag droop beating virtual inertia
-   on power, energy matching alpha_b / k_i
+   on power, energy matching alpha_b / k_i; a capacity point's traced
+   memory, with the energy run's window holding only the state rows
  - ten warm sweep points in a fresh interpreter fault in no memory they freed
 """
 
@@ -235,6 +236,19 @@ def test_capacity_point_working_memory_is_small():
         tracemalloc.stop()
     print(f"\n  traced peak of one capacity point: {peak / 1e6:.2f} MB")
     assert peak < 5e6
+
+
+def test_capacity_point_window_holds_only_the_rows_it_reads():
+    """The 1200 s energy run's window holds the five states alone, not p_b and omega_dot
+    too: a warm capacity point's traced peak is 2.90 MB, against 3.95 MB with seven rows."""
+    capacity_curve(GB, "droop", [2.5e-3], DP)
+    tracemalloc.start()
+    try:
+        capacity_curve(GB, "droop", [2.5e-3], DP)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3.4e6
 
 
 # Ten warm one-value sweep points, 30 s at 1 ms, in a fresh interpreter as the benchmark
