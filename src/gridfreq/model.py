@@ -48,10 +48,12 @@ def require_bound(name: str, value: float, positive: bool = False) -> None:
         raise ValueError(f"{name} must be >= 0, got {value}")
 
 
-def require_fields(obj: object, positive: tuple[str, ...] = (), non_negative: tuple[str, ...] = ()) -> None:
+def require_fields(
+    obj: object, positive: tuple[str, ...] = (), non_negative: tuple[str, ...] = (), per_unit: tuple[str, ...] = ()
+) -> None:
     """Reject a dataclass whose numeric fields are not all finite, then one whose
-    fields named in ``positive`` are not all > 0 or in ``non_negative`` not all
-    >= 0, in that order."""
+    fields named in ``positive`` are not all > 0, in ``non_negative`` not all >= 0
+    or in ``per_unit`` not all within one system base (|value| <= 1), in that order."""
     for f in fields(obj):
         value = getattr(obj, f.name)
         if not math.isfinite(value):
@@ -60,6 +62,10 @@ def require_fields(obj: object, positive: tuple[str, ...] = (), non_negative: tu
         require_bound(name, getattr(obj, name), positive=True)
     for name in non_negative:
         require_bound(name, getattr(obj, name))
+    for name in per_unit:
+        value = getattr(obj, name)
+        if not abs(value) <= 1.0:
+            raise ValueError(f"{name} must be within one system base, [-1, 1] pu, got {value}")
 
 
 @dataclass(frozen=True)
@@ -124,16 +130,22 @@ def pu_disturbance(delta_p_gw: float, params: GridParams) -> float:
 class Disturbance:
     """Step power imbalance.
 
-    step_pu    magnitude, per-unit on the system base; positive means a net
-               load increase / generation loss
+    step_pu    magnitude, per-unit on the system base, at most one base
+               (|step_pu| <= 1); positive means a net load increase /
+               generation loss
     step_time  onset time [s]
+
+    The bound keeps a step inside the range the loop is meant for: the
+    frequency deviation scales with the step, so a huge finite one (1e306 GW)
+    would otherwise reach the simulator's divergence limit at once and read
+    as a numerical failure.
     """
 
     step_pu: float = 0.0
     step_time: float = 0.0
 
     def __post_init__(self) -> None:
-        require_fields(self, non_negative=("step_time",))
+        require_fields(self, non_negative=("step_time",), per_unit=("step_pu",))
 
 
 @dataclass(frozen=True)

@@ -45,11 +45,14 @@ a chunk starts at Phi^(256 i) z, from a per-region table of those powers.
 A second per-region table holds, for j = 1 .. 256, the state rows of Phi^j
 and the outputs c Phi^j, with c the rows of A that give p_b and omega_dot,
 so one matrix product of the block starts with it writes every sample of
-the chunk, states and outputs alike, with no pass after it.  A chunk starts
-at one block and doubles while the RK4 stages stay in the region, so a
-linear run takes about log2(n / 256) products, and it starts again at one
-block after each band crossing, so a dead-band run discards at most one
-chunk per crossing.
+the chunk, states and outputs alike, with no pass after it.  The largest
+chunk is the largest power of two blocks a run holds.  A linear run never
+crosses a band, so it starts at the largest chunk and takes two products
+(one if its blocks are a power of two): a 30 s run at 1 ms 64 + 54 blocks,
+a 1200 s run at 10 ms 256 + 213.  A dead-band run starts at one block,
+doubles while the RK4 stages stay in the region, up to the largest chunk,
+and starts again at one block after each band crossing, so it discards at
+most one chunk per crossing.
 
 One sampler has two consumers.  The chunk loop is one generator that writes
 each chunk into the buffer it is given and yields each accepted run of
@@ -339,8 +342,9 @@ def _plan(scenario: Scenario) -> tuple[np.ndarray, int, int]:
 
 
 def _most_blocks(steps: int) -> int:
-    """The largest chunk, in blocks, of a run of ``steps`` steps: chunks of 1, 2, 4, ...
-    blocks reach at most this many before the horizon."""
+    """The largest chunk, in blocks, of a run of ``steps`` steps: the largest power of two
+    not above its blocks, so a linear run, which starts there, takes at most two chunks,
+    and a dead-band run's chunks of 1, 2, 4, ... blocks stop doubling there."""
     return 1 << max((-(-steps // _BLOCK)).bit_length() - 1, 0)
 
 
@@ -359,6 +363,10 @@ def _sample_runs(
     view of ``buf`` from the sample before the run to its last one, valid until the
     next sample is taken (column 0 alone if k_on = n).  Raises
     :class:`IntegrationError` as :func:`simulate` documents.
+
+    A run without a dead-band takes chunks of the largest size, _most_blocks(n - k_on)
+    blocks, so at most two.  With one, chunks start at one block, double up to that
+    size, and start again at one block after each band crossing.
 
     Only the ``rows`` the consumer reads are computed in full; they must hold omega
     (row 1), which the divergence test reads.  The others are written only at column
@@ -380,7 +388,7 @@ def _sample_runs(
     np.add(0.0, d_p * out[: len(buf) - 5, 5], out=buf[5:, 0])
     if k_on == n:
         yield buf[:, :1]
-    k, i, c = k_on, 0, 1  # sample k sits in column i
+    k, i, c = k_on, 0, 1 if w_db else most  # sample k sits in column i
     # An unstable step overflows, and a NaN stage reads as leaving the region; the
     # divergence checks on the accepted samples and on the crossing step report both.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -443,11 +451,13 @@ def simulate(scenario: Scenario) -> Trajectory:
     ``scenario.sim.exact`` is set.
 
     Without a dead-band the loop is linear, and either method is one fixed
-    matrix per step, sampled through its powers in chunks of 1, 2, 4, ...
-    blocks of ``_BLOCK`` steps, one matrix product per chunk.  With one, RK4
+    matrix per step, sampled through its powers in blocks of ``_BLOCK``
+    steps, one matrix product per chunk of blocks: a chunk of the largest
+    power of two blocks in the run, then one of the rest.  With one, RK4
     runs piecewise-affine, region by region through the powers of each
     region's step matrix, with one RK4 step over A at each band crossing
-    (whatever ``exact`` says), after which chunks start again at one block.
+    (whatever ``exact`` says), in chunks of 1, 2, 4, ... blocks that start
+    again at one block after each crossing.
     Each stored array is one contiguous row of one block.  Raises
     :class:`IntegrationError` if omega leaves the finite range (with RK4,
     reachable with a step size outside its stability region).

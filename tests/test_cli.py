@@ -5,8 +5,9 @@ Covers:
  - exit code 2 for usage/parse problems (including an unreadable scenario,
    a missing output directory, an --out-dir that is a file, and a
    --metrics-out naming the --out file, checked before the run) and for
-   overrides or sweep values the value types reject (including nan/inf), 3
-   for numerical failure; a parameter type's flags are checked together
+   overrides or sweep values the value types reject (including nan/inf and
+   a finite step past one system base), 3 for numerical failure; a
+   parameter type's flags are checked together
  - tune report values for the worked 0.2 Hz example and the clamped case,
    and exit code 2 for a target or disturbance the design cannot use
  - figure datasets: fig3 content and byte-identical reruns, and the header,
@@ -185,10 +186,12 @@ def test_simulate_numerical_failure(tmp_path, capsys):
         ["--deadband-mhz", "-5"],
         ["--step-pu", "nan"],
         ["--horizon", "1e9"],
+        ["--step-gw", "1e306"],
     ],
 )
 def test_simulate_rejected_override_is_usage_error(tmp_path, capsys, flags):
-    """An override the value types reject is a usage error, not a crash or a divergence."""
+    """An override the value types reject is a usage error, not a crash or a divergence
+    (a finite step past one system base was run into the divergence limit, exit 3)."""
     argv = ["simulate", str(SCENARIO_DIR / "gb-idroop.scn"), "--out", str(tmp_path / "o.csv")]
     assert main(argv + flags) == 2
     assert "error:" in capsys.readouterr().err
@@ -370,8 +373,13 @@ def test_sweep_tau_t(tmp_path):
         assert fig_row == f"{tau_t},{abs(float(nadir)):.12g}"
 
 
-@pytest.mark.parametrize("flags", [["mv", "--alpha-b", "-1"], ["mv", "--alpha-b", "nan"], ["tau-t", "--step-gw", "inf"]])
+@pytest.mark.parametrize(
+    "flags",
+    [["mv", "--alpha-b", "-1"], ["mv", "--alpha-b", "nan"], ["tau-t", "--step-gw", "inf"], ["tau-t", "--step-gw", "1e306"]],
+)
 def test_sweep_rejected_value_is_usage_error(tmp_path, capsys, flags):
+    """A value the value types reject is a usage error before any point runs (a finite
+    step past one system base ran every point into the divergence limit, 56 error rows)."""
     assert main(["sweep"] + flags + ["--out-dir", str(tmp_path)]) == 2
     assert "error:" in capsys.readouterr().err
 

@@ -10,6 +10,7 @@ Covers:
    and the first bad one in check order is the one reported
  - every numeric field of every value type rejects nan and +-inf, and every
    bounded argument rejects nan with its bound's message
+ - a disturbance step of at most one system base either way
  - immutability of the value types
 """
 
@@ -210,6 +211,12 @@ def test_disturbance_validation():
     assert Disturbance(step_pu=0.05, step_time=3.0).step_time == 3.0
     with pytest.raises(ValueError):
         Disturbance(step_pu=0.05, step_time=-1.0)
+    # |step_pu| <= 1, one system base either way; a huge finite step is past it
+    for step in (-1.0, 1.0):
+        assert Disturbance(step_pu=step).step_pu == step
+    for step in (math.nextafter(1.0, 2.0), -1.5, 3.125e304):
+        with pytest.raises(ValueError, match=r"^step_pu must be within one system base, \[-1, 1\] pu, got "):
+            Disturbance(step_pu=step)
 
 
 def test_system_state():

@@ -6,7 +6,8 @@ Covers:
  - GW -> pu conversion against the file's own power base
  - line-anchored rejection of unknown sections/keys, duplicates, bad
    values, and domain-invariant violations, each on the offending key's line
-   (every bounded key, written out, with its exact message)
+   (every bounded key, written out, with its exact message, and a step past
+   one system base)
  - parse -> serialize -> parse identity for every controller type and the
    bundled files, and the canonical text of one bundled file
 """
@@ -167,6 +168,15 @@ def test_domain_invariants_surface_with_line():
     ):
         err = _error_of(text)
         assert err.line == line and name in str(err), text
+
+
+def test_step_past_one_system_base_reported_on_its_line():
+    """A finite step beyond one system base, as step_gw or step_pu, is refused on the
+    line of its key, with the bound's message."""
+    for key, value, got in (("step_gw", "1e306", "3.125e+304"), ("step_pu", "-1.5", "-1.5")):
+        err = _error_of(f"[disturbance]\nstep_time = 1.0\n{key} = {value}\n")
+        assert str(err) == f"case.scn:3: step_pu must be within one system base, [-1, 1] pu, got {got}"
+        assert err.line == 3
 
 
 # Every bounded dataclass key: (scenario text with ``{}`` for the key's bad value,

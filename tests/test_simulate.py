@@ -37,6 +37,9 @@ Covers:
    the scalar RK4 loop to rounding over every law, both step signs, an
    off-grid step, the secondary loop and 18 band crossings, and the scalar
    loop's divergence times
+ - the chunk plan: a linear run takes two chunks, the 30 s and the 1200 s
+   runs on both paths; a dead-band run starts at one block, doubles, and
+   starts again at one block after each band crossing
  - capacity maxima reduced in one window of the sampler, each from only the
    state rows it reads: extract_metrics on the full trajectory bit for bit,
    over fig8's runs, dead-band runs, both step signs, steps at 0, later, at
@@ -90,6 +93,7 @@ from gridfreq.simulate import (
     _powers,
     _rk4_step1,
     _round12,
+    _sample_runs,
     _stage_rows,
     _storage_maxima,
     write_csv_rows,
@@ -379,11 +383,12 @@ def test_linear_rk4_matches_scalar_loop(controller, dt):
 @pytest.mark.parametrize("freeze", [True, False], ids=["frozen", "secondary"])
 @pytest.mark.parametrize("controller", LINEAR_LAWS, ids=LINEAR_IDS)
 def test_rk4_matches_scalar_loop_across_chunk_edges(controller, freeze):
-    """Runs ending on either side of a block or chunk edge (256 steps a block, chunks
-    of 1, 2, 4, ... blocks), and steps on the last sample, between the last two and
-    past the horizon (all zeros), equal the scalar loop's to rounding."""
+    """Runs ending on either side of a block edge (256 steps a block), runs that end on
+    the largest chunk's edge or cross it into a second chunk (1024 steps, 4 blocks; 1025
+    and 1280, 4 + 1; 2049, 8 + 1), and steps on the last sample, between the last two
+    and past the horizon (all zeros), equal the scalar loop's to rounding."""
     dt = 0.01
-    for n in (1, 2, 255, 256, 257, 511, 769):
+    for n in (1, 2, 255, 256, 257, 511, 769, 1024, 1025, 1280, 2049):
         _assert_matches_scalar_loop(_scenario(controller, sim=SimOptions(dt=dt, horizon=n * dt, freeze_secondary=freeze)))
     n = 257
     sim = SimOptions(dt=dt, horizon=n * dt, freeze_secondary=freeze)
@@ -522,6 +527,47 @@ def test_deadband_rk4_matches_scalar_loop_on_oscillation():
     _assert_matches_scalar_loop(sc)
 
 
+def _run_lengths(sc):
+    """The samples each run that ``_sample_runs`` yields for ``sc`` takes, a band
+    crossing step included, in a trajectory's buffer; the steps of the whole run; and
+    its largest chunk in steps."""
+    a, n, k_on = _plan(sc)
+    buf = np.empty((7, n - k_on + 256))
+    return [run.shape[1] - 1 for run in _sample_runs(sc, a, k_on, n, buf)], n - k_on, _most_blocks(n - k_on) * 256
+
+
+@pytest.mark.parametrize("freeze", [True, False], ids=["frozen", "secondary"])
+@pytest.mark.parametrize("sim", [FROZEN, SimOptions(dt=ENERGY_RUN_DT, horizon=ENERGY_RUN_HORIZON)], ids=["30s", "1200s"])
+def test_linear_runs_take_two_chunk_products(sim, freeze):
+    """Without a dead-band a run starts at the largest chunk, so the 30 s run at 1 ms
+    (64 + 54 blocks) and the 1200 s run at 10 ms (256 + 213 blocks) each take two
+    chunks, one product each, on RK4 and on the exact path."""
+    for run_sim in _both_paths(replace(sim, freeze_secondary=freeze)):
+        lengths, steps, most = _run_lengths(_scenario(IDroop.nadir_tuned(GB, 2.0), sim=run_sim))
+        assert lengths == [most, steps - most], run_sim
+
+
+@pytest.mark.parametrize("w_db, k_i, crossings", [(0.0006, 2.0, 18), (0.005, 0.05, 1)], ids=["oscillation", "late_crossing"])
+def test_deadband_chunks_restart_at_one_block(w_db, k_i, crossings):
+    """With a dead-band a run starts at one block and doubles up to the largest chunk,
+    and after each band crossing, a run that stops short of its chunk, it starts again
+    at one block: every run is at most the chunk this plan gives it, on the oscillation
+    of 18 crossings in 60 s and on a 300 mHz band first crossed in the second block."""
+    grid = gb_reference_params(deadband_omega_db=w_db, secondary_gain_k_i=k_i)
+    lengths, steps, most = _run_lengths(_scenario(Droop(alpha_b=0.0), grid=grid, sim=SimOptions(dt=1e-3, horizon=60.0)))
+    assert sum(lengths) == steps
+    chunk, done, short = 256, 0, 0
+    for length in lengths:
+        planned = min(chunk, steps - done)
+        assert length <= planned, (done, length, planned)
+        if length == planned:
+            chunk = min(2 * chunk, most)
+        else:
+            chunk, short = 256, short + 1
+        done += length
+    assert short >= crossings
+
+
 @pytest.mark.parametrize(
     "controller, dt, last_valid_time",
     [
@@ -653,8 +699,9 @@ def test_storage_maxima_divergence_times(grid, controller, sim, last_valid_time)
 
 def test_storage_maxima_match_metrics_on_random_grids():
     """20 seeded random GB-like grids, every law, frozen and with the secondary, on both
-    paths.  Horizons of 5-60 s at 10 ms run chunks of 1 to 8 blocks, so the window
-    wraps and the run computes only its own rows in chunks of 3 blocks and more."""
+    paths.  Horizons of 5-60 s at 10 ms start with the largest chunk, 2 to 16 blocks,
+    and all but the shortest go on to a second, so the window wraps; the run computes
+    only its own rows in chunks of 3 blocks and more."""
     rng = np.random.RandomState(2027)
     for _ in range(20):
         grid = gb_reference_params(

@@ -12,7 +12,8 @@ Covers:
  - capacity curves: alpha_b = 0 start, lag droop beating virtual inertia
    on power, energy matching alpha_b / k_i; a capacity point's traced
    memory, with the energy run's window holding only the state rows
- - ten warm sweep points in a fresh interpreter fault in no memory they freed
+ - ten warm sweep points, and ten warm capacity points, in a fresh interpreter
+   fault in no memory they freed
 """
 
 import io
@@ -251,22 +252,48 @@ def test_capacity_point_window_holds_only_the_rows_it_reads():
     assert peak < 3.4e6
 
 
-# Ten warm one-value sweep points, 30 s at 1 ms, in a fresh interpreter as the benchmark
-# worker runs them; prints the minor page faults the ten took.
+# Thirteen calls in a fresh interpreter, as the benchmark worker runs them, from the
+# ``points`` the probe is formatted with: three warm it up, and it prints the minor page
+# faults the other ten took.
 FAULT_PROBE = """
 import resource
-from gridfreq import Disturbance, Droop, Scenario, SimOptions, SweepSpec, gb_reference_params, sweep
+from gridfreq import (Disturbance, Droop, Scenario, SimOptions, SweepSpec, capacity_curve,
+                      gb_reference_params, sweep)
 
-base = Scenario(gb_reference_params(), Droop(alpha_b=0.0), Disturbance(step_pu=0.05625),
-                SimOptions(dt=1e-3, horizon=30.0, freeze_secondary=True))
-values = [1.5 * k for k in range(13)]
-for value in values[:3]:
-    sweep(SweepSpec(base=base, parameter="controller.alpha_b", values=[value]))
+{points}
+for point in points[:3]:
+    point()
 before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-for value in values[3:]:
-    sweep(SweepSpec(base=base, parameter="controller.alpha_b", values=[value]))
+for point in points[3:]:
+    point()
 print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
 """
+
+# One-value sweep points, 30 s at 1 ms.
+SWEEP_POINTS = """
+base = Scenario(gb_reference_params(), Droop(alpha_b=0.0), Disturbance(step_pu=0.05625),
+                SimOptions(dt=1e-3, horizon=30.0, freeze_secondary=True))
+points = [lambda v=1.5 * k: sweep(SweepSpec(base=base, parameter="controller.alpha_b", values=[v]))
+          for k in range(13)]
+"""
+
+# Single-target capacity points, the benchmark's: a 30 s run at 1 ms and a 1200 s run at
+# 10 ms each, cycling the three strategies over fig8's target range.
+CAPACITY_POINTS = """
+strategies = ("droop", "vi_min", "idroop_tuned")
+points = [lambda k=k: capacity_curve(gb_reference_params(), strategies[k % 3], [1.875e-3 + 1.5e-4 * k], 0.05625)
+          for k in range(13)]
+"""
+
+
+def _faults(tmp_path, points):
+    """Minor page faults of ten warm points of ``points`` in a fresh interpreter."""
+    env = {**os.environ, "PYTHONPATH": str(Path(gridfreq.__file__).resolve().parents[1])}
+    probe = tmp_path / "probe.py"
+    probe.write_text(FAULT_PROBE.format(points=points), encoding="utf-8")
+    proc = subprocess.run([sys.executable, str(probe)], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return int(proc.stdout)
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="minor page faults are counted on Linux")
@@ -277,13 +304,19 @@ def test_sweep_points_do_not_fault_pages_in(tmp_path):
     interpreter, as the benchmark worker does: the test run's own allocations have moved
     the allocator's thresholds, and in this process the three-array trajectory that takes
     ~5600 faults in a fresh one read 0."""
-    env = {**os.environ, "PYTHONPATH": str(Path(gridfreq.__file__).resolve().parents[1])}
-    probe = tmp_path / "probe.py"
-    probe.write_text(FAULT_PROBE, encoding="utf-8")
-    proc = subprocess.run([sys.executable, str(probe)], env=env, capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    faults = int(proc.stdout)
+    faults = _faults(tmp_path, SWEEP_POINTS)
     print(f"\n  minor page faults over ten warm sweep points: {faults}")
+    assert faults <= 64
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="minor page faults are counted on Linux")
+def test_capacity_points_do_not_fault_pages_in(tmp_path):
+    """Warm capacity points reuse the allocator's pages too.  Each run's first chunk
+    fills its whole window in one product (1 + 256 * 256 columns of 5 rows, 2.6 MB, on
+    the 1200 s run); ten warm points take a handful of minor faults, not one per window
+    page."""
+    faults = _faults(tmp_path, CAPACITY_POINTS)
+    print(f"\n  minor page faults over ten warm capacity points: {faults}")
     assert faults <= 64
 
 
