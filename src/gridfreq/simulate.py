@@ -60,10 +60,16 @@ samples.  :func:`simulate` gives it the trajectory's rows, so every sample
 is written in place.  :func:`_storage_maxima`, which sizes storage for
 capacity curves, gives it a window as wide as the largest chunk and keeps
 only the running maximum of p_b or of e_b per run.  Each chunk's product
-then fills only omega and that row, plus the states of its last two blocks,
-where the next chunk starts: the same products of the same starts, so the
-maxima are the trajectory's, bit for bit.  With a dead-band every row is
-filled, since the rows that screen a step's region read every state.
+then fills only that row, plus the states of its last two blocks, where the
+next chunk starts: the same products of the same starts, so the maxima are
+the trajectory's, bit for bit.  Omega is sampled only to test for
+divergence, and a chunk of more than two blocks needs it only when a bound
+fails: every |omega| of a block is at most reach . |h| for its start h,
+with reach_m = max_j |(Phi^j)[1, m]| from the region's table.  A chunk whose
+blocks all bound below half the divergence limit cannot diverge; any other
+samples omega and scans it as :func:`simulate` does, so a run raises at the
+same last valid time.  With a dead-band every row is filled, since the rows
+that screen a step's region read every state.
 
 Every path holds the imbalance at its step-start value within each step,
 exact for the piecewise-constant input; a ``step_time`` that is not a
@@ -254,12 +260,22 @@ def _assemble(scenario: Scenario, k_i: float) -> np.ndarray:
 
 
 def _expm1(m: np.ndarray) -> np.ndarray:
-    """exp(m) - I, never adding I, so a near-identity step keeps its digits: Taylor
-    series to order 18 of m / 2^s, ||m / 2^s|| < 1/2, squared s times as 2E + E^2."""
-    s = max(0, int(np.frexp(np.linalg.norm(m, 1))[1]) + 1)
+    """exp(m) - I, never adding I, so a near-identity step keeps its digits: the Taylor
+    series of m / 2^s, x = ||m / 2^s||_1 < 1/2, squared s times as 2E + E^2.  The series
+    ends before its first term x^d / d! below 2^-60 x^3, at order 18 at the latest.  Each
+    nonzero entry of the result is led by m, m^2 or m^3 (theta reaches x_c through p_m
+    and omega), so the terms left out are ~2^-60 of that lead or less, and the bits are
+    those of the series to order 18."""
+    norm = np.linalg.norm(m, 1)
+    s = max(0, int(np.frexp(norm)[1]) + 1)
+    x = norm / 2.0**s
+    d, term = 2, x * x / 2.0  # term = x^d / d!
+    while d < 19 and term > 2.0**-60 * x**3:
+        d += 1
+        term *= x / d
     eye = e = np.eye(len(m))
     m = m / 2.0**s
-    for j in range(18, 1, -1):
+    for j in range(d - 1, 1, -1):
         e = eye + m @ e / j
     e = m @ e
     for _ in range(s):
@@ -368,21 +384,25 @@ def _sample_runs(
     blocks, so at most two.  With one, chunks start at one block, double up to that
     size, and start again at one block after each band crossing.
 
-    Only the ``rows`` the consumer reads are computed in full; they must hold omega
-    (row 1), which the divergence test reads.  The others are written only at column
-    0 and, for the states, in the last two blocks of each chunk, where the next chunk
-    starts.  A dead-band run computes every row: its stage screen reads every state.
+    Only the ``rows`` the consumer reads are computed in full.  The others are written
+    only at column 0 and, for the states, in the last two blocks of each chunk, where
+    the next chunk starts.  Omega (row 1), which the divergence test reads, is computed
+    in full also in chunks of one or two blocks and in a chunk whose block bound,
+    reach . |h| for a block's start h, reaches half the divergence limit; elsewhere no
+    sample can diverge.  A dead-band run computes every row: its stage screen reads
+    every state.
     """
     grid, dt, d_p = scenario.grid, scenario.sim.dt, scenario.disturbance.step_pu
     w_db = grid.deadband_omega_db
     step1 = _expm1 if scenario.sim.exact and not w_db else _rk4_step1
     every_row = bool(w_db) or len(rows) == 7
+    bounded = not w_db and 1 not in rows  # omega is sampled only where the bound fails
     out = a[[3, 1]]  # p_b and omega_dot of (x, p_L)
     # Region r is -1 below the band, 0 inside it, +1 above it (the one region without
     # a band), closed at the edges since phi is continuous there.
     bounds = {-1: (-np.inf, -w_db), 0: (-w_db, w_db), 1: (w_db, np.inf)}
     most = _most_blocks(n - k_on)
-    regions = {}  # r -> (sample table, Phi^(_BLOCK i) - I, stage rows)
+    regions = {}  # r -> (sample table, Phi^(_BLOCK i) - I, stage rows, omega's reach)
     z = np.array([0.0, 0.0, 0.0, 0.0, 0.0, d_p])  # p_L is not stored: d_p from k_on on
     buf[:5, 0] = 0.0
     np.add(0.0, d_p * out[: len(buf) - 5, 5], out=buf[5:, 0])
@@ -403,8 +423,10 @@ def _sample_runs(
                 m *= dt
                 powers = _powers(step1(m), _BLOCK)
                 starts = np.concatenate([np.zeros((1, 6, 6)), _powers(powers[-1], most - 1)])
-                regions[r] = _sample_table(powers, out), starts, _stage_rows(m) if w_db else None
-            table, starts, stages = regions[r]
+                table = _sample_table(powers, out)
+                reach = np.abs(table[1]).max(axis=1) if bounded else None  # max_j |(Phi^j)[1, m]|
+                regions[r] = table, starts, _stage_rows(m) if w_db else None, reach
+            table, starts, stages, reach = regions[r]
             # A chunk of c blocks: block i starts at Phi^(_BLOCK i) z, and one product
             # takes every block's samples from its start, for all rows or row by row.
             c = min(c, -(-(n - k) // _BLOCK))
@@ -414,10 +436,16 @@ def _sample_runs(
             z[:5] = buf[:5, i]
             heads = starts[:c] @ z + z
             chunk = buf[:, i + 1 : i + 1 + c * _BLOCK].reshape(len(buf), c, _BLOCK)
-            if every_row or c <= 2:
+            scan = every_row or c <= 2
+            if scan:
                 np.matmul(heads, table[: len(buf)], out=chunk)
             else:
-                for q in rows:
+                # Every |omega| of block b is at most reach . |h_b|, for its start h_b.
+                # Below half the limit, rounding included, no sample of the chunk diverges,
+                # and omega is not sampled unless the consumer reads it.  A chunk that fails
+                # the test (a NaN or inf start does) samples omega and scans it.
+                scan = not bounded or not (np.abs(heads) @ reach < _DIVERGENCE_LIMIT / 2).all()
+                for q in (1, *rows) if scan and bounded else rows:
                     np.matmul(heads, table[q], out=chunk[q])
                 # The states of the last two blocks, from which the next chunk starts: two
                 # rows, because a one-row product goes through gemv and rounds otherwise.
@@ -431,7 +459,7 @@ def _sample_runs(
                     j = int(left.argmax())
             # min and max fail both bounds on a NaN; the first bad sample is sought only then.
             om = buf[1, i + 1 : i + 1 + j]
-            if j and not (-_DIVERGENCE_LIMIT < om.min() and om.max() < _DIVERGENCE_LIMIT):
+            if scan and j and not (-_DIVERGENCE_LIMIT < om.min() and om.max() < _DIVERGENCE_LIMIT):
                 bad = int((~(np.abs(om) < _DIVERGENCE_LIMIT)).argmax())
                 raise IntegrationError(last_valid_time=(k + bad) * dt)
             first = i
@@ -480,9 +508,10 @@ def simulate(scenario: Scenario) -> Trajectory:
 def _storage_maxima(scenario: Scenario, quantity: str) -> float:
     """``p_b_max_norm`` or ``e_b_max_norm``, as ``quantity`` is "p_b" or "e_b", of
     ``extract_metrics(simulate(scenario))``, bit for bit, without a trajectory: the
-    same samples of omega and of the quantity's row, taken by the same products in a
-    window of the largest chunk and reduced run by run.  The window holds the rows up to
-    the quantity's: the states the chunks start from, and p_b for p_b alone."""
+    same samples of the quantity's row, taken by the same products in a window of the
+    largest chunk and reduced run by run, with omega sampled only where a chunk's block
+    bound does not rule out divergence.  The window holds the rows up to the quantity's:
+    the states the chunks start from, and p_b for p_b alone."""
     row = {"p_b": 5, "e_b": 3}[quantity]  # the sampler's row
     d_p = scenario.disturbance.step_pu
     if d_p == 0:
@@ -490,7 +519,7 @@ def _storage_maxima(scenario: Scenario, quantity: str) -> float:
     a, n, k_on = _plan(scenario)
     window = np.empty((max(row + 1, 5), 1 + _most_blocks(n - k_on) * _BLOCK))
     peak = 0.0 if k_on else -np.inf  # the zero samples before the step count
-    for run in _sample_runs(scenario, a, k_on, n, window, (1, row)) if k_on <= n else ():
+    for run in _sample_runs(scenario, a, k_on, n, window, (row,)) if k_on <= n else ():
         peak = max(peak, run[row].max())
     return float(peak / d_p)
 

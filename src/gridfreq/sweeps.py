@@ -12,7 +12,8 @@ frozen-secondary transient run, and the energy requirement from a long run
 with the secondary loop active (the two quantities live on different
 timescales, ~seconds versus ~minutes).  Each run is reduced to the one
 maximum it is for, chunk by chunk as the sampler takes it, which computes
-only omega and that maximum's row, p_b or e_b; no trajectory is built.
+only that maximum's row, p_b or e_b, and omega only where a bound does not
+rule out divergence; no trajectory is built.
 """
 
 from __future__ import annotations
@@ -161,7 +162,8 @@ def capacity_curve(
     the controller completed per ``strategy``, p_b,max from a 30 s
     frozen-secondary run, e_b,max from a 1200 s run with the secondary loop
     active.  Each run keeps one maximum, reduced chunk by chunk in one window
-    of the sampler from the state rows it reads, with no trajectory built,
+    of the sampler from the one row it reads, with no trajectory built and
+    omega sampled only where a per-block bound does not rule out divergence,
     and equals ``extract_metrics`` on the full trajectory bit for bit.  The
     energy approaches its limit alpha_b/k_i along the secondary slow mode,
     tau_s = (alpha_l + alpha_g + alpha_b)/k_i, so the 1200 s run captures

@@ -46,6 +46,13 @@ Covers:
    or after the horizon, a zero step, the divergence times and 20 seeded
    random grids; a window that reused freed NaN memory; k_on as
    np.searchsorted finds it
+ - omega in capacity runs: unsampled (NaN in a NaN-filled window) but where
+   the next chunk starts; the per-block bound above every |omega| of
+   simulate's blocks on the random grids; a divergence limit patched so
+   that the bound fails, where omega is sampled and scanned, passing or
+   raising as simulate does
+ - the exact step's shortened series equal to the series to order 18 by
+   bytes, on fig8's steps and seeded random loops from 10 us to 2 s
  - the outputs p_b and omega_dot, sampled from the same tables as the
    states, against A's output rows applied to the sampled states, with +0.0
    at and before the step; those rows read theta and e_b only by exact +0.0
@@ -54,6 +61,7 @@ Covers:
 
 import io
 import math
+import sys
 import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
@@ -94,6 +102,7 @@ from gridfreq.simulate import (
     _rk4_step1,
     _round12,
     _sample_runs,
+    _sample_table,
     _stage_rows,
     _storage_maxima,
     write_csv_rows,
@@ -683,12 +692,14 @@ def test_first_step_sample_matches_searchsorted():
         (GB, IDroop.nadir_tuned(GB, 0.0), SimOptions(dt=2.0, horizon=400.0, freeze_secondary=True), 8.0),
         (GB_DB, IDroop.nadir_tuned(GB, 0.0), SimOptions(dt=2.0, horizon=400.0, freeze_secondary=True), 8.0),
         (gb_reference_params(deadband_omega_db=0.0006, secondary_gain_k_i=50.0), NoStorage(), SimOptions(dt=1e-3, horizon=60.0), 44.312),
+        (GB, IDroop.nadir_tuned(GB, 0.0), SimOptions(dt=0.8, horizon=1000.0, freeze_secondary=True), 76.0),
     ],
-    ids=["idroop-2", "deadband-idroop-2", "deadband-unstable"],
+    ids=["idroop-2", "deadband-idroop-2", "deadband-unstable", "idroop-0.8-chunks"],
 )
 def test_storage_maxima_divergence_times(grid, controller, sim, last_valid_time):
     """The reducer raises where simulate does, and returns for a horizon that ends at
-    the last valid time."""
+    the last valid time.  The 0.8 s run diverges in a first chunk of 4 blocks, where a
+    capacity run samples omega only because its block bound fails."""
     sc = _scenario(controller, grid=grid, sim=sim)
     for run in (simulate, lambda sc: _storage_maxima(sc, "p_b"), lambda sc: _storage_maxima(sc, "e_b")):
         with pytest.raises(IntegrationError) as excinfo:
@@ -697,11 +708,9 @@ def test_storage_maxima_divergence_times(grid, controller, sim, last_valid_time)
     _assert_maxima_match(replace(sc, sim=replace(sim, horizon=last_valid_time)))
 
 
-def test_storage_maxima_match_metrics_on_random_grids():
+def _random_grid_runs():
     """20 seeded random GB-like grids, every law, frozen and with the secondary, on both
-    paths.  Horizons of 5-60 s at 10 ms start with the largest chunk, 2 to 16 blocks,
-    and all but the shortest go on to a second, so the window wraps; the run computes
-    only its own rows in chunks of 3 blocks and more."""
+    paths, at 10 ms over horizons of 5-60 s."""
     rng = np.random.RandomState(2027)
     for _ in range(20):
         grid = gb_reference_params(
@@ -724,7 +733,146 @@ def test_storage_maxima_match_metrics_on_random_grids():
         for controller in laws:
             for freeze in (True, False):
                 for sim in _both_paths(SimOptions(dt=1e-2, horizon=horizon, freeze_secondary=freeze)):
-                    _assert_maxima_match(Scenario(grid, controller, disturbance, sim))
+                    yield Scenario(grid, controller, disturbance, sim)
+
+
+def test_storage_maxima_match_metrics_on_random_grids():
+    """The random grids' runs start with the largest chunk, 2 to 16 blocks, and all but
+    the shortest go on to a second, so the window wraps; the run computes only its own
+    rows in chunks of 3 blocks and more."""
+    for sc in _random_grid_runs():
+        _assert_maxima_match(sc)
+
+
+def test_block_bound_holds_on_random_grids():
+    """Every |omega| a block samples is at most reach . |h| for the block's start h =
+    (x, p_L), reach_m = max_j |(Phi^j)[1, m]| over the block's 256 steps: on every
+    block of every run of the random grids, against simulate's omega and the state it
+    holds at the block's start."""
+    for sc in _random_grid_runs():
+        a, n, k_on = _plan(sc)
+        step1 = _expm1 if sc.sim.exact else _rk4_step1
+        reach = np.abs(_sample_table(_powers(step1(a * sc.sim.dt), 256), a[[3, 1]])[1]).max(axis=1)
+        traj = simulate(sc)
+        x = np.vstack([traj.theta, traj.omega, traj.p_m, traj.e_b, traj.x_c, np.full(n + 1, sc.disturbance.step_pu)])
+        for start in range(k_on, n, 256):
+            peak = np.max(np.abs(traj.omega[start + 1 : start + 257]))
+            assert peak <= reach @ np.abs(x[:, start]), (sc, start)
+
+
+@pytest.mark.parametrize("sim", CAPACITY_RUNS, ids=["power", "energy"])
+def test_storage_maxima_fall_back_to_the_scan(monkeypatch, sim):
+    """A chunk whose block bound reaches half the divergence limit samples omega and
+    scans it as simulate does.  With the limit just above the run's max |omega|, the
+    block holding it fails the bound, since its bound is at least that max: the chunk
+    samples omega, equal to simulate's bit for bit, the scan passes, and both maxima
+    equal extract_metrics(simulate(...)) bit for bit.  With the limit at half that max,
+    simulate and both maxima raise at the same last valid time."""
+    module = sys.modules["gridfreq.simulate"]
+    sc = _scenario(IDroop.nadir_tuned(GB, design_droop_from_target(DP, FIG8_TARGETS[0], GB.gen_inv_droop_alpha_g)), sim=sim)
+    omega = simulate(sc).omega
+    k_peak = int(np.argmax(np.abs(omega)))
+    monkeypatch.setattr(module, "_DIVERGENCE_LIMIT", abs(omega[k_peak]) * (1.0 + 1e-9))
+    _assert_maxima_match(sc)
+    a, n, k_on = _plan(sc)
+    window = np.full((5, 1 + _most_blocks(n - k_on) * 256), np.nan)
+    done = k_on
+    for run in _sample_runs(sc, a, k_on, n, window, (3,)):
+        steps = run.shape[1] - 1
+        if done < k_peak <= done + steps:
+            assert run[1].tobytes() == omega[done : done + steps + 1].tobytes()
+        done += steps
+    assert done == n
+    monkeypatch.setattr(module, "_DIVERGENCE_LIMIT", abs(omega[k_peak]) / 2.0)
+    times = []
+    for run in (simulate, lambda sc: _storage_maxima(sc, "p_b"), lambda sc: _storage_maxima(sc, "e_b")):
+        with pytest.raises(IntegrationError) as excinfo:
+            run(sc)
+        times.append(excinfo.value.last_valid_time)
+    assert times[0] < k_peak * sim.dt and times == [times[0]] * 3, times
+
+
+@pytest.mark.parametrize("quantity", ["p_b", "e_b"])
+@pytest.mark.parametrize("sim", CAPACITY_RUNS, ids=["power", "energy"])
+def test_capacity_runs_sample_no_omega(monkeypatch, sim, quantity):
+    """A capacity run asks the sampler for its own row alone, and its chunks of more
+    than two blocks, whose block bounds rule out divergence, leave omega unsampled:
+    in a NaN-filled window omega stays NaN but in column 0 and in each chunk's last
+    two blocks, where the next chunk starts, and the quantity's row equals simulate's
+    bit for bit in every run."""
+    module = sys.modules["gridfreq.simulate"]
+    sample_runs, row = module._sample_runs, {"p_b": 5, "e_b": 3}[quantity]
+    sc = _scenario(VirtualInertia(m_v=MV_MIN, alpha_b=2.0), sim=sim)
+    traj = simulate(sc)
+    want = getattr(traj, quantity)
+    lengths = []
+
+    def spy(scenario, a, k_on, n, buf, rows):
+        assert tuple(rows) == (row,)
+        buf.fill(np.nan)
+        done = k_on
+        for run in sample_runs(scenario, a, k_on, n, buf, rows):
+            steps = run.shape[1] - 1
+            unsampled = 256 * (-(-steps // 256) - 2)  # the chunk's blocks but its last two
+            assert run[row].tobytes() == want[done : done + steps + 1].tobytes()
+            assert np.all(np.isnan(run[1, 1 : 1 + unsampled])) and not np.any(np.isnan(run[1, 1 + unsampled :]))
+            assert not np.isnan(run[1, 0])
+            lengths.append(steps)
+            done += steps
+            yield run
+
+    monkeypatch.setattr(module, "_sample_runs", spy)
+    assert _storage_maxima(sc, quantity).hex() == getattr(extract_metrics(traj), f"{quantity}_max_norm").hex()
+    assert len(lengths) == 2 and min(lengths) > 2 * 256, lengths
+
+
+def _expm1_order18(m):
+    """exp(m) - I by the Taylor series to order 18 of m / 2^s, squared s times."""
+    s = max(0, int(np.frexp(np.linalg.norm(m, 1))[1]) + 1)
+    eye = e = np.eye(len(m))
+    m = m / 2.0**s
+    for j in range(18, 1, -1):
+        e = eye + m @ e / j
+    e = m @ e
+    for _ in range(s):
+        e = 2.0 * e + e @ e
+    return e
+
+
+def test_expm1_equals_the_order_18_series():
+    """The exact step's series stops where its terms no longer move a bit: equal to
+    the series to order 18 by ``tobytes``, on fig8's power and energy steps (21
+    targets, three strategies) and on 150 seeded random loops at each of dt = 1e-5,
+    1e-3, 1e-2, 0.05 and 2 s."""
+    steps = []
+    for strategy in _CAPACITY_CONTROLLERS:
+        for target in FIG8_TARGETS:
+            controller = _CAPACITY_CONTROLLERS[strategy](GB, design_droop_from_target(DP, target, GB.gen_inv_droop_alpha_g))
+            for sim in CAPACITY_RUNS:
+                steps.append(_plan(_scenario(controller, sim=sim))[0] * sim.dt)
+    assert len(steps) == 126
+    rng = np.random.RandomState(2024)
+    for dt in (1e-5, 1e-3, 1e-2, 0.05, 2.0):
+        for _ in range(150):
+            grid = gb_reference_params(
+                inertia_h=rng.uniform(1.0, 6.0),
+                turbine_tau=rng.uniform(0.25, 3.0),
+                load_damping_alpha_l=rng.uniform(0.0, 2.0),
+                gen_inv_droop_alpha_g=rng.uniform(5.0, 30.0),
+                secondary_gain_k_i=rng.uniform(0.02, 0.2),
+            )
+            alpha_b = rng.uniform(0.0, 15.0)
+            laws = (
+                NoStorage(),
+                Droop(alpha_b=alpha_b),
+                VirtualInertia(m_v=rng.uniform(0.0, 100.0), alpha_b=alpha_b),
+                IDroop.nadir_tuned(grid, alpha_b),
+                IDroop(nu=alpha_b + rng.uniform(1.0, 30.0), tau_i=rng.uniform(0.25, 3.0), alpha_b=alpha_b),
+            )
+            k_i = grid.secondary_gain_k_i * rng.randint(2)
+            steps.append(_assemble(_scenario(laws[rng.randint(5)], grid=grid), k_i) * dt)
+    for m in steps:
+        assert _expm1(m).tobytes() == _expm1_order18(m).tobytes(), m
 
 
 @pytest.mark.parametrize("k_i", [0.0, GB.secondary_gain_k_i], ids=["frozen", "secondary"])
