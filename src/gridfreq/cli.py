@@ -12,7 +12,7 @@ import sys
 from dataclasses import fields, replace
 from functools import cache, partial
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Optional, Sequence, TextIO
 
 import numpy as np
 
@@ -117,6 +117,19 @@ def _make_out_dir(path: str) -> Optional[Path]:
     return out_dir
 
 
+def _cannot_write(path: Path, exc: OSError) -> None:
+    print(f"error: cannot write {str(path)!r}: {exc.strerror or exc}", file=sys.stderr)
+
+
+def _open_output(path: Path) -> Optional[TextIO]:
+    """Output file ``path`` opened for writing; None, after the usage error, if it cannot be."""
+    try:
+        return path.open("w")
+    except OSError as exc:
+        _cannot_write(path, exc)
+        return None
+
+
 # ---------------------------------------------------------------------------
 # simulate
 
@@ -150,8 +163,12 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     out_path = Path(args.out)
     metrics_path = Path(args.metrics_out) if args.metrics_out else out_path.with_suffix(".metrics.txt")
     for path in (out_path, metrics_path):
-        if path.is_dir() or not path.parent.is_dir():
-            print(f"error: cannot write {str(path)!r}: not a file in an existing directory", file=sys.stderr)
+        try:
+            if path.is_dir() or not path.parent.is_dir():
+                print(f"error: cannot write {str(path)!r}: not a file in an existing directory", file=sys.stderr)
+                return EXIT_USAGE
+        except OSError as exc:  # a name the file system refuses, such as one too long
+            _cannot_write(path, exc)
             return EXIT_USAGE
     if metrics_path.resolve() == out_path.resolve():
         print(f"error: --metrics-out {args.metrics_out!r} names the --out file", file=sys.stderr)
@@ -163,10 +180,13 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 
-    with out_path.open("w") as stream:
-        write_trajectory_csv(traj, stream)
     summary = format_metrics(extract_metrics(traj), scenario.grid.nominal_freq)
-    metrics_path.write_text(summary)
+    for path, write in ((out_path, partial(write_trajectory_csv, traj)), (metrics_path, lambda s: s.write(summary))):
+        stream = _open_output(path)
+        if stream is None:
+            return EXIT_USAGE
+        with stream:
+            write(stream)
     print(f"wrote {out_path}")
     print(f"wrote {metrics_path}")
     print(summary, end="")
@@ -243,10 +263,12 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if out_dir is None:
         return EXIT_USAGE
     name, value_name = _SWEEP_NAMES[args.kind]
-    points = sweep(spec)
     out_path = out_dir / f"{name}.csv"
-    with out_path.open("w") as stream:
-        write_sweep_csv(points, stream, value_name=value_name)
+    stream = _open_output(out_path)
+    if stream is None:
+        return EXIT_USAGE
+    with stream:
+        write_sweep_csv(sweep(spec), stream, value_name=value_name)
     print(f"wrote {out_path}")
     return EXIT_OK
 
@@ -372,9 +394,12 @@ def _cmd_figure(args: argparse.Namespace) -> int:
     out_dir = _make_out_dir(args.out_dir)
     if out_dir is None:
         return EXIT_USAGE
-    cols, data = _FIGURE_BUILDERS[args.id](grid, delta_p)
     out_path = out_dir / f"{args.id}.csv"
-    with out_path.open("w") as stream:
+    stream = _open_output(out_path)
+    if stream is None:
+        return EXIT_USAGE
+    with stream:
+        cols, data = _FIGURE_BUILDERS[args.id](grid, delta_p)
         stream.write(",".join(cols) + "\n")
         write_csv_rows(data, stream)
     print(f"wrote {out_path}")

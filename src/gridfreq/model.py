@@ -174,8 +174,9 @@ class SystemState:
         return cls()
 
 
-# Most samples one run may ask for: each of the eight per-sample float64
-# arrays of a trajectory then takes 80 MB, about 640 MB in all.
+# Most samples one run may ask for: each of the seven sampled float64 arrays
+# of a trajectory then takes 80 MB, 560 MB in all, plus 80 MB once its time
+# column is read.
 MAX_SAMPLES = 10_000_000
 
 

@@ -62,41 +62,45 @@ capacity curves, gives it a window as wide as the largest chunk and keeps
 only the running maximum of p_b or of e_b per run.  Each chunk's product
 then fills only that row, plus the states of its last two blocks, where the
 next chunk starts: the same products of the same starts, so the maxima are
-the trajectory's, bit for bit.  Omega is sampled only to test for
-divergence, and a chunk of more than two blocks needs it only when a bound
-fails: every |omega| of a block is at most reach . |h| for its start h,
-with reach_m = max_j |(Phi^j)[1, m]| from the region's table.  A chunk whose
-blocks all bound below half the divergence limit cannot diverge; any other
-samples omega and scans it as :func:`simulate` does, so a run raises at the
-same last valid time.  With a dead-band every row is filled, since the rows
-that screen a step's region read every state.
+the trajectory's, bit for bit.  Omega is sampled there only to test for
+divergence, and a chunk of more than two blocks of a linear run needs the
+test only when a bound fails: every |omega| of a block is at most reach . |h|
+for its start h, with reach_m = max_j |(Phi^j)[1, m]| from the region's
+table.  A chunk whose blocks all bound below half the divergence limit
+cannot diverge; any other samples omega and scans it, for both consumers,
+so a run raises at the same last valid time.  With a dead-band every row is
+filled and every chunk scanned, since the rows that screen a step's region
+read every state.
 
 Every path holds the imbalance at its step-start value within each step,
 exact for the piecewise-constant input; a ``step_time`` that is not a
 multiple of dt effectively snaps to the next sample instant.
 
-Samples record, per step k: time, state, the storage output p_b, and the
-algebraic omega_dot, both evaluated at the sample instant with the
-disturbance already applied for t >= step_time.  The first sample is the
-pre-disturbance equilibrium state (all zeros), and a zero-magnitude
+Samples record, per step k: state, the storage output p_b, and the
+algebraic omega_dot, both evaluated at the sample instant t_k = k dt with
+the disturbance already applied for t >= step_time.  The first sample is
+the pre-disturbance equilibrium state (all zeros), and a zero-magnitude
 disturbance reproduces the all-zero trajectory exactly.
 
-A run is one block of eight rows, t, the five states, p_b and omega_dot,
-allocated once, and each array of the :class:`Trajectory` is one row.  The
-reason is glibc's allocator: it raises its mmap threshold to the largest
-block freed and its trim threshold to twice that.  With three arrays, the
-largest 1.2 MB, a 30 s / 1 ms sweep point freed ~2.5 MB, over the 2.4 MB
-trim threshold, so the heap was trimmed and its pages faulted in again at
-the next point (560 minor faults per point).  The 1.94 MB block raises the
-trim threshold to 3.9 MB, and the pages are reused (0 faults).  The block is
-not zero-filled: the sampler writes every column from the step's first
-sample on, and only the columns before it are zeroed (every column when
-nothing is sampled).
+A run is one block of seven rows, the five states, p_b and omega_dot,
+allocated once, and each sampled array of the :class:`Trajectory` is one
+row.  The time column is not sampled: ``Trajectory.t`` builds k dt on its
+first read, which no sweep or capacity curve makes.  The one block is for
+glibc's allocator: it raises its mmap threshold to the largest block freed
+and its trim threshold to twice that.  With three arrays, the largest
+1.2 MB, a 30 s / 1 ms sweep point freed ~2.5 MB, over the 2.4 MB trim
+threshold, so the heap was trimmed and its pages faulted in again at the
+next point (560 minor faults per point).  The 1.69 MB block raises the trim
+threshold to 3.4 MB, and the pages are reused (0 faults).  The block is not
+zero-filled: the sampler writes every column from the step's first sample
+on, and only the columns before it are zeroed (every column when nothing is
+sampled).
 
 :func:`extract_metrics` reduces a trajectory with whole-array min, max,
 argmin and argmax, bit for bit what the running-extreme scans of the
 metrics' definitions give; a scan runs only over a prefix that moves
-against the step before its extreme.
+against the step before its extreme.  It reads no time column: a time is
+k dt for the sample k it picks, the bits of t[k].
 
 CSV cells (:func:`write_trajectory_csv`, :func:`write_csv_rows`) are byte
 for byte what Python's ``"%.12g" %`` prints, formatted in numpy 1024 rows
@@ -114,7 +118,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from functools import cache
+from functools import cache, cached_property
 from typing import Iterator, Sequence, TextIO
 
 import numpy as np
@@ -188,15 +192,15 @@ class Trajectory:
     Parallel arrays of length ``n_samples``; sample 0 is the pre-disturbance
     equilibrium.  ``p_b`` and ``omega_dot`` are evaluated at the sample
     instants (disturbance active for t >= step_time), sampled with the
-    states from the same tables, never from the stored states.  The eight
-    arrays are the contiguous rows of one block, in field order, allocated
-    once per run so that repeated runs reuse the allocator's pages, and not
-    zero-filled: only the samples before the step are zeroed.
+    states from the same tables, never from the stored states.  The seven
+    sampled arrays are the contiguous rows of one block, in field order,
+    allocated once per run so that repeated runs reuse the allocator's pages,
+    and not zero-filled: only the samples before the step are zeroed.  The
+    time column ``t`` is not sampled: it is k dt, built on its first read.
     """
 
     scenario: Scenario
     dt: float
-    t: np.ndarray
     theta: np.ndarray
     omega: np.ndarray
     p_m: np.ndarray
@@ -207,7 +211,12 @@ class Trajectory:
 
     @property
     def n_samples(self) -> int:
-        return len(self.t)
+        return len(self.omega)
+
+    @cached_property
+    def t(self) -> np.ndarray:
+        """Sample times k dt, k = 0 .. n_samples - 1; sample k's time is also ``k * dt``, bit for bit."""
+        return np.multiply(np.arange(self.n_samples), float(self.dt))
 
 
 @dataclass(frozen=True)
@@ -342,19 +351,24 @@ def _crossing_step(a: np.ndarray, z: np.ndarray, dt: float, grid: GridParams) ->
     return z + dt / 6.0 * (k1 + 2.0 * (k2 + k3) + k4)
 
 
+def _first_sample(step_time: float, dt: float, n: int) -> int:
+    """The first k <= n with k dt >= step_time (n + 1 if none), as np.searchsorted finds
+    it in t = arange(n + 1) dt: the first sample with the imbalance on."""
+    k = min(math.ceil(step_time / dt), n + 1)
+    while k > 0 and (k - 1) * dt >= step_time:
+        k -= 1
+    while k <= n and k * dt < step_time:
+        k += 1
+    return k
+
+
 def _plan(scenario: Scenario) -> tuple[np.ndarray, int, int]:
     """A of the scenario's loop (secondary frozen if ``scenario.sim`` says so), the step
-    count n, and k_on, the first sample with the imbalance on: the first k with k dt >=
-    step_time (n + 1 if none), as np.searchsorted finds it in t = arange(n + 1) dt."""
-    opts, step_time = scenario.sim, scenario.disturbance.step_time
+    count n, and k_on, the :func:`_first_sample` of the step."""
+    opts = scenario.sim
     a = _assemble(scenario, 0.0 if opts.freeze_secondary else scenario.grid.secondary_gain_k_i)
     n = int(round(opts.horizon / opts.dt))
-    k = min(math.ceil(step_time / opts.dt), n + 1)
-    while k > 0 and (k - 1) * opts.dt >= step_time:
-        k -= 1
-    while k <= n and k * opts.dt < step_time:
-        k += 1
-    return a, n, k
+    return a, n, _first_sample(scenario.disturbance.step_time, opts.dt, n)
 
 
 def _most_blocks(steps: int) -> int:
@@ -386,17 +400,17 @@ def _sample_runs(
 
     Only the ``rows`` the consumer reads are computed in full.  The others are written
     only at column 0 and, for the states, in the last two blocks of each chunk, where
-    the next chunk starts.  Omega (row 1), which the divergence test reads, is computed
-    in full also in chunks of one or two blocks and in a chunk whose block bound,
+    the next chunk starts.  The divergence test scans omega (row 1), computed in full
+    for it, only in chunks of one or two blocks and in a chunk whose block bound,
     reach . |h| for a block's start h, reaches half the divergence limit; elsewhere no
-    sample can diverge.  A dead-band run computes every row: its stage screen reads
-    every state.
+    sample can diverge.  A dead-band run computes every row and scans every chunk: its
+    stage screen reads every state.  A chunk's block starts are one product of the
+    stacked powers Phi^(_BLOCK i) - I with its start.
     """
     grid, dt, d_p = scenario.grid, scenario.sim.dt, scenario.disturbance.step_pu
     w_db = grid.deadband_omega_db
     step1 = _expm1 if scenario.sim.exact and not w_db else _rk4_step1
     every_row = bool(w_db) or len(rows) == 7
-    bounded = not w_db and 1 not in rows  # omega is sampled only where the bound fails
     out = a[[3, 1]]  # p_b and omega_dot of (x, p_L)
     # Region r is -1 below the band, 0 inside it, +1 above it (the one region without
     # a band), closed at the edges since phi is continuous there.
@@ -424,7 +438,7 @@ def _sample_runs(
                 powers = _powers(step1(m), _BLOCK)
                 starts = np.concatenate([np.zeros((1, 6, 6)), _powers(powers[-1], most - 1)])
                 table = _sample_table(powers, out)
-                reach = np.abs(table[1]).max(axis=1) if bounded else None  # max_j |(Phi^j)[1, m]|
+                reach = None if w_db else np.abs(table[1]).max(axis=1)  # max_j |(Phi^j)[1, m]|
                 regions[r] = table, starts, _stage_rows(m) if w_db else None, reach
             table, starts, stages, reach = regions[r]
             # A chunk of c blocks: block i starts at Phi^(_BLOCK i) z, and one product
@@ -434,18 +448,17 @@ def _sample_runs(
                 buf[:, 0] = buf[:, i]
                 i = 0
             z[:5] = buf[:5, i]
-            heads = starts[:c] @ z + z
+            heads = (starts[:c].reshape(-1, 6) @ z).reshape(c, 6) + z  # one gemv, the fastest form
             chunk = buf[:, i + 1 : i + 1 + c * _BLOCK].reshape(len(buf), c, _BLOCK)
-            scan = every_row or c <= 2
-            if scan:
+            # Every |omega| of block b is at most reach . |h_b|, for its start h_b.  Below
+            # half the limit, rounding included, no sample of the chunk diverges, and omega
+            # is neither scanned nor, unless the consumer reads it, sampled.  A chunk that
+            # fails the test (a NaN or inf start does) samples omega and scans it.
+            scan = bool(w_db) or c <= 2 or not (np.abs(heads) @ reach < _DIVERGENCE_LIMIT / 2).all()
+            if every_row or c <= 2:
                 np.matmul(heads, table[: len(buf)], out=chunk)
             else:
-                # Every |omega| of block b is at most reach . |h_b|, for its start h_b.
-                # Below half the limit, rounding included, no sample of the chunk diverges,
-                # and omega is not sampled unless the consumer reads it.  A chunk that fails
-                # the test (a NaN or inf start does) samples omega and scans it.
-                scan = not bounded or not (np.abs(heads) @ reach < _DIVERGENCE_LIMIT / 2).all()
-                for q in (1, *rows) if scan and bounded else rows:
+                for q in (1, *rows) if scan and 1 not in rows else rows:
                     np.matmul(heads, table[q], out=chunk[q])
                 # The states of the last two blocks, from which the next chunk starts: two
                 # rows, because a one-row product goes through gemv and rounds otherwise.
@@ -486,23 +499,22 @@ def simulate(scenario: Scenario) -> Trajectory:
     region's step matrix, with one RK4 step over A at each band crossing
     (whatever ``exact`` says), in chunks of 1, 2, 4, ... blocks that start
     again at one block after each crossing.
-    Each stored array is one contiguous row of one block.  Raises
-    :class:`IntegrationError` if omega leaves the finite range (with RK4,
-    reachable with a step size outside its stability region).
+    Each sampled array is one contiguous row of one block; the time column
+    is built on its first read.  Raises :class:`IntegrationError` if omega
+    leaves the finite range (with RK4, reachable with a step size outside
+    its stability region).
     """
     a, n, k_on = _plan(scenario)
-    # One block of eight rows, t, the five states, p_b and omega_dot: one allocation lifts
+    # One block of seven rows, the five states, p_b and omega_dot: one allocation lifts
     # glibc's trim threshold above a sweep point's churn (560 -> 0 page faults per point).
     # The last chunk's last block may run past n.  Only the columns before k_on are zeroed.
-    block = np.empty((8, n + _BLOCK))
-    t, x = block[0, : n + 1], block[1:, : n + 1]
-    np.multiply(np.arange(n + 1), scenario.sim.dt, out=t)
+    block = np.empty((7, n + _BLOCK))
     sampled = bool(scenario.disturbance.step_pu) and k_on <= n
-    block[1:, : k_on if sampled else n + 1] = 0.0
+    block[:, : k_on if sampled else n + 1] = 0.0
     if sampled:
-        for _ in _sample_runs(scenario, a, k_on, n, block[1:, k_on:]):
+        for _ in _sample_runs(scenario, a, k_on, n, block[:, k_on:]):
             pass
-    return Trajectory(scenario, scenario.sim.dt, t, *x)
+    return Trajectory(scenario, scenario.sim.dt, *block[:, : n + 1])
 
 
 def _storage_maxima(scenario: Scenario, quantity: str) -> float:
@@ -556,14 +568,17 @@ def extract_metrics(traj: Trajectory, monotone_tol: float = MONOTONE_TOL) -> Met
     and equals, bit for bit, the running-extreme and last-index formulas of
     its definition.  The largest recovery is read off the first global
     extreme (:func:`_largest_rise`): exact, since rounded subtraction is
-    monotone.  The last sample outside the settling band is the first of the
-    reversed test, and max |v| is the larger of |max v| and |min v|.
+    monotone.  The last sample outside the settling band is the first of a
+    reversed view of the test, and max |v| is the larger of |max v| and
+    |min v|.  Times are k dt of the sample k found, ``traj.t[k]`` bit for
+    bit, and the first sample at or after the step is :func:`_first_sample`,
+    so the time column is never read.
     """
-    if traj.n_samples == 0:
+    n_samples, dt = traj.n_samples, float(traj.dt)
+    if n_samples == 0:
         raise ValueError("empty trajectory")
     omega = traj.omega
     d_p = traj.scenario.disturbance.step_pu
-    t_on = traj.scenario.disturbance.step_time
 
     # The first sample within the printed 12 digits of the minimum: on a plateau
     # settled to rounding, argmin alone would pick a sample by last-bit noise.
@@ -572,18 +587,18 @@ def extract_metrics(traj: Trajectory, monotone_tol: float = MONOTONE_TOL) -> Met
     k_nadir = int(np.argmax(omega[: k_min + 1] <= nadir + _NADIR_RTOL * abs(nadir)))
     final = float(omega[-1])
 
-    k_on = int(np.searchsorted(traj.t, t_on, side="left"))
-    k_on = min(k_on, traj.n_samples - 1)
+    k_on = min(_first_sample(traj.scenario.disturbance.step_time, dt, n_samples - 1), n_samples - 1)
     rocof_initial = float(traj.omega_dot[k_on])
     rocof_max_abs = _largest_abs(traj.omega_dot, traj.omega_dot.max())
 
     band = traj.scenario.sim.settling_band * abs(final)
-    outside = np.abs(omega[::-1] - final) > band  # from the last sample back
-    k_back = int(np.argmax(outside))
-    if not outside[k_back]:
+    dev = np.subtract(omega, final)
+    outside = np.abs(dev, out=dev) > band
+    k_back = int(np.argmax(outside[::-1]))  # from the last sample back
+    if not outside[-1 - k_back]:
         settling_time = 0.0
     else:
-        settling_time = float(traj.t[min(traj.n_samples - k_back, traj.n_samples - 1)])
+        settling_time = min(n_samples - k_back, n_samples - 1) * dt
 
     # Monotone means no recovery from an interior extreme: the response never
     # rises above its running minimum (falls below its running maximum, for a
@@ -609,7 +624,7 @@ def extract_metrics(traj: Trajectory, monotone_tol: float = MONOTONE_TOL) -> Met
 
     return Metrics(
         nadir_deviation=nadir,
-        nadir_time=float(traj.t[k_nadir]),
+        nadir_time=k_nadir * dt,
         rocof_initial=rocof_initial,
         rocof_max_abs=rocof_max_abs,
         steady_state_deviation=final,

@@ -4,7 +4,8 @@ Covers:
  - simulate on the bundled scenarios: outputs, metrics content, overrides
  - exit code 2 for usage/parse problems (including an unreadable scenario,
    a missing output directory, an --out-dir that is a file, and a
-   --metrics-out naming the --out file, checked before the run) and for
+   --metrics-out naming the --out file, checked before the run; an output
+   file that cannot be opened, in every command) and for
    overrides or sweep values the value types reject (including nan/inf and
    a finite step past one system base), 3 for numerical failure; a
    parameter type's flags are checked together
@@ -398,6 +399,41 @@ def test_out_dir_that_is_a_file_is_usage_error(tmp_path, capsys, monkeypatch, ar
     captured = capsys.readouterr()
     assert captured.err.startswith(f"error: cannot write to {str(out_dir)!r}: ") and captured.out == ""
     assert blocker.read_text() == "keep\n"
+
+
+@pytest.mark.parametrize(
+    "argv, name",
+    [(["sweep", "tau-t"], "tau_t.csv"), (["figure", "fig3"], "fig3.csv"), (["figure", "fig8"], "fig8.csv")],
+    ids=["sweep-tau-t", "figure-fig3", "figure-fig8"],
+)
+def test_output_file_that_is_a_directory_is_usage_error(tmp_path, capsys, monkeypatch, argv, name):
+    """An output file that cannot be opened, here a directory, is one usage error line
+    before any run, not an IsADirectoryError traceback after it."""
+    (tmp_path / name).mkdir()
+    monkeypatch.setattr("gridfreq.cli.sweep", lambda *a, **k: pytest.fail("ran a sweep"))
+    monkeypatch.setattr("gridfreq.cli.capacity_curve", lambda *a, **k: pytest.fail("ran a capacity curve"))
+    assert main(argv + ["--out-dir", str(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: cannot write {str(tmp_path / name)!r}: Is a directory\n" and captured.out == ""
+
+
+@pytest.mark.parametrize("flag", ["--out", "--metrics-out"])
+@pytest.mark.parametrize("kind", ["dangling_link", "name_too_long"])
+def test_simulate_output_the_file_system_refuses_is_usage_error(tmp_path, capsys, flag, kind):
+    """An output path that passes the directory checks but cannot be opened (a link into a
+    missing directory), or that the checks themselves cannot stat (a name longer than the
+    file system allows), is one usage error line, not a traceback."""
+    if kind == "dangling_link":
+        bad = tmp_path / "link.csv"
+        bad.symlink_to(tmp_path / "missing" / "x.csv")
+    else:
+        bad = tmp_path / ("x" * 300 + ".csv")
+    paths = {"--out": str(tmp_path / "o.csv"), "--metrics-out": str(tmp_path / "m.txt"), flag: str(bad)}
+    argv = ["simulate", str(SCENARIO_DIR / "gb-idroop.scn"), "--horizon", "1"]
+    assert main(argv + [arg for item in paths.items() for arg in item]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {str(bad)!r}: ") and err.count("\n") == 1
+    assert "Traceback" not in err
 
 
 def test_sweep_unknown_kind():

@@ -6,6 +6,8 @@ Covers:
  - every ``gridfreq`` name that ``bench/*.py`` imports resolves, and the
    names its tracing shims replace are still bound where it replaces them
    (the bench files are read as source, never run)
+ - every trajectory attribute that ``bench/*.py`` reads off a ``traj``
+   resolves on a ``simulate`` result
  - the capacity strategies the benchmark cycles are sweeps' capacity
    controllers, in order
  - ``gridfreq.simulate`` is the function, bound over the submodule, which
@@ -22,6 +24,8 @@ import re
 import sys
 import types
 from pathlib import Path
+
+import numpy as np
 
 import gridfreq
 
@@ -77,6 +81,26 @@ def test_bench_shimmed_names_are_bound():
         module = importlib.import_module(module_name)
         for name in names:
             assert callable(getattr(module, name, None)), (module_name, name)
+
+
+def test_bench_trajectory_attributes_resolve():
+    """The benchmark's checks, worker and spans read ``traj.<name>`` off the trajectories
+    it simulates; each name resolves on a ``simulate`` result as an array or a count, so
+    a change of the trajectory's layout cannot break the benchmark unseen."""
+    from gridfreq import Disturbance, Droop, Scenario, SimOptions, gb_reference_params, simulate
+
+    read = {}
+    for path in sorted(BENCH.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "traj":
+                read.setdefault(node.attr, set()).add(path.name)
+    assert set(read) >= {"t", "omega", "n_samples"}, read
+    assert set().union(*read.values()) >= {"checks.py", "spans.py", "worker.py"}, read
+    grid = gb_reference_params()
+    traj = simulate(Scenario(grid, Droop(alpha_b=1.0), Disturbance(step_pu=0.05), SimOptions(horizon=1.0)))
+    for name in read:
+        value = getattr(traj, name)
+        assert isinstance(value, int) or (isinstance(value, np.ndarray) and len(value) == traj.n_samples), name
 
 
 def test_simulate_is_the_function_and_its_module_is_reached_by_from_import():

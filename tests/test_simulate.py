@@ -14,7 +14,8 @@ Covers:
  - divergence reporting, CSV layout (pre-step rows are unsigned zeros for
    every law), settling time, trajectory arrays as the contiguous rows of
    one block, which is not zero-filled: the columns before the step, or of
-   a run with nothing sampled, are +0.0 in memory that held NaNs
+   a run with nothing sampled, are +0.0 in memory that held NaNs; the time
+   column, no row of it, built as k dt on its first read
  - extract_metrics by reductions against a test-local copy of the running
    extreme, last-index and max |v| formulas, every field by ``hex``, at four
    tolerances: seeded random grids, every law, both step signs, a delayed
@@ -177,10 +178,10 @@ def test_pre_step_columns_are_zero_on_a_dirty_heap(step, step_time):
     sc = Scenario(GB, IDroop(nu=10.0, tau_i=1.0, alpha_b=3.0), Disturbance(step_pu=step, step_time=step_time), FROZEN)
     _, n, k_on = _plan(sc)
     simulate(sc)
-    dirty = np.full((8, n + 256), np.nan)
+    dirty = np.full((7, n + 256), np.nan)
     del dirty
-    block = simulate(sc).t.base
-    zero = block[1:, : k_on if step and k_on <= n else n + 1]
+    block = simulate(sc).theta.base
+    zero = block[:, : k_on if step and k_on <= n else n + 1]
     assert zero.shape[1] == (12346 if step and step_time < FROZEN.horizon else n + 1)
     assert np.all(zero == 0.0) and not np.any(np.signbit(zero))
 
@@ -766,14 +767,19 @@ def test_storage_maxima_fall_back_to_the_scan(monkeypatch, sim):
     scans it as simulate does.  With the limit just above the run's max |omega|, the
     block holding it fails the bound, since its bound is at least that max: the chunk
     samples omega, equal to simulate's bit for bit, the scan passes, and both maxima
-    equal extract_metrics(simulate(...)) bit for bit.  With the limit at half that max,
+    equal extract_metrics(simulate(...)) bit for bit; simulate, which scans such a chunk
+    too, returns the unpatched trajectory bit for bit.  With the limit at half that max,
     simulate and both maxima raise at the same last valid time."""
     module = sys.modules["gridfreq.simulate"]
     sc = _scenario(IDroop.nadir_tuned(GB, design_droop_from_target(DP, FIG8_TARGETS[0], GB.gen_inv_droop_alpha_g)), sim=sim)
     omega = simulate(sc).omega
     k_peak = int(np.argmax(np.abs(omega)))
+    want = simulate(sc)
     monkeypatch.setattr(module, "_DIVERGENCE_LIMIT", abs(omega[k_peak]) * (1.0 + 1e-9))
     _assert_maxima_match(sc)
+    traj = simulate(sc)
+    for name in ("theta", "omega", "p_m", "e_b", "x_c", "p_b", "omega_dot"):
+        assert getattr(traj, name).tobytes() == getattr(want, name).tobytes(), name
     a, n, k_on = _plan(sc)
     window = np.full((5, 1 + _most_blocks(n - k_on) * 256), np.nan)
     done = k_on
@@ -1272,7 +1278,9 @@ def test_slow_recovery_is_not_monotone():
 
 def _reference_metrics(traj, monotone_tol):
     """extract_metrics by running extremes, the last index outside the band and max |v|:
-    the definitions the reductions of extract_metrics must reproduce bit for bit."""
+    the definitions the reductions of extract_metrics must reproduce bit for bit.  Its
+    times are read off ``traj.t`` by np.searchsorted and index, which extract_metrics
+    never reads: its k dt must equal them bit for bit."""
     omega, d_p = traj.omega, traj.scenario.disturbance.step_pu
     k_min = int(np.argmin(omega))
     nadir = float(omega[k_min])
@@ -1372,7 +1380,7 @@ def _hand_trajectory(omega, step=DP, p_b=None, omega_dot=None, step_time=0.0):
     sc = Scenario(GB, NoStorage(), Disturbance(step_pu=step, step_time=step_time), sim)
     p_b = zeros if p_b is None else np.asarray(p_b, dtype=float)
     omega_dot = zeros if omega_dot is None else np.asarray(omega_dot, dtype=float)
-    return Trajectory(sc, 1.0, np.arange(len(omega), dtype=float), zeros, omega, zeros, omega * 0.5, zeros, p_b, omega_dot)
+    return Trajectory(sc, 1.0, zeros, omega, zeros, omega * 0.5, zeros, p_b, omega_dot)
 
 
 @pytest.mark.parametrize("sign", [1.0, -1.0], ids=["positive", "negative"])
@@ -1403,19 +1411,33 @@ def test_metrics_match_reference_on_hand_built_trajectories(sign):
 
 
 def test_trajectory_arrays_are_contiguous():
-    """The eight sampled arrays are the rows of one block, in order, each contiguous: with a
+    """The seven sampled arrays are the rows of one block, in order, each contiguous: with a
     dead-band and without, and with a zero step or one after the horizon, where nothing is
-    sampled."""
+    sampled.  The time column is no row of it: an array of its own, contiguous too."""
     vi = VirtualInertia(m_v=MV_MIN)
     late = Scenario(GB, vi, Disturbance(step_pu=DP, step_time=2.0), replace(FROZEN, horizon=1.0))
     for scenario in (_scenario(vi, grid=GB_DB), _scenario(vi), _scenario(vi, step=0.0), late):
         traj = simulate(scenario)
-        arrays = (traj.t, traj.theta, traj.omega, traj.p_m, traj.e_b, traj.x_c, traj.p_b, traj.omega_dot)
-        block = traj.t.base
-        assert block is not None and block.shape[0] == 8
+        arrays = (traj.theta, traj.omega, traj.p_m, traj.e_b, traj.x_c, traj.p_b, traj.omega_dot)
+        block = traj.theta.base
+        assert block is not None and block.shape[0] == 7
         for arr, row in zip(arrays, block):
             assert arr.base is block and arr.flags.c_contiguous
             assert len(arr) == traj.n_samples and arr.ctypes.data == row.ctypes.data
+        assert traj.t.base is not block and traj.t.flags.c_contiguous and len(traj.t) == traj.n_samples
+
+
+def test_time_column_is_derived_on_first_read():
+    """t is no sampled row: built on the first read as k dt, the bytes of the row the
+    sampler used to write, on the bundled scenarios and off-grid steps, and cached."""
+    runs = [load_scenario(path) for path in sorted(SCENARIO_DIR.glob("*.scn"))]
+    runs += [_scenario(Droop(alpha_b=2.0), sim=replace(FROZEN, dt=dt, horizon=10.0)) for dt in (7e-4, 1.0 / 3.0)]
+    for sc in runs:
+        traj = simulate(sc)
+        assert "t" not in vars(traj)
+        t = traj.t
+        assert t.dtype == np.float64 and t.tobytes() == np.multiply(np.arange(traj.n_samples), sc.sim.dt).tobytes()
+        assert traj.t is t and traj.n_samples == len(traj.omega) == int(round(sc.sim.horizon / sc.sim.dt)) + 1
 
 
 def test_state_accessors():

@@ -9,6 +9,8 @@ Covers:
    tau_T <= tau_i, rising beyond)
  - dead-band comparison: nadir-free tunings stay monotone and the final
    deviation shifts by at most w_db * a_g / sigma (+10% margin)
+ - sweep points of the benchmark's four shapes and capacity curves of the
+   three strategies never read the trajectory's time column
  - capacity curves: alpha_b = 0 start, lag droop beating virtual inertia
    on power, energy matching alpha_b / k_i; a capacity point's traced
    memory, with the energy run's window holding only the state rows
@@ -223,6 +225,32 @@ def test_capacity_curves():
             assert p.alpha_b > 1.0
             expected = p.alpha_b / GB.secondary_gain_k_i
             assert p.e_b_max_norm == pytest.approx(expected, rel=0.05), p
+
+
+def test_sweeps_and_capacity_curves_never_read_the_time_column(monkeypatch):
+    """A sweep point reduces its trajectory without its time column, which is built only
+    on a read: with ``Trajectory.t`` raising, a point of each benchmark sweep shape and
+    a capacity curve of each strategy complete, equal to the unpatched results."""
+    base = Scenario(GB, VirtualInertia(m_v=0.0, alpha_b=4.0), Disturbance(step_pu=DP), FROZEN)
+    specs = [
+        SweepSpec(base=base, parameter="controller.m_v", values=[40.0]),
+        SweepSpec(
+            base=_base(VirtualInertia(m_v=0.0, alpha_b=0.0)), parameter="controller.alpha_b", values=[6.0], retune=vi_min_retune
+        ),
+        SweepSpec(base=_base(Droop(alpha_b=0.0)), parameter="controller.alpha_b", values=[6.0]),
+        SweepSpec(base=_base(IDroop.nadir_tuned(GB, 2.0)), parameter="grid.turbine_tau", values=[2.5]),
+    ]
+
+    def results():
+        return [repr(sweep(spec)) for spec in specs] + [
+            repr(capacity_curve(GB, strategy, [2.5e-3], DP)) for strategy in ("droop", "vi_min", "idroop_tuned")
+        ]
+
+    want = results()
+    monkeypatch.setattr(sys.modules["gridfreq.simulate"].Trajectory, "t", property(lambda traj: pytest.fail("read t")))
+    with pytest.raises(pytest.fail.Exception):
+        simulate(base).t
+    assert results() == want
 
 
 def test_capacity_point_working_memory_is_small():
