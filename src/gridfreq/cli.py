@@ -1,6 +1,10 @@
 """Command-line interface: simulate, tune, sweep, figure.
 
 Exit codes: 0 success, 2 usage or scenario-file error, 3 numerical failure.
+The commands raise and :func:`main` alone reports, with the same rule for
+every command: bad input or an unusable output (``_UsageError`` or any
+``ValueError``, which every parameter check raises) is one ``error:`` line
+and exit 2, and a divergence (``IntegrationError``) is one line and exit 3.
 Frequencies cross this boundary in Hz (mHz for the dead-band flag); scenario
 files carry per-unit values as documented in :mod:`gridfreq.scenariofile`.
 """
@@ -18,7 +22,7 @@ import numpy as np
 
 from .controllers import IDroop, NoStorage, VirtualInertia
 from .model import Disturbance, GridParams, Scenario, SimOptions, gb_reference_params, pu_disturbance
-from .scenariofile import ScenarioParseError, load_scenario
+from .scenariofile import load_scenario
 from .simulate import (
     IntegrationError,
     extract_metrics,
@@ -65,8 +69,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--metrics-out", default=None, help="metrics summary path (default: <out>.metrics.txt)")
     p_sim.add_argument("--dt", type=float, default=None, help="override integration step [s]")
     p_sim.add_argument("--horizon", type=float, default=None, help="override horizon [s]")
-    p_sim.add_argument("--step-gw", type=float, default=None, help="override disturbance [GW]")
-    p_sim.add_argument("--step-pu", type=float, default=None, help="override disturbance [pu]")
+    p_step = p_sim.add_mutually_exclusive_group()
+    p_step.add_argument("--step-gw", type=float, default=None, help="override disturbance [GW]")
+    p_step.add_argument("--step-pu", type=float, default=None, help="override disturbance [pu]")
     p_sim.add_argument("--deadband-mhz", type=float, default=None, help="override governor dead-band [mHz]")
     p_sim.add_argument("--inertia-h", type=float, default=None, help="override inertia constant [s]")
     p_sim.add_argument(
@@ -106,110 +111,88 @@ def _field_flags(args: argparse.Namespace, cls: type) -> dict:
     return {f.name: getattr(args, f.name) for f in fields(cls) if getattr(args, f.name, None) is not None}
 
 
-def _make_out_dir(path: str) -> Optional[Path]:
-    """Output directory ``path``, created if missing; None, after the usage error, if it cannot be."""
+class _UsageError(Exception):
+    """Bad input or an unusable output: :func:`main` prints it and exits 2."""
+
+
+def _make_out_dir(path: str) -> Path:
+    """Output directory ``path``, created if missing."""
     out_dir = Path(path)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
-        print(f"error: cannot write to {path!r}: {exc.strerror}", file=sys.stderr)
-        return None
+        raise _UsageError(f"cannot write to {path!r}: {exc.strerror}") from exc
     return out_dir
 
 
-def _cannot_write(path: Path, exc: OSError) -> None:
-    print(f"error: cannot write {str(path)!r}: {exc.strerror or exc}", file=sys.stderr)
+def _cannot_write(path: Path, exc: OSError) -> _UsageError:
+    return _UsageError(f"cannot write {str(path)!r}: {exc.strerror or exc}")
 
 
-def _open_output(path: Path) -> Optional[TextIO]:
-    """Output file ``path`` opened for writing; None, after the usage error, if it cannot be."""
+def _open_output(path: Path) -> TextIO:
+    """Output file ``path`` opened for writing."""
     try:
         return path.open("w")
     except OSError as exc:
-        _cannot_write(path, exc)
-        return None
+        raise _cannot_write(path, exc) from exc
 
 
 # ---------------------------------------------------------------------------
 # simulate
 
 
-def _cmd_simulate(args: argparse.Namespace) -> int:
+def _cmd_simulate(args: argparse.Namespace) -> None:
     try:
         scenario = load_scenario(args.scenario)
-    except (OSError, ScenarioParseError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    except OSError as exc:
+        raise _UsageError(exc) from exc
 
-    if args.step_gw is not None and args.step_pu is not None:
-        print("error: give --step-gw or --step-pu, not both", file=sys.stderr)
-        return EXIT_USAGE
-
-    try:  # one replace per parameter type, so its joint checks see the final values
-        grid_flags = _field_flags(args, GridParams)
-        if args.deadband_mhz is not None:
-            grid_flags["deadband_omega_db"] = args.deadband_mhz / 1000.0 / scenario.grid.nominal_freq
-        grid = replace(scenario.grid, **grid_flags)
-        dist_flags = _field_flags(args, Disturbance)
-        if args.step_gw is not None:
-            dist_flags["step_pu"] = pu_disturbance(args.step_gw, grid)
-        disturbance = replace(scenario.disturbance, **dist_flags)
-        sim = replace(scenario.sim, **_field_flags(args, SimOptions))
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    # one replace per parameter type, so its joint checks see the final values
+    grid_flags = _field_flags(args, GridParams)
+    if args.deadband_mhz is not None:
+        grid_flags["deadband_omega_db"] = args.deadband_mhz / 1000.0 / scenario.grid.nominal_freq
+    grid = replace(scenario.grid, **grid_flags)
+    dist_flags = _field_flags(args, Disturbance)
+    if args.step_gw is not None:
+        dist_flags["step_pu"] = pu_disturbance(args.step_gw, grid)
+    disturbance = replace(scenario.disturbance, **dist_flags)
+    sim = replace(scenario.sim, **_field_flags(args, SimOptions))
     scenario = Scenario(grid=grid, controller=scenario.controller, disturbance=disturbance, sim=sim)
 
     out_path = Path(args.out)
     metrics_path = Path(args.metrics_out) if args.metrics_out else out_path.with_suffix(".metrics.txt")
     for path in (out_path, metrics_path):
         try:
-            if path.is_dir() or not path.parent.is_dir():
-                print(f"error: cannot write {str(path)!r}: not a file in an existing directory", file=sys.stderr)
-                return EXIT_USAGE
+            unusable = path.is_dir() or not path.parent.is_dir()
         except OSError as exc:  # a name the file system refuses, such as one too long
-            _cannot_write(path, exc)
-            return EXIT_USAGE
+            raise _cannot_write(path, exc) from exc
+        if unusable:
+            raise _UsageError(f"cannot write {str(path)!r}: not a file in an existing directory")
     if metrics_path.resolve() == out_path.resolve():
-        print(f"error: --metrics-out {args.metrics_out!r} names the --out file", file=sys.stderr)
-        return EXIT_USAGE
+        raise _UsageError(f"--metrics-out {args.metrics_out!r} names the --out file")
 
-    try:
-        traj = simulate(scenario)
-    except IntegrationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-
+    traj = simulate(scenario)
     summary = format_metrics(extract_metrics(traj), scenario.grid.nominal_freq)
     for path, write in ((out_path, partial(write_trajectory_csv, traj)), (metrics_path, lambda s: s.write(summary))):
-        stream = _open_output(path)
-        if stream is None:
-            return EXIT_USAGE
-        with stream:
+        with _open_output(path) as stream:
             write(stream)
     print(f"wrote {out_path}")
     print(f"wrote {metrics_path}")
     print(summary, end="")
-    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
 # tune
 
 
-def _cmd_tune(args: argparse.Namespace) -> int:
+def _cmd_tune(args: argparse.Namespace) -> None:
     if args.target_hz == 0:
-        print("error: --target-hz must be nonzero", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        grid = gb_reference_params(**_field_flags(args, GridParams))
-        delta_p = Disturbance(step_pu=pu_disturbance(args.delta_p_gw, grid)).step_pu
-        target_pu = args.target_hz / grid.nominal_freq
-        alpha_b = design_droop_from_target(delta_p, target_pu, grid.gen_inv_droop_alpha_g)
-        tuned = IDroop.nadir_tuned(grid, alpha_b)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        raise _UsageError("--target-hz must be nonzero")
+    grid = gb_reference_params(**_field_flags(args, GridParams))
+    delta_p = Disturbance(step_pu=pu_disturbance(args.delta_p_gw, grid)).step_pu
+    target_pu = args.target_hz / grid.nominal_freq
+    alpha_b = design_droop_from_target(delta_p, target_pu, grid.gen_inv_droop_alpha_g)
+    tuned = IDroop.nadir_tuned(grid, alpha_b)
 
     print(f"design disturbance = {args.delta_p_gw:.12g} GW ({delta_p:.12g} pu)")
     print(f"target deviation = {args.target_hz:.12g} Hz ({target_pu:.12g} pu)")
@@ -223,7 +206,6 @@ def _cmd_tune(args: argparse.Namespace) -> int:
         print(f"energy capacity estimate e_b_max/delta_p = {e_est:.12g} s")
     else:
         print("energy capacity estimate e_b_max/delta_p = unbounded (k_i = 0)")
-    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -252,25 +234,14 @@ def _sweep_spec(kind: str, grid: GridParams, delta_p: float, alpha_b: float) -> 
     return SweepSpec(base=base, parameter="grid.turbine_tau", values=_grid_values(0.25, 3.0, 0.05))
 
 
-def _cmd_sweep(args: argparse.Namespace) -> int:
+def _cmd_sweep(args: argparse.Namespace) -> None:
     grid = gb_reference_params()
-    try:
-        spec = _sweep_spec(args.kind, grid, pu_disturbance(args.step_gw, grid), args.alpha_b)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    out_dir = _make_out_dir(args.out_dir)
-    if out_dir is None:
-        return EXIT_USAGE
+    spec = _sweep_spec(args.kind, grid, pu_disturbance(args.step_gw, grid), args.alpha_b)
     name, value_name = _SWEEP_NAMES[args.kind]
-    out_path = out_dir / f"{name}.csv"
-    stream = _open_output(out_path)
-    if stream is None:
-        return EXIT_USAGE
-    with stream:
+    out_path = _make_out_dir(args.out_dir) / f"{name}.csv"
+    with _open_output(out_path) as stream:
         write_sweep_csv(sweep(spec), stream, value_name=value_name)
     print(f"wrote {out_path}")
-    return EXIT_OK
 
 
 def _grid_values(start: float, stop: float, step: float) -> list[float]:
@@ -388,25 +359,21 @@ _FIGURE_BUILDERS = {
 }
 
 
-def _cmd_figure(args: argparse.Namespace) -> int:
+def _cmd_figure(args: argparse.Namespace) -> None:
     grid = gb_reference_params()
     delta_p = pu_disturbance(1.8, grid)
-    out_dir = _make_out_dir(args.out_dir)
-    if out_dir is None:
-        return EXIT_USAGE
-    out_path = out_dir / f"{args.id}.csv"
-    stream = _open_output(out_path)
-    if stream is None:
-        return EXIT_USAGE
-    with stream:
+    out_path = _make_out_dir(args.out_dir) / f"{args.id}.csv"
+    with _open_output(out_path) as stream:
         cols, data = _FIGURE_BUILDERS[args.id](grid, delta_p)
         stream.write(",".join(cols) + "\n")
         write_csv_rows(data, stream)
     print(f"wrote {out_path}")
-    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
+
+
+_COMMANDS = {"simulate": _cmd_simulate, "tune": _cmd_tune, "sweep": _cmd_sweep, "figure": _cmd_figure}
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -415,13 +382,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else EXIT_OK
-    if args.command == "simulate":
-        return _cmd_simulate(args)
-    if args.command == "tune":
-        return _cmd_tune(args)
-    if args.command == "sweep":
-        return _cmd_sweep(args)
-    return _cmd_figure(args)
+    try:
+        _COMMANDS[args.command](args)
+    except (_UsageError, ValueError, IntegrationError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL if isinstance(exc, IntegrationError) else EXIT_USAGE
+    return EXIT_OK
 
 
 def entry() -> None:

@@ -63,14 +63,15 @@ only the running maximum of p_b or of e_b per run.  Each chunk's product
 then fills only that row, plus the states of its last two blocks, where the
 next chunk starts: the same products of the same starts, so the maxima are
 the trajectory's, bit for bit.  Omega is sampled there only to test for
-divergence, and a chunk of more than two blocks of a linear run needs the
-test only when a bound fails: every |omega| of a block is at most reach . |h|
-for its start h, with reach_m = max_j |(Phi^j)[1, m]| from the region's
-table.  A chunk whose blocks all bound below half the divergence limit
-cannot diverge; any other samples omega and scans it, for both consumers,
-so a run raises at the same last valid time.  With a dead-band every row is
-filled and every chunk scanned, since the rows that screen a step's region
-read every state.
+divergence, and every chunk needs the test only when a bound fails: every
+|omega| of a block is at most reach . |h| for its start h, with reach_m =
+max_j |(Phi^j)[1, m]| from the region's table.  A chunk whose blocks all
+bound below half the divergence limit cannot diverge; any other samples
+omega and scans it, for both consumers, so a run raises at the same last
+valid time.  The bound holds inside each region of a dead-band run too, as
+its samples are powers of that region's Phi; such a run fills every row,
+since the rows that screen a step's region read every state, and each band
+crossing step keeps a check of its own.
 
 Every path holds the imbalance at its step-start value within each step,
 exact for the piecewise-constant input; a ``step_time`` that is not a
@@ -401,11 +402,11 @@ def _sample_runs(
     Only the ``rows`` the consumer reads are computed in full.  The others are written
     only at column 0 and, for the states, in the last two blocks of each chunk, where
     the next chunk starts.  The divergence test scans omega (row 1), computed in full
-    for it, only in chunks of one or two blocks and in a chunk whose block bound,
-    reach . |h| for a block's start h, reaches half the divergence limit; elsewhere no
-    sample can diverge.  A dead-band run computes every row and scans every chunk: its
-    stage screen reads every state.  A chunk's block starts are one product of the
-    stacked powers Phi^(_BLOCK i) - I with its start.
+    for it, only in a chunk whose block bound, reach . |h| for a block's start h, with
+    the reach of the chunk's region, reaches half the divergence limit; elsewhere no
+    sample can diverge.  A dead-band run computes every row, since its stage screen
+    reads every state, and checks each band crossing step on its own.  A chunk's block
+    starts are one product of the stacked powers Phi^(_BLOCK i) - I with its start.
     """
     grid, dt, d_p = scenario.grid, scenario.sim.dt, scenario.disturbance.step_pu
     w_db = grid.deadband_omega_db
@@ -438,7 +439,7 @@ def _sample_runs(
                 powers = _powers(step1(m), _BLOCK)
                 starts = np.concatenate([np.zeros((1, 6, 6)), _powers(powers[-1], most - 1)])
                 table = _sample_table(powers, out)
-                reach = None if w_db else np.abs(table[1]).max(axis=1)  # max_j |(Phi^j)[1, m]|
+                reach = np.abs(table[1]).max(axis=1)  # max_j |(Phi^j)[1, m]|
                 regions[r] = table, starts, _stage_rows(m) if w_db else None, reach
             table, starts, stages, reach = regions[r]
             # A chunk of c blocks: block i starts at Phi^(_BLOCK i) z, and one product
@@ -454,7 +455,7 @@ def _sample_runs(
             # half the limit, rounding included, no sample of the chunk diverges, and omega
             # is neither scanned nor, unless the consumer reads it, sampled.  A chunk that
             # fails the test (a NaN or inf start does) samples omega and scans it.
-            scan = bool(w_db) or c <= 2 or not (np.abs(heads) @ reach < _DIVERGENCE_LIMIT / 2).all()
+            scan = not (np.abs(heads) @ reach < _DIVERGENCE_LIMIT / 2).all()
             if every_row or c <= 2:
                 np.matmul(heads, table[: len(buf)], out=chunk)
             else:

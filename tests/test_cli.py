@@ -8,13 +8,19 @@ Covers:
    file that cannot be opened, in every command) and for
    overrides or sweep values the value types reject (including nan/inf and
    a finite step past one system base), 3 for numerical failure; a
-   parameter type's flags are checked together
- - tune report values for the worked 0.2 Hz example and the clamped case,
-   and exit code 2 for a target or disturbance the design cannot use
- - figure datasets: fig3 content and byte-identical reruns, and the header,
-   row count and nadir verdicts of each trajectory figure
+   parameter type's flags are checked together, and --step-gw with
+   --step-pu is refused by the parser
+ - one error rule for every command: a ValueError raised inside any of
+   them is one ``error:`` line and exit 2, and a divergence inside
+   ``figure`` is one line and exit 3
+ - tune report values for the worked 0.2 Hz example, the clamped case and
+   the unbounded energy estimate at k_i = 0, and exit code 2 for a target or
+   disturbance the design cannot use
+ - figure datasets: fig3 content and byte-identical reruns, the header,
+   row count and nadir verdicts of each trajectory figure, fig5 against the
+   mv sweeps it is built from, and fig8's droop gains and iDroop/VI power ratio
  - README's figure table and sweep usage line list the CLI's choices
- - one standard sweep end to end, and fig9 built from the same sweep
+ - the tau-t and alpha-b sweeps end to end, and fig9 built from the tau-t sweep
  - ``python -m gridfreq`` runs the same command line, and the parser built
    once per process gives a usage error and then a valid simulate the
    results each gives in a process of its own
@@ -32,8 +38,8 @@ import pytest
 from gridfreq import cli
 from gridfreq.cli import _FIGURE_BUILDERS, _SWEEP_NAMES, main
 from gridfreq.model import gb_reference_params, pu_disturbance
-from gridfreq.simulate import MONOTONE_TOL, TRAJECTORY_CSV_HEADER
-from gridfreq.tuning import mv_min_exact
+from gridfreq.simulate import MONOTONE_TOL, TRAJECTORY_CSV_HEADER, IntegrationError
+from gridfreq.tuning import design_droop_from_target, mv_min_exact
 
 ROOT = Path(__file__).resolve().parent.parent
 SCENARIO_DIR = ROOT / "scenarios"
@@ -222,6 +228,53 @@ def test_simulate_override_pair_checked_together(tmp_path, capsys, flags, rows, 
         assert "diverged" in err
 
 
+def test_step_gw_with_step_pu_is_usage_error(tmp_path, capsys, monkeypatch):
+    """The parser refuses both disturbance flags together, before the scenario is read
+    or any run: nothing is written."""
+    monkeypatch.setattr(cli, "load_scenario", lambda path: pytest.fail("read the scenario"))
+    monkeypatch.setattr(cli, "simulate", lambda scenario: pytest.fail("integrated"))
+    argv = ["simulate", str(SCENARIO_DIR / "gb-idroop.scn"), "--out", str(tmp_path / "o.csv")]
+    assert main(argv + ["--step-gw", "1", "--step-pu", "0.1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.endswith("error: argument --step-pu: not allowed with argument --step-gw\n")
+    assert captured.out == "" and list(tmp_path.iterdir()) == []
+
+
+def _raise(exc):
+    def raiser(*args, **kwargs):
+        raise exc
+
+    return raiser
+
+
+@pytest.mark.parametrize(
+    "argv, name",
+    [
+        (["simulate", str(SCENARIO_DIR / "gb-idroop.scn"), "--out", "o.csv"], "simulate"),
+        (["tune", "--target-hz", "0.2"], "design_droop_from_target"),
+        (["sweep", "tau-t"], "sweep"),
+        (["figure", "fig3"], "mv_min_exact"),
+    ],
+    ids=["simulate", "tune", "sweep", "figure"],
+)
+def test_value_error_in_any_command_is_one_usage_line(tmp_path, capsys, monkeypatch, argv, name):
+    """A ValueError raised anywhere inside a command is one ``error:`` line and exit 2,
+    whichever command raises it."""
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli, name, _raise(ValueError("bad value")))
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: bad value\n" and captured.out == ""
+
+
+def test_figure_divergence_is_numerical_failure(tmp_path, capsys, monkeypatch):
+    """A divergence inside ``figure`` is one ``error:`` line and exit 3, not a traceback."""
+    monkeypatch.setattr(cli, "capacity_curve", _raise(IntegrationError(last_valid_time=8.0)))
+    assert main(["figure", "fig8", "--out-dir", str(tmp_path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == "error: integration diverged; last valid time 8 s\n" and captured.out == ""
+
+
 # -------------------------------------------------------------------- tune
 
 
@@ -241,6 +294,12 @@ def test_tune_clamps_loose_target(capsys):
     out = capsys.readouterr().out
     assert "alpha_b = 0 pu  (clamped to zero)" in out
     assert "m_v_min from target (linear rule) = 55.62 pu*s" in out
+
+
+def test_tune_without_secondary_has_unbounded_energy(capsys):
+    assert main(["tune", "--target-hz", "0.2", "--k-i", "0"]) == 0
+    out = capsys.readouterr().out
+    assert out.endswith("energy capacity estimate e_b_max/delta_p = unbounded (k_i = 0)\n")
 
 
 def test_tune_zero_target_is_usage_error(capsys):
@@ -344,6 +403,49 @@ def test_figure_trajectory_datasets(tmp_path, fig):
         assert cols["omega_pu_vi"].min() == pytest.approx(expected, abs=2e-8)
 
 
+def _csv_columns(path):
+    """Header names and, per name, the column's cells as text."""
+    lines = path.read_text().splitlines()
+    header = lines[0].split(",")
+    return dict(zip(header, zip(*(row.split(",") for row in lines[1:]))))
+
+
+def test_figure_fig8_capacity_rows(tmp_path):
+    """21 deviation targets; alpha_b is the droop designed for each, and the iDroop/VI
+    storage power ratio rises strictly as the target tightens, from 0.6190 at alpha_b =
+    0 to 0.8419 at alpha_b = 15."""
+    assert main(["figure", "fig8", "--out-dir", str(tmp_path)]) == 0
+    cols = _csv_columns(tmp_path / "fig8.csv")
+    assert len(cols["delta_omega_pu"]) == 21
+    grid = gb_reference_params()
+    delta_p = pu_disturbance(1.8, grid)
+    designed = [design_droop_from_target(delta_p, float(d), grid.gen_inv_droop_alpha_g) for d in cols["delta_omega_pu"]]
+    assert list(cols["alpha_b"]) == [f"{a:.12g}" for a in designed]
+    idroop = np.array(cols["p_b_max_norm_idroop_tuned"], dtype=float)
+    vi = np.array(cols["p_b_max_norm_vi_min"], dtype=float)
+    ratio = idroop / vi  # rows run from the tightest target to the loosest
+    assert np.all(np.diff(ratio) < 0)
+    assert designed[0] == pytest.approx(15.0) and ratio[0] == pytest.approx(0.8419, abs=1e-3)
+    assert designed[-1] == pytest.approx(0.0) and ratio[-1] == pytest.approx(0.6190, abs=1e-3)
+
+
+def test_figure_fig5_matches_mv_sweeps(tmp_path):
+    """151 m_v rows; each alpha_b pair of columns is the mv sweep at that alpha_b, cell
+    for cell, and the max deviation never rises with m_v."""
+    assert main(["figure", "fig5", "--out-dir", str(tmp_path)]) == 0
+    fig5 = _csv_columns(tmp_path / "fig5.csv")
+    assert len(fig5["m_v"]) == 151
+    for alpha_b in (0, 5, 10):
+        out_dir = tmp_path / f"ab{alpha_b}"
+        assert main(["sweep", "mv", "--alpha-b", str(alpha_b), "--out-dir", str(out_dir)]) == 0
+        swept = _csv_columns(out_dir / "mv.csv")
+        assert fig5["m_v"] == swept["m_v"]
+        assert fig5[f"p_b_max_norm_ab{alpha_b}"] == swept["p_b_max_norm"]
+        maxdev = fig5[f"max_deviation_pu_ab{alpha_b}"]
+        assert list(maxdev) == [f"{abs(float(nadir)):.12g}" for nadir in swept["nadir_deviation"]]
+        assert np.all(np.diff(np.array(maxdev, dtype=float)) <= 0)
+
+
 def test_figure_unknown_id(tmp_path, capsys):
     assert main(["figure", "fig6", "--out-dir", str(tmp_path)]) == 2
 
@@ -372,6 +474,15 @@ def test_sweep_tau_t(tmp_path):
     for sweep_row, fig_row in zip(lines[1:], fig9[1:]):
         tau_t, nadir = sweep_row.split(",")[:2]
         assert fig_row == f"{tau_t},{abs(float(nadir)):.12g}"
+
+
+def test_sweep_alpha_b(tmp_path):
+    """The alpha-b sweep retunes VI to its nadir-free boundary at every gain: 61 rows,
+    all monotone, none with an error."""
+    assert main(["sweep", "alpha-b", "--out-dir", str(tmp_path)]) == 0
+    cols = _csv_columns(tmp_path / "alpha_b.csv")
+    assert len(cols["alpha_b"]) == 61  # 0 .. 15 step 0.25
+    assert set(cols["monotone"]) == {"true"} and set(cols["error"]) == {""}
 
 
 @pytest.mark.parametrize(

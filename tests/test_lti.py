@@ -11,7 +11,8 @@ Covers:
  - step-response exactness: zero initial value, final-value consistency
  - nadir location against a frozen golden value (cross-checked offline by a
    fine-step integration) and verdicts at/around the critically damped
-   boundary
+   boundary; matched-lag iDroop with two real modes, monotone where their
+   residues share a sign, agrees with the exact-path simulator
  - the central equivalence: the algebraic nadir-elimination condition
    agrees with the oracle's monotone/nadir verdict on randomized parameters
 """
@@ -25,16 +26,21 @@ import pytest
 
 from gridfreq import (
     ClosedLoopLti,
+    Disturbance,
     Droop,
     GridParams,
     IDroop,
     NoStorage,
+    Scenario,
+    SimOptions,
     UnsupportedOrderError,
     VirtualInertia,
     closed_loop_tf,
+    extract_metrics,
     gb_reference_params,
     mv_min_exact,
     nadir_of_response,
+    simulate,
     step_response,
     steady_state_deviation,
     vi_nadir_condition,
@@ -277,6 +283,18 @@ def test_boundary_verdicts():
     assert nadir_of_response(below, DP) is not None
     above = closed_loop_tf(GB, VirtualInertia(m_v=1.02 * MV_MIN, alpha_b=0.0))
     assert nadir_of_response(above, DP) is None
+
+
+@pytest.mark.parametrize("nu, monotone", [(10.0, False), (14.0, False), (16.0, True), (20.0, True), (30.0, True), (60.0, True)])
+def test_matched_lag_verdict_agrees_with_exact_simulation(nu, monotone):
+    """Matched-lag iDroop (tau_i = tau_T, alpha_b = 0) past nu = alpha_b + alpha_g = 15
+    has two real modes whose residues share a sign, so no nadir; below it, a nadir.  The
+    exact-path simulator (30 s at 1 ms, frozen) reads the same verdict to 1e-12 pu."""
+    controller = IDroop(nu=nu, tau_i=GB.turbine_tau, alpha_b=0.0)
+    assert (nadir_of_response(closed_loop_tf(GB, controller), DP) is None) == monotone
+    sim = SimOptions(dt=1e-3, horizon=30.0, freeze_secondary=True, exact=True)
+    traj = simulate(Scenario(GB, controller, Disturbance(step_pu=DP), sim))
+    assert extract_metrics(traj, monotone_tol=1e-12).monotone == monotone
 
 
 def test_zero_disturbance_is_flat():

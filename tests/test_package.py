@@ -14,6 +14,8 @@ Covers:
    ``from gridfreq.simulate import ...`` still reaches
  - every ``<name> must be > 0 / >= 0, got <value>`` message is written once,
    in ``model.require_bound``
+ - ``cli.main`` alone prints ``error:`` lines and returns the error exit
+   codes, and no function of ``cli.py`` signals an error by returning None
 """
 
 import ast
@@ -146,3 +148,26 @@ def test_bound_messages_are_written_once():
     assert len(found) == 2 and all(
         name == "model.py" and start <= lineno < start + len(lines) for name, lineno in found
     ), found
+
+
+def test_cli_reports_errors_only_in_main():
+    """One error path: in ``cli.py`` only ``main`` prints an ``error:`` line or returns
+    an error exit code, and no function's return type admits None next to a value, so
+    no helper can print an error and return None for its callers to check."""
+    tree = ast.parse((SRC / "cli.py").read_text(encoding="utf-8"))
+    error_codes = {"EXIT_USAGE", "EXIT_NUMERICAL"}
+    sites = {}
+    for func in ast.walk(tree):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        returns = ast.unparse(func.returns) if func.returns else "None"
+        assert returns == "None" or not re.search(r"Optional|\bNone\b", returns), (func.name, returns)
+        for node in ast.walk(func):
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "print":
+                texts = [c.value for c in ast.walk(node) if isinstance(c, ast.Constant) and isinstance(c.value, str)]
+                if any(text.startswith("error:") for text in texts):
+                    sites.setdefault(func.name, set()).add("print")
+            if isinstance(node, ast.Return) and node.value is not None:
+                if any(isinstance(n, ast.Name) and n.id in error_codes for n in ast.walk(node.value)):
+                    sites.setdefault(func.name, set()).add("return")
+    assert sites == {"main": {"print", "return"}}, sites

@@ -5,7 +5,8 @@ Covers:
  - full parses for every controller type
  - GW -> pu conversion against the file's own power base
  - line-anchored rejection of unknown sections/keys, duplicates, bad
-   values, and domain-invariant violations, each on the offending key's line
+   values, malformed section headers, repeated sections, empty values, and
+   domain-invariant violations, each on the offending key's line
    (every bounded key, written out, with its exact message, and a step past
    one system base)
  - parse -> serialize -> parse identity for every controller type and the
@@ -131,6 +132,21 @@ def test_malformed_line():
     err = _error_of("[grid]\ninertia_h\n")
     assert err.line == 2
     assert "key = value" in str(err)
+
+
+@pytest.mark.parametrize(
+    "text, line, message",
+    [
+        ("[grid\ninertia_h = 2.0\n", 1, "malformed section header: '[grid'"),
+        ("[sim]\ndt = 0.01\n[sim]\n", 3, "duplicate section [sim]"),
+        ("[grid]\ninertia_h =\n", 2, "expected 'key = value', got 'inertia_h ='"),
+    ],
+    ids=["unclosed_header", "repeated_section", "empty_value"],
+)
+def test_malformed_structure_reported_on_its_line(text, line, message):
+    err = _error_of(text)
+    assert err.line == line
+    assert str(err) == f"case.scn:{line}: {message}"
 
 
 def test_key_outside_section():

@@ -1,8 +1,9 @@
 """Sweep engine and capacity curves.
 
 Covers:
- - sweep mechanics: ordering, retune rules, per-point failure capture,
-   rejection of swept names that are not dataclass fields
+ - sweep mechanics: ordering, retune rules, per-point failure capture (and
+   its CSV row: empty metric cells and the error text), rejection of swept
+   names that are not dataclass fields
  - the saturation shape of the virtual-inertia sweep (steep below the
    boundary, flat above, ratio >= 100x)
  - turbine-time-constant robustness of the tuned lag droop (flat for
@@ -82,6 +83,23 @@ def test_sweep_records_per_point_failures():
     assert points[0].error is None and points[0].metrics is not None
     assert points[1].error is not None and points[1].metrics is None
     assert points[2].error is None
+
+
+def test_sweep_csv_row_of_a_diverging_point():
+    """A point that diverges (RK4 at dt = 2 s) is written as its value, empty metric
+    cells and the error text."""
+    spec = SweepSpec(
+        base=_base(IDroop.nadir_tuned(GB, 0.0), sim=SimOptions(dt=2.0, horizon=400.0, freeze_secondary=True)),
+        parameter="controller.alpha_b",
+        values=[0.0],
+    )
+    buf = io.StringIO()
+    write_sweep_csv(sweep(spec), buf, value_name="alpha_b")
+    header, row = buf.getvalue().splitlines()
+    cells = row.split(",")
+    assert len(cells) == len(header.split(","))
+    assert cells[0] == "0" and all(cell == "" for cell in cells[1:-1])
+    assert cells[-1] == "integration diverged; last valid time 8 s"
 
 
 def test_sweep_rejects_bad_paths():
