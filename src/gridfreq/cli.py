@@ -5,6 +5,8 @@ The commands raise and :func:`main` alone reports, with the same rule for
 every command: bad input or an unusable output (``_UsageError`` or any
 ``ValueError``, which every parameter check raises) is one ``error:`` line
 and exit 2, and a divergence (``IntegrationError``) is one line and exit 3.
+Outputs are checked before the run and written after it: a failed run leaves
+existing files as they were, and a write the OS refuses is an unusable output.
 Frequencies cross this boundary in Hz (mHz for the dead-band flag); scenario
 files carry per-unit values as documented in :mod:`gridfreq.scenariofile`.
 """
@@ -16,7 +18,7 @@ import sys
 from dataclasses import fields, replace
 from functools import cache, partial
 from pathlib import Path
-from typing import Optional, Sequence, TextIO
+from typing import Callable, Optional, Sequence, TextIO
 
 import numpy as np
 
@@ -129,12 +131,25 @@ def _cannot_write(path: Path, exc: OSError) -> _UsageError:
     return _UsageError(f"cannot write {str(path)!r}: {exc.strerror or exc}")
 
 
-def _open_output(path: Path) -> TextIO:
-    """Output file ``path`` opened for writing."""
+def _output_file(path: Path) -> Path:
+    """Output file ``path``, checked before the run: not a directory, in an existing one."""
     try:
-        return path.open("w")
+        if path.is_dir() or not path.parent.is_dir():
+            raise _UsageError(f"cannot write {str(path)!r}: not a file in an existing directory")
+    except OSError as exc:  # a name the file system refuses, such as one too long
+        raise _cannot_write(path, exc) from exc
+    return path
+
+
+def _write_output(path: Path, write: Callable[[TextIO], object]) -> None:
+    """Open ``path``, ``write(stream)`` and close it, after the run; any OSError of the
+    three is a usage error.  A write that fails partway leaves a partial file."""
+    try:
+        with path.open("w") as stream:
+            write(stream)
     except OSError as exc:
         raise _cannot_write(path, exc) from exc
+    print(f"wrote {path}")
 
 
 # ---------------------------------------------------------------------------
@@ -159,25 +174,15 @@ def _cmd_simulate(args: argparse.Namespace) -> None:
     sim = replace(scenario.sim, **_field_flags(args, SimOptions))
     scenario = Scenario(grid=grid, controller=scenario.controller, disturbance=disturbance, sim=sim)
 
-    out_path = Path(args.out)
-    metrics_path = Path(args.metrics_out) if args.metrics_out else out_path.with_suffix(".metrics.txt")
-    for path in (out_path, metrics_path):
-        try:
-            unusable = path.is_dir() or not path.parent.is_dir()
-        except OSError as exc:  # a name the file system refuses, such as one too long
-            raise _cannot_write(path, exc) from exc
-        if unusable:
-            raise _UsageError(f"cannot write {str(path)!r}: not a file in an existing directory")
+    out_path = _output_file(Path(args.out))
+    metrics_path = _output_file(Path(args.metrics_out) if args.metrics_out else out_path.with_suffix(".metrics.txt"))
     if metrics_path.resolve() == out_path.resolve():
         raise _UsageError(f"--metrics-out {args.metrics_out!r} names the --out file")
 
     traj = simulate(scenario)
     summary = format_metrics(extract_metrics(traj), scenario.grid.nominal_freq)
-    for path, write in ((out_path, partial(write_trajectory_csv, traj)), (metrics_path, lambda s: s.write(summary))):
-        with _open_output(path) as stream:
-            write(stream)
-    print(f"wrote {out_path}")
-    print(f"wrote {metrics_path}")
+    _write_output(out_path, partial(write_trajectory_csv, traj))
+    _write_output(metrics_path, lambda stream: stream.write(summary))
     print(summary, end="")
 
 
@@ -238,10 +243,8 @@ def _cmd_sweep(args: argparse.Namespace) -> None:
     grid = gb_reference_params()
     spec = _sweep_spec(args.kind, grid, pu_disturbance(args.step_gw, grid), args.alpha_b)
     name, value_name = _SWEEP_NAMES[args.kind]
-    out_path = _make_out_dir(args.out_dir) / f"{name}.csv"
-    with _open_output(out_path) as stream:
-        write_sweep_csv(sweep(spec), stream, value_name=value_name)
-    print(f"wrote {out_path}")
+    out_path = _output_file(_make_out_dir(args.out_dir) / f"{name}.csv")
+    _write_output(out_path, partial(write_sweep_csv, sweep(spec), value_name=value_name))
 
 
 def _grid_values(start: float, stop: float, step: float) -> list[float]:
@@ -362,12 +365,9 @@ _FIGURE_BUILDERS = {
 def _cmd_figure(args: argparse.Namespace) -> None:
     grid = gb_reference_params()
     delta_p = pu_disturbance(1.8, grid)
-    out_path = _make_out_dir(args.out_dir) / f"{args.id}.csv"
-    with _open_output(out_path) as stream:
-        cols, data = _FIGURE_BUILDERS[args.id](grid, delta_p)
-        stream.write(",".join(cols) + "\n")
-        write_csv_rows(data, stream)
-    print(f"wrote {out_path}")
+    out_path = _output_file(_make_out_dir(args.out_dir) / f"{args.id}.csv")
+    cols, data = _FIGURE_BUILDERS[args.id](grid, delta_p)
+    _write_output(out_path, lambda stream: (stream.write(",".join(cols) + "\n"), write_csv_rows(data, stream)))
 
 
 # ---------------------------------------------------------------------------

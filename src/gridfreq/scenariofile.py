@@ -47,7 +47,7 @@ from pathlib import Path
 from typing import Callable, Optional, Union
 
 from .controllers import Droop, IDroop, NoStorage, VirtualInertia
-from .model import Disturbance, GridParams, Scenario, SimOptions, gb_reference_params
+from .model import Disturbance, GridParams, Scenario, SimOptions, gb_reference_params, pu_disturbance
 
 __all__ = ["ScenarioParseError", "parse_scenario", "load_scenario", "serialize_scenario"]
 
@@ -178,7 +178,7 @@ def parse_scenario(text: str, source: str = "<string>") -> Scenario:
         raw, lineno = dist_entries.pop("step_gw")
         if "step_pu" in dist_entries:
             raise ScenarioParseError(source, lineno, "give step_pu or step_gw, not both")
-        step_pu = _parse_float(raw, source, lineno, "step_gw") / grid.base_power
+        step_pu = pu_disturbance(_parse_float(raw, source, lineno, "step_gw"), grid)
         dist_entries["step_pu"] = (repr(step_pu), lineno)
     disturbance = _build(Disturbance, dist_entries, "disturbance", source, aliases=("step_gw",))
 

@@ -456,7 +456,7 @@ def _sample_runs(
             # is neither scanned nor, unless the consumer reads it, sampled.  A chunk that
             # fails the test (a NaN or inf start does) samples omega and scans it.
             scan = not (np.abs(heads) @ reach < _DIVERGENCE_LIMIT / 2).all()
-            if every_row or c <= 2:
+            if every_row:
                 np.matmul(heads, table[: len(buf)], out=chunk)
             else:
                 for q in (1, *rows) if scan and 1 not in rows else rows:

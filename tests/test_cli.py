@@ -4,8 +4,9 @@ Covers:
  - simulate on the bundled scenarios: outputs, metrics content, overrides
  - exit code 2 for usage/parse problems (including an unreadable scenario,
    a missing output directory, an --out-dir that is a file, and a
-   --metrics-out naming the --out file, checked before the run; an output
-   file that cannot be opened, in every command) and for
+   --metrics-out naming the --out file, and an output file that is a
+   directory, each checked before the run with one message in every command;
+   an output the OS refuses while writing, in every command) and for
    overrides or sweep values the value types reject (including nan/inf and
    a finite step past one system base), 3 for numerical failure; a
    parameter type's flags are checked together, and --step-gw with
@@ -13,6 +14,7 @@ Covers:
  - one error rule for every command: a ValueError raised inside any of
    them is one ``error:`` line and exit 2, and a divergence inside
    ``figure`` is one line and exit 3
+ - a sweep or figure run that fails leaves the existing output file as it was
  - tune report values for the worked 0.2 Hz example, the clamped case and
    the unbounded energy estimate at k_i = 0, and exit code 2 for a target or
    disturbance the design cannot use
@@ -518,14 +520,60 @@ def test_out_dir_that_is_a_file_is_usage_error(tmp_path, capsys, monkeypatch, ar
     ids=["sweep-tau-t", "figure-fig3", "figure-fig8"],
 )
 def test_output_file_that_is_a_directory_is_usage_error(tmp_path, capsys, monkeypatch, argv, name):
-    """An output file that cannot be opened, here a directory, is one usage error line
-    before any run, not an IsADirectoryError traceback after it."""
+    """An output file that is a directory is one usage error line before any run, with
+    the message ``simulate`` gives for the same path, not an IsADirectoryError
+    traceback after it."""
     (tmp_path / name).mkdir()
     monkeypatch.setattr("gridfreq.cli.sweep", lambda *a, **k: pytest.fail("ran a sweep"))
     monkeypatch.setattr("gridfreq.cli.capacity_curve", lambda *a, **k: pytest.fail("ran a capacity curve"))
     assert main(argv + ["--out-dir", str(tmp_path)]) == 2
     captured = capsys.readouterr()
-    assert captured.err == f"error: cannot write {str(tmp_path / name)!r}: Is a directory\n" and captured.out == ""
+    expected = f"error: cannot write {str(tmp_path / name)!r}: not a file in an existing directory\n"
+    assert captured.err == expected and captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "argv, name, target, rc, exc",
+    [
+        (["sweep", "tau-t"], "tau_t.csv", "sweep", 2, ValueError("bad value")),
+        (["figure", "fig8"], "fig8.csv", "capacity_curve", 3, IntegrationError(last_valid_time=8.0)),
+    ],
+    ids=["sweep-tau-t", "figure-fig8"],
+)
+def test_failed_run_keeps_the_existing_output(tmp_path, capsys, monkeypatch, argv, name, target, rc, exc):
+    """A run that raises leaves an output file from an earlier run byte for byte as it
+    was: no command opens its output before the run ends."""
+    old = tmp_path / name
+    old.write_bytes(b"earlier,run\n1,2\n")
+    monkeypatch.setattr(cli, target, _raise(exc))
+    assert main(argv + ["--out-dir", str(tmp_path)]) == rc
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {exc}\n" and captured.out == ""
+    assert old.read_bytes() == b"earlier,run\n1,2\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs the /dev/full device")
+@pytest.mark.parametrize(
+    "argv, name",
+    [
+        (["simulate", str(SCENARIO_DIR / "gb-idroop.scn"), "--horizon", "1", "--out"], "o.csv"),
+        (
+            ["simulate", str(SCENARIO_DIR / "gb-idroop.scn"), "--horizon", "1", "--out", "o.csv", "--metrics-out"],
+            "m.txt",
+        ),
+        (["sweep", "tau-t", "--out-dir"], "tau_t.csv"),
+        (["figure", "fig3", "--out-dir"], "fig3.csv"),
+    ],
+    ids=["simulate-out", "simulate-metrics-out", "sweep-tau-t", "figure-fig3"],
+)
+def test_output_the_os_refuses_while_writing_is_usage_error(tmp_path, capsys, monkeypatch, argv, name):
+    """An output that opens but whose write or close fails, here a link to /dev/full,
+    is one usage error line and exit 2, not an OSError traceback and exit 1."""
+    monkeypatch.chdir(tmp_path)  # simulate's --out o.csv lands here
+    full = tmp_path / name
+    full.symlink_to("/dev/full")
+    assert main(argv + [str(full if argv[0] == "simulate" else tmp_path)]) == 2
+    assert capsys.readouterr().err == f"error: cannot write {str(full)!r}: No space left on device\n"
 
 
 @pytest.mark.parametrize("flag", ["--out", "--metrics-out"])

@@ -16,6 +16,7 @@ Covers:
    in ``model.require_bound``
  - ``cli.main`` alone prints ``error:`` lines and returns the error exit
    codes, and no function of ``cli.py`` signals an error by returning None
+ - ``cli._write_output`` alone opens a file in ``cli.py``
 """
 
 import ast
@@ -171,3 +172,16 @@ def test_cli_reports_errors_only_in_main():
                 if any(isinstance(n, ast.Name) and n.id in error_codes for n in ast.walk(node.value)):
                     sites.setdefault(func.name, set()).add("return")
     assert sites == {"main": {"print", "return"}}, sites
+
+
+def test_cli_opens_files_only_in_write_output():
+    """One output path: in ``cli.py`` only ``_write_output``, which runs after the run
+    and reports a refused write as a usage error, calls ``open`` or ``.open(``."""
+    tree = ast.parse((SRC / "cli.py").read_text(encoding="utf-8"))
+    openers = set()
+    for func in ast.walk(tree):
+        if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for node in ast.walk(func):
+                if isinstance(node, ast.Call) and "open" in (getattr(node.func, a, None) for a in ("id", "attr")):
+                    openers.add(func.name)
+    assert openers == {"_write_output"}, openers
