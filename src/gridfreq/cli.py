@@ -98,7 +98,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sweep = sub.add_parser("sweep", help="run a standard parameter sweep, write CSV")
     p_sweep.add_argument("kind", choices=_SWEEP_NAMES)
     p_sweep.add_argument("--out-dir", default=".", help="output directory")
-    p_sweep.add_argument("--alpha-b", type=float, default=0.0, help="storage droop for the mv sweep [pu]")
+    p_sweep.add_argument("--alpha-b", type=float, help="storage droop for the mv sweep [pu]")
     p_sweep.add_argument("--step-gw", type=float, default=1.8, help="disturbance [GW]")
 
     p_fig = sub.add_parser("figure", help="regenerate a bundled figure dataset")
@@ -204,7 +204,6 @@ def _cmd_tune(args: argparse.Namespace) -> None:
     print(f"alpha_b = {alpha_b:.12g} pu" + ("  (clamped to zero)" if alpha_b == 0 else ""))
     print(f"m_v_min from target (linear rule) = {mv_min_from_target(delta_p, target_pu, grid):.12g} pu*s")
     print(f"m_v_min exact at alpha_b = {mv_min_exact(grid, alpha_b):.12g} pu*s")
-    print(f"m_v_min linear at alpha_b = {mv_min_linear(grid, alpha_b):.12g} pu*s")
     print(f"lag droop tuning: nu = {tuned.nu:.12g} pu, tau_i = {tuned.tau_i:.12g} s")
     if grid.secondary_gain_k_i > 0:
         e_est = energy_capacity_estimate(alpha_b, grid.secondary_gain_k_i)
@@ -240,8 +239,11 @@ def _sweep_spec(kind: str, grid: GridParams, delta_p: float, alpha_b: float) -> 
 
 
 def _cmd_sweep(args: argparse.Namespace) -> None:
+    if args.alpha_b is not None and args.kind != "mv":
+        raise _UsageError(f"--alpha-b applies to the mv sweep only, not {args.kind}")
     grid = gb_reference_params()
-    spec = _sweep_spec(args.kind, grid, pu_disturbance(args.step_gw, grid), args.alpha_b)
+    alpha_b = 0.0 if args.alpha_b is None else args.alpha_b
+    spec = _sweep_spec(args.kind, grid, pu_disturbance(args.step_gw, grid), alpha_b)
     name, value_name = _SWEEP_NAMES[args.kind]
     out_path = _output_file(_make_out_dir(args.out_dir) / f"{name}.csv")
     _write_output(out_path, partial(write_sweep_csv, sweep(spec), value_name=value_name))

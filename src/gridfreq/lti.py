@@ -28,13 +28,13 @@ closed-form step responses are limited to order <= 2 (everything the
 capacity and tuning analysis needs) and higher orders are delegated to the
 time-domain simulator.
 
-Step responses are the partial fractions of G(s)/s, one mode per distinct
-pole, with the repeated-pole case handled explicitly via the t*exp(p t)
-mode; the critically damped boundary is exactly the case the tuning rules
-single out, so it is not approximated by pole perturbation.
-Nearly-repeated poles (separation below 1e-7 relative) are collapsed onto
-the repeated formula to avoid the catastrophic residue cancellation of the
-two-mode form.
+Step responses and nadir verdicts read one modal form, the partial
+fractions of G(s)/s: y(t)/delta_p = a + sum Re((b + c t) e^{p t}).  Each
+distinct pole is a mode with c = 0; a conjugate pair is two.  A (nearly)
+repeated pole is one confluent mode: the critically damped boundary is the
+case the tuning rules single out, so it is not approximated by pole
+perturbation, and poles within 1e-7 relative collapse onto it, avoiding the
+catastrophic residue cancellation of the two-mode form.
 """
 
 from __future__ import annotations
@@ -157,30 +157,25 @@ def closed_loop_tf(params: GridParams, cfg: StorageController) -> ClosedLoopLti:
     )
 
 
-def _classify_second_order(poles: np.ndarray) -> str:
-    p1, p2 = poles
-    scale = max(1.0, abs(p1), abs(p2))
-    if abs(p1 - p2) <= _REPEATED_POLE_RTOL * scale:
-        return "repeated"
-    if abs(p1.imag) > 0.0:
-        return "complex"
-    return "real"
+def _modes(lti: ClosedLoopLti) -> tuple[float, list]:
+    """``a`` and the modes ``(p, b, c)`` of G(s)/s at order <= 2: y/delta_p = a + sum Re((b + c t) e^{pt}).
 
-
-def _repeated_pole_modes(num: np.ndarray, den: np.ndarray, poles: np.ndarray):
-    """Partial fractions of G(s)/s for a (nearly) repeated pole p.
-
-    G(s)/s = A/s + B/(s - p) + C/(s - p)^2 with
-    A = N(0)/D(0), C = N(p)/(d2 p), B = (N'(p) p - N(p)) / (d2 p^2).
+    A distinct pole has c = 0 and b = N(p)/(p D'(p)).  A (nearly) repeated pole, with
+    D = d2 (s - p)^2, is one mode: c = N(p)/(d2 p) and b = (N'(p) p - N(p)) / (d2 p^2).
     """
-    p = 0.5 * float(poles[0].real + poles[1].real)
-    d2 = den[0]
-    n_p = float(np.polyval(num, p))
-    dn_p = float(np.polyval(np.polyder(num), p)) if len(num) > 1 else 0.0
+    if lti.order > 2:
+        raise UnsupportedOrderError(f"loop order {lti.order} > 2; use the time-domain simulator")
+    num, den = lti.num, lti.den
     a = float(np.polyval(num, 0.0)) / float(np.polyval(den, 0.0))
-    c = n_p / (d2 * p)
-    b = (dn_p * p - n_p) / (d2 * p * p)
-    return p, a, b, c
+    p1, p2 = lti.poles[0], lti.poles[-1]
+    if lti.order == 2 and abs(p1 - p2) <= _REPEATED_POLE_RTOL * max(1.0, abs(p1), abs(p2)):
+        p = 0.5 * float(p1.real + p2.real)
+        d2 = den[0]
+        n_p = float(np.polyval(num, p))
+        dn_p = float(np.polyval(np.polyder(num), p)) if len(num) > 1 else 0.0
+        return a, [(p, (dn_p * p - n_p) / (d2 * p * p), n_p / (d2 * p))]
+    dprime = np.polyder(den)
+    return a, [(p, np.polyval(num, p) / (p * np.polyval(dprime, p)), 0.0) for p in lti.poles]
 
 
 def step_response(
@@ -192,25 +187,13 @@ def step_response(
     order <= 2; higher orders raise :class:`UnsupportedOrderError` and
     belong to the simulator.
     """
-    if lti.order > 2:
-        raise UnsupportedOrderError(f"loop order {lti.order} > 2; use the time-domain simulator")
+    a, modes = _modes(lti)
     t_arr = np.asarray(t, dtype=float)
     if np.any(t_arr < 0):
         raise ValueError("t must be >= 0")
-    num, den = lti.num, lti.den
-
-    if lti.order == 2 and _classify_second_order(lti.poles) == "repeated":
-        p, a, b, c = _repeated_pole_modes(num, den, lti.poles)
-        y = a + (b + c * t_arr) * np.exp(p * t_arr)
-    else:
-        # G(s)/s = a/s + sum_i r_i/(s - p_i), one mode per distinct pole; a
-        # conjugate pair's two modes sum to twice the real part of either.
-        y = np.full(t_arr.shape, float(np.polyval(num, 0.0)) / float(np.polyval(den, 0.0)))
-        dprime = np.polyder(den)
-        for p in lti.poles:
-            r = np.polyval(num, p) / (p * np.polyval(dprime, p))
-            y += (r * np.exp(p * t_arr)).real
-
+    y = np.full(t_arr.shape, a)
+    for p, b, c in modes:  # (b + c t) e^{pt}, with no array for b + c t when c = 0
+        y += ((b + c * t_arr if c else b) * np.exp(p * t_arr)).real
     y = delta_p * y
     if np.isscalar(t) or t_arr.ndim == 0:
         return float(y)
@@ -226,50 +209,31 @@ def nadir_of_response(lti: ClosedLoopLti, delta_p: float) -> Optional[NadirPoint
     """
     if not lti.stable:
         raise ValueError("nadir analysis requires a stable loop")
-    if lti.order > 2:
-        raise UnsupportedOrderError(f"loop order {lti.order} > 2; use the time-domain simulator")
+    _a, modes = _modes(lti)
     if delta_p == 0:
         return None
-    if lti.order == 1:
-        return None
-
-    num, den = lti.num, lti.den
-    kind = _classify_second_order(lti.poles)
-
-    if kind == "repeated":
-        # omega_dot ~ e^{pt} ((B p + C) + C p t)
-        p, _a, b, c = _repeated_pole_modes(num, den, lti.poles)
-        slope = c * p
-        if slope == 0.0:
+    if len(modes) == 1:
+        # omega_dot ~ e^{pt} ((b p + c) + c p t), linear in t; one distinct pole (c = 0) has no root
+        ((p, b, c),) = modes
+        if c * p == 0.0:
             return None
-        t_star = -(b * p + c) / slope
-        if t_star <= _STATIONARY_TOL:
-            return None
-    elif kind == "complex":
-        # omega_dot ~ 2 |rho| e^{sigma t} cos(w_d t + phi): roots at
-        # w_d t + phi = pi/2 + k pi
-        p = lti.poles[0] if lti.poles[0].imag > 0 else lti.poles[1]
-        rho = np.polyval(num, p) / np.polyval(np.polyder(den), p)
-        w_d = p.imag
-        phi = cmath.phase(rho)
-        k = math.ceil((w_d * _STATIONARY_TOL + phi - math.pi / 2.0) / math.pi)
-        t_star = (math.pi / 2.0 + k * math.pi - phi) / w_d
-        while t_star <= _STATIONARY_TOL:  # guard against ceil landing on the boundary
-            k += 1
-            t_star = (math.pi / 2.0 + k * math.pi - phi) / w_d
+        t_star = -(b * p + c) / (c * p)
     else:
-        p1 = float(lti.poles[0].real)
-        p2 = float(lti.poles[1].real)
-        dprime = np.polyder(den)
-        rho1 = float(np.polyval(num, p1)) / float(np.polyval(dprime, p1))
-        rho2 = float(np.polyval(num, p2)) / float(np.polyval(dprime, p2))
+        # omega_dot ~ rho_1 e^{p_1 t} + rho_2 e^{p_2 t} with rho = b p
+        (p1, b1, _), (p2, b2, _) = modes
+        rho1, rho2 = b1 * p1, b2 * p2
         scale = abs(rho1) + abs(rho2)
         if scale == 0.0 or min(abs(rho1), abs(rho2)) <= 1e-14 * scale:
             return None  # single excited mode: monotone
-        if rho1 * rho2 > 0.0:
-            return None  # same-sign modes never cancel: monotone
-        t_star = math.log(-rho2 / rho1) / (p1 - p2)
-        if t_star <= _STATIONARY_TOL:
-            return None
-
+        if p1.imag == 0.0 and rho1 * rho2 > 0.0:
+            return None  # same-sign real modes never cancel: monotone
+        t_star = (cmath.log(-rho2 / rho1) / (p1 - p2)).real
+        if p1.imag != 0.0:
+            # a complex pair's roots repeat every half-period pi / w_d
+            half_period = math.pi / abs(p1.imag)
+            t_star %= half_period
+            if t_star <= _STATIONARY_TOL:
+                t_star += half_period
+    if t_star <= _STATIONARY_TOL:
+        return None
     return NadirPoint(omega=float(step_response(lti, delta_p, t_star)), time=float(t_star))

@@ -286,6 +286,7 @@ def test_tune_worked_example(capsys):
     out = capsys.readouterr().out
     assert "alpha_b = 1.875 pu" in out
     assert "m_v_min from target (linear rule) = 59.37 pu*s" in out
+    assert "linear at alpha_b" not in out  # the same linear rule at the same alpha_b
     assert "nu = 16.875 pu, tau_i = 1 s" in out
     assert "e_b_max/delta_p = 37.5 s" in out
 
@@ -496,6 +497,17 @@ def test_sweep_rejected_value_is_usage_error(tmp_path, capsys, flags):
     step past one system base ran every point into the divergence limit, 56 error rows)."""
     assert main(["sweep"] + flags + ["--out-dir", str(tmp_path)]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind", ["alpha-b", "tau-t"])
+def test_sweep_alpha_b_flag_is_for_mv_only(tmp_path, capsys, monkeypatch, kind):
+    """--alpha-b sets the mv sweep's storage droop; with another kind it is one usage
+    line before any run, not a flag that is silently ignored."""
+    monkeypatch.setattr("gridfreq.cli.sweep", lambda *a, **k: pytest.fail("ran a sweep"))
+    assert main(["sweep", kind, "--alpha-b", "5", "--out-dir", str(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: --alpha-b applies to the mv sweep only, not {kind}\n" and captured.out == ""
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("argv", [["sweep", "mv"], ["figure", "fig3"], ["figure", "fig8"]], ids="-".join)

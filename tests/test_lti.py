@@ -10,7 +10,9 @@ Covers:
  - pole residuals <= 1e-10
  - step-response exactness: zero initial value, final-value consistency
  - nadir location against a frozen golden value (cross-checked offline by a
-   fine-step integration) and verdicts at/around the critically damped
+   fine-step integration), against the step response's argmin for each kind
+   of mode (complex pair, two real modes, one confluent mode with a nadir at
+   -tau_T / (tau_T p + 1)), and verdicts at/around the critically damped
    boundary; matched-lag iDroop with two real modes, monotone where their
    residues share a sign, agrees with the exact-path simulator
  - the central equivalence: the algebraic nadir-elimination condition
@@ -273,6 +275,38 @@ def test_no_storage_nadir_golden():
     assert point.time == pytest.approx(NOSTORAGE_NADIR_TIME, rel=1e-9)
     # strictly deeper than the steady-state deviation
     assert point.omega < steady_state_deviation(DP, 1.0, 15.0, 0.0)
+
+
+@pytest.mark.parametrize(
+    "grid, law, kind",
+    [
+        (GB, NoStorage(), "complex"),
+        (GB, IDroop(nu=10.0, tau_i=1.0, alpha_b=0.0), "complex"),
+        (GB, IDroop(nu=14.0, tau_i=1.0, alpha_b=0.0), "real"),
+        (gb_reference_params(inertia_h=0.5), Droop(alpha_b=math.sqrt(60.0)), "confluent"),
+    ],
+    ids=["complex-no-storage", "complex-matched-lag-nu10", "real-matched-lag-nu14", "confluent-droop"],
+)
+def test_nadir_point_is_first_minimum_of_step_response(grid, law, kind):
+    """Each kind of mode pair returns the argmin of the step response on a grid of
+    step 1e-5 t* over [0, 2 t*].  Droop at alpha_b = sqrt(60) with H = 0.5 puts a double
+    pole at p = -(1 + sqrt(15)), where the nadir is t* = -tau_T / (tau_T p + 1)."""
+    lti = closed_loop_tf(grid, law)
+    p1, p2 = lti.poles
+    kinds = {"confluent": abs(p1 - p2) <= 1e-7 * abs(p1), "complex": p1.imag != 0.0}
+    assert kinds == {"confluent": kind == "confluent", "complex": kind == "complex"}, lti.poles
+    point = nadir_of_response(lti, DP)
+    assert point is not None
+    ts = np.arange(200_001) * (1e-5 * point.time)
+    ys = step_response(lti, DP, ts)
+    k = int(np.argmin(ys))
+    assert abs(ts[k] - point.time) <= 1e-5 * point.time
+    assert ys[k] == pytest.approx(point.omega, rel=1e-9)
+    assert point.omega <= ys[k] + 1e-15 * abs(ys[k])
+    if kind == "confluent":
+        tau, p = grid.turbine_tau, -(1.0 + math.sqrt(15.0))
+        assert point.time == pytest.approx(-tau / (tau * p + 1.0), rel=1e-12)
+        assert point.time == pytest.approx(0.258199, abs=1e-6)
 
 
 def test_boundary_verdicts():

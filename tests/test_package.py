@@ -17,6 +17,8 @@ Covers:
  - ``cli.main`` alone prints ``error:`` lines and returns the error exit
    codes, and no function of ``cli.py`` signals an error by returning None
  - ``cli._write_output`` alone opens a file in ``cli.py``
+ - ``lti._modes`` alone takes derivatives of polynomials in ``lti.py``, so the
+   oracle's partial fractions are written once
 """
 
 import ast
@@ -185,3 +187,21 @@ def test_cli_opens_files_only_in_write_output():
                 if isinstance(node, ast.Call) and "open" in (getattr(node.func, a, None) for a in ("id", "attr")):
                     openers.add(func.name)
     assert openers == {"_write_output"}, openers
+
+
+def test_oracle_partial_fractions_are_written_once():
+    """One modal form: in ``lti.py`` only ``_modes``, which both ``step_response`` and
+    ``nadir_of_response`` read, calls ``np.polyder``."""
+    tree = ast.parse((SRC / "lti.py").read_text(encoding="utf-8"))
+
+    def polyder_calls(root):
+        return [n for n in ast.walk(root) if isinstance(n, ast.Call) and getattr(n.func, "attr", None) == "polyder"]
+
+    callers = {
+        func.name
+        for func in ast.walk(tree)
+        if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)) and polyder_calls(func)
+    }
+    modes = [func for func in tree.body if isinstance(func, ast.FunctionDef) and func.name == "_modes"]
+    assert callers == {"_modes"}, callers
+    assert len(polyder_calls(tree)) == len(polyder_calls(modes[0])), "np.polyder called outside any function"
