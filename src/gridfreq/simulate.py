@@ -56,22 +56,25 @@ most one chunk per crossing.
 
 One sampler has two consumers.  The chunk loop is one generator that writes
 each chunk into the buffer it is given and yields each accepted run of
-samples.  :func:`simulate` gives it the trajectory's rows, so every sample
-is written in place.  :func:`_storage_maxima`, which sizes storage for
-capacity curves, gives it a window as wide as the largest chunk and keeps
-only the running maximum of p_b or of e_b per run.  Each chunk's product
-then fills only that row, plus the states of its last two blocks, where the
-next chunk starts: the same products of the same starts, so the maxima are
-the trajectory's, bit for bit.  Omega is sampled there only to test for
-divergence, and every chunk needs the test only when a bound fails: every
-|omega| of a block is at most reach . |h| for its start h, with reach_m =
-max_j |(Phi^j)[1, m]| from the region's table.  A chunk whose blocks all
-bound below half the divergence limit cannot diverge; any other samples
-omega and scans it, for both consumers, so a run raises at the same last
-valid time.  The bound holds inside each region of a dead-band run too, as
-its samples are powers of that region's Phi; such a run fills every row,
-since the rows that screen a step's region read every state, and each band
-crossing step keeps a check of its own.
+samples, sampling only the rows its consumer asks for in full, plus the
+states of each chunk's last two blocks, where the next chunk starts.  Each
+row is the product of the same block starts with its own table row, alone
+or batched with the others, so a row's bits do not depend on which others
+are sampled with it.  :func:`simulate` gives it
+the trajectory's block, so every sample is written in place, and asks for
+the rows :func:`extract_metrics` reads (see below).  :func:`_storage_maxima`,
+which sizes storage for capacity curves, gives it a window as wide as the
+largest chunk, asks for p_b or e_b alone and keeps only its running maximum
+per run, so the maxima are the trajectory's, bit for bit.  Omega is sampled
+there only to test for divergence, and every chunk needs the test only when
+a bound fails: every |omega| of a block is at most reach . |h| for its start
+h, with reach_m = max_j |(Phi^j)[1, m]| from the region's table.  A chunk
+whose blocks all bound below half the divergence limit cannot diverge; any
+other samples omega and scans it, for both consumers, so a run raises at the
+same last valid time.  The bound holds inside each region of a dead-band
+run too, as its samples are powers of that region's Phi; such a run fills
+every row, since the rows that screen a step's region read every state, and
+each band crossing step keeps a check of its own.
 
 Every path holds the imbalance at its step-start value within each step,
 exact for the piecewise-constant input; a ``step_time`` that is not a
@@ -85,17 +88,24 @@ disturbance reproduces the all-zero trajectory exactly.
 
 A run is one block of seven rows, the five states, p_b and omega_dot,
 allocated once, and each sampled array of the :class:`Trajectory` is one
-row.  The time column is not sampled: ``Trajectory.t`` builds k dt on its
-first read, which no sweep or capacity curve makes.  The one block is for
+row.  Without a dead-band, :func:`simulate` samples omega, e_b, p_b and
+omega_dot, the rows the metrics read; theta, p_m and x_c are sampled into
+their rows on their first read (by the CSV writer and the trajectory
+figures), through the same sampler with the run's own tables, which no
+sweep or capacity curve makes.  Omega is sampled at once, so a diverging
+run raises from :func:`simulate`.  A dead-band run samples every row at
+once, and a run that samples nothing has every row zero.  The time column
+is not sampled either: ``Trajectory.t`` builds k dt on its first read,
+which no sweep or capacity curve makes.  The one block is for
 glibc's allocator: it raises its mmap threshold to the largest block freed
 and its trim threshold to twice that.  With three arrays, the largest
 1.2 MB, a 30 s / 1 ms sweep point freed ~2.5 MB, over the 2.4 MB trim
 threshold, so the heap was trimmed and its pages faulted in again at the
 next point (560 minor faults per point).  The 1.69 MB block raises the trim
 threshold to 3.4 MB, and the pages are reused (0 faults).  The block is not
-zero-filled: the sampler writes every column from the step's first sample
-on, and only the columns before it are zeroed (every column when nothing is
-sampled).
+zero-filled: the sampler writes every column of a row it samples from the
+step's first sample on, and only the columns before it are zeroed (every
+column when nothing is sampled).
 
 :func:`extract_metrics` reduces a trajectory with whole-array min, max,
 argmin and argmax, bit for bit what the running-extreme scans of the
@@ -120,7 +130,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 from functools import cache, cached_property
-from typing import Iterator, Sequence, TextIO
+from typing import Callable, Iterator, Sequence, TextIO
 
 import numpy as np
 
@@ -186,33 +196,59 @@ def deadband_response(omega: float, omega_db: float, alpha_g: float) -> float:
     return 0.0
 
 
+# The rows every run samples, those extract_metrics reads: omega, e_b, p_b and omega_dot.
+_METRIC_ROWS = (1, 3, 5, 6)
+
+
+def _row(q: int) -> cached_property:
+    """Row q of a trajectory's samples, read once, and sampled first if its run deferred it."""
+
+    def read(traj: Trajectory) -> np.ndarray:
+        if traj.fill is not None and q not in _METRIC_ROWS:
+            traj.fill(q)
+        return traj.samples[q]
+
+    return cached_property(read)
+
+
 @dataclass(frozen=True)
 class Trajectory:
     """Uniformly sampled closed-loop response.
 
-    Parallel arrays of length ``n_samples``; sample 0 is the pre-disturbance
-    equilibrium.  ``p_b`` and ``omega_dot`` are evaluated at the sample
-    instants (disturbance active for t >= step_time), sampled with the
-    states from the same tables, never from the stored states.  The seven
-    sampled arrays are the contiguous rows of one block, in field order,
-    allocated once per run so that repeated runs reuse the allocator's pages,
-    and not zero-filled: only the samples before the step are zeroed.  The
-    time column ``t`` is not sampled: it is k dt, built on its first read.
+    ``samples`` is a (7, n_samples) view of one block, its rows in the order
+    theta, omega, p_m, e_b, x_c, p_b, omega_dot, each read as the attribute of
+    that name; sample 0 is the pre-disturbance equilibrium.  ``p_b`` and
+    ``omega_dot`` are evaluated at the sample instants (disturbance active for
+    t >= step_time), sampled with the states from the same tables, never from
+    the stored states.  The block is allocated once per run so that repeated
+    runs reuse the allocator's pages, and not zero-filled: only the samples
+    before the step are zeroed.
+
+    A run without a dead-band samples only omega, e_b, p_b and omega_dot, the
+    rows :func:`extract_metrics` reads.  ``fill`` then samples row q of the
+    block in place, the same bits as sampling it with the others, and the
+    first read of ``theta``, ``p_m`` or ``x_c`` calls it.  It is None when
+    every row is final: a dead-band run samples them all, and a run that
+    samples nothing has only zeros.  The time column ``t`` is not sampled
+    either: it is k dt, built on its first read.
     """
 
     scenario: Scenario
     dt: float
-    theta: np.ndarray
-    omega: np.ndarray
-    p_m: np.ndarray
-    e_b: np.ndarray
-    x_c: np.ndarray
-    p_b: np.ndarray
-    omega_dot: np.ndarray
+    samples: np.ndarray
+    fill: Callable[..., None] | None = None
+
+    theta = _row(0)
+    omega = _row(1)
+    p_m = _row(2)
+    e_b = _row(3)
+    x_c = _row(4)
+    p_b = _row(5)
+    omega_dot = _row(6)
 
     @property
     def n_samples(self) -> int:
-        return len(self.omega)
+        return self.samples.shape[1]
 
     @cached_property
     def t(self) -> np.ndarray:
@@ -380,7 +416,13 @@ def _most_blocks(steps: int) -> int:
 
 
 def _sample_runs(
-    scenario: Scenario, a: np.ndarray, k_on: int, n: int, buf: np.ndarray, rows: Sequence[int] = range(7)
+    scenario: Scenario,
+    a: np.ndarray,
+    k_on: int,
+    n: int,
+    buf: np.ndarray,
+    rows: Sequence[int] = range(7),
+    regions: dict | None = None,
 ) -> Iterator[np.ndarray]:
     """Sample the loop of ``a`` from sample k_on, the zero state with the imbalance just
     switched on, to sample n, chunk by chunk into the rows of ``buf``: the five states,
@@ -407,6 +449,10 @@ def _sample_runs(
     sample can diverge.  A dead-band run computes every row, since its stage screen
     reads every state, and checks each band crossing step on its own.  A chunk's block
     starts are one product of the stacked powers Phi^(_BLOCK i) - I with its start.
+
+    ``regions`` holds each region's tables, built on first need; a dict from an earlier
+    call with the same loop, k_on and n lends its tables, so sampling more rows of a
+    run later builds none of them again.
     """
     grid, dt, d_p = scenario.grid, scenario.sim.dt, scenario.disturbance.step_pu
     w_db = grid.deadband_omega_db
@@ -417,7 +463,8 @@ def _sample_runs(
     # a band), closed at the edges since phi is continuous there.
     bounds = {-1: (-np.inf, -w_db), 0: (-w_db, w_db), 1: (w_db, np.inf)}
     most = _most_blocks(n - k_on)
-    regions = {}  # r -> (sample table, Phi^(_BLOCK i) - I, stage rows, omega's reach)
+    if regions is None:
+        regions = {}  # r -> (sample table, Phi^(_BLOCK i) - I, stage rows, omega's reach)
     z = np.array([0.0, 0.0, 0.0, 0.0, 0.0, d_p])  # p_L is not stored: d_p from k_on on
     buf[:5, 0] = 0.0
     np.add(0.0, d_p * out[: len(buf) - 5, 5], out=buf[5:, 0])
@@ -500,7 +547,9 @@ def simulate(scenario: Scenario) -> Trajectory:
     region's step matrix, with one RK4 step over A at each band crossing
     (whatever ``exact`` says), in chunks of 1, 2, 4, ... blocks that start
     again at one block after each crossing.
-    Each sampled array is one contiguous row of one block; the time column
+    Each sampled array is one contiguous row of one block.  Without a
+    dead-band only the rows :func:`extract_metrics` reads are sampled here;
+    theta, p_m and x_c are sampled on their first read, and the time column
     is built on its first read.  Raises :class:`IntegrationError` if omega
     leaves the finite range (with RK4, reachable with a step size outside
     its stability region).
@@ -512,10 +561,18 @@ def simulate(scenario: Scenario) -> Trajectory:
     block = np.empty((7, n + _BLOCK))
     sampled = bool(scenario.disturbance.step_pu) and k_on <= n
     block[:, : k_on if sampled else n + 1] = 0.0
+    fill = None
     if sampled:
-        for _ in _sample_runs(scenario, a, k_on, n, block[:, k_on:]):
-            pass
-    return Trajectory(scenario, scenario.sim.dt, *block[:, : n + 1])
+        regions = {}  # the run's tables, lent to each later fill
+
+        def fill(*rows: int) -> None:
+            for _ in _sample_runs(scenario, a, k_on, n, block[:, k_on:], rows, regions):
+                pass
+
+        fill(*_METRIC_ROWS)
+        if scenario.grid.deadband_omega_db:  # its stage screen read every state: every row is sampled
+            fill = None
+    return Trajectory(scenario, scenario.sim.dt, block[:, : n + 1], fill)
 
 
 def _storage_maxima(scenario: Scenario, quantity: str) -> float:
@@ -542,20 +599,38 @@ def _largest_abs(v: np.ndarray, v_max: float) -> float:
     return max(abs(float(v_max)), abs(float(v.min())))
 
 
-def _largest_rise(omega: np.ndarray, k_min: int) -> float:
-    """max(omega - np.minimum.accumulate(omega)), given k_min, the first argmin of omega.
+def _monotone(omega: np.ndarray, k_min: int, tol: float) -> bool:
+    """max(omega - np.minimum.accumulate(omega)) <= tol, given k_min, the first argmin
+    of omega, settled as early as it exactly can be.
 
     From k_min on the running minimum is omega[k_min], and rounded subtraction
     is monotone, so the largest rise there is max(omega[k_min:]) - omega[k_min].
-    Before it the running minimum is taken only if omega rises there, and only
-    from the sample before its first rise: up to it every rise is 0."""
-    rise = float(omega[k_min:].max() - omega[k_min])
+    Before it every rise is 0 up to the sample before omega's first rise.  From
+    there the running minimum is at least omega[k_min], so no rise is above
+    max(head) - omega[k_min] for the samples ``head`` from there to k_min;
+    within the tolerance, that settles it.  Otherwise the head is scanned in
+    blocks of doubling size, carrying its running minimum, up to the first
+    block with a rise above the tolerance."""
+    low = omega[k_min]
+    if not omega[k_min:].max() - low <= tol:
+        return False
     head = omega[: k_min + 1]
     up = head[1:] > head[:-1]
-    if up.any():
-        head = head[int(up.argmax()) :]
-        rise = max(rise, float((head - np.minimum.accumulate(head)).max()))
-    return rise
+    if not up.any():
+        return True
+    head = head[int(up.argmax()) :]
+    if head.max() - low <= tol:
+        return True
+    floor, start, size = np.inf, 0, 4 * _BLOCK
+    while start < len(head):
+        block = head[start : start + size]
+        rise = np.minimum.accumulate(block)
+        np.minimum(rise, floor, out=rise)
+        floor = rise[-1]
+        if not np.subtract(block, rise, out=rise).max() <= tol:
+            return False
+        start, size = start + size, 2 * size
+    return True
 
 
 def extract_metrics(traj: Trajectory, monotone_tol: float = MONOTONE_TOL) -> Metrics:
@@ -563,18 +638,20 @@ def extract_metrics(traj: Trajectory, monotone_tol: float = MONOTONE_TOL) -> Met
 
     ``monotone_tol`` separates a true nadir from integrator jitter: the
     response counts as monotone while its recovery above the running
-    minimum stays within this bound.
+    minimum stays within this bound; it must be >= 0 (ValueError otherwise,
+    NaN included).
 
     Every field comes from whole-array reductions (min, max, argmin, argmax)
     and equals, bit for bit, the running-extreme and last-index formulas of
-    its definition.  The largest recovery is read off the first global
-    extreme (:func:`_largest_rise`): exact, since rounded subtraction is
+    its definition.  The monotone verdict is read off the first global
+    extreme (:func:`_monotone`): exact, since rounded subtraction is
     monotone.  The last sample outside the settling band is the first of a
     reversed view of the test, and max |v| is the larger of |max v| and
     |min v|.  Times are k dt of the sample k found, ``traj.t[k]`` bit for
     bit, and the first sample at or after the step is :func:`_first_sample`,
     so the time column is never read.
     """
+    require_bound("monotone_tol", monotone_tol)
     n_samples, dt = traj.n_samples, float(traj.dt)
     if n_samples == 0:
         raise ValueError("empty trajectory")
@@ -607,9 +684,9 @@ def extract_metrics(traj: Trajectory, monotone_tol: float = MONOTONE_TOL) -> Met
     # slow dip-and-recovery pass as jitter at small dt.  A fall is a rise of
     # -omega, exactly: negation rounds nothing.
     if d_p > 0:
-        monotone = _largest_rise(omega, k_min) <= monotone_tol
+        monotone = _monotone(omega, k_min, monotone_tol)
     elif d_p < 0:
-        monotone = _largest_rise(-omega, int(np.argmax(omega))) <= monotone_tol
+        monotone = _monotone(-omega, int(np.argmax(omega)), monotone_tol)
     else:
         monotone = True
 

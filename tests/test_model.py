@@ -24,15 +24,18 @@ from gridfreq import (
     Droop,
     GridParams,
     IDroop,
+    Scenario,
     SimOptions,
     SystemState,
     gb_reference_params,
     VirtualInertia,
     deadband_response,
     energy_capacity_estimate,
+    extract_metrics,
     mv_min_exact,
     mv_min_linear,
     pu_disturbance,
+    simulate,
     steady_state_deviation,
     vi_nadir_condition,
 )
@@ -141,6 +144,11 @@ def test_first_bad_field_in_check_order_is_reported(cls):
     assert _message(cls, kwargs) == f"{last} must be finite, got nan"
 
 
+def _metrics_at(monotone_tol):
+    sc = Scenario(gb_reference_params(), Droop(alpha_b=1.0), Disturbance(step_pu=0.05), SimOptions(horizon=1.0))
+    return extract_metrics(simulate(sc), monotone_tol)
+
+
 # Every bounded bare argument: (call with the value, name, bound).
 BOUNDED_ARGUMENTS = {
     "vi_nadir_condition.m_v": (lambda v: vi_nadir_condition(gb_reference_params(), 0.0, v), "m_v", ">="),
@@ -150,6 +158,7 @@ BOUNDED_ARGUMENTS = {
     "energy_capacity_estimate.alpha_b": (lambda v: energy_capacity_estimate(v, 0.05), "alpha_b", ">="),
     "IDroop.nadir_tuned.alpha_b": (lambda v: IDroop.nadir_tuned(gb_reference_params(), v), "alpha_b", ">="),
     "deadband_response.omega_db": (lambda v: deadband_response(0.0, v, 15.0), "omega_db", ">="),
+    "extract_metrics.monotone_tol": (_metrics_at, "monotone_tol", ">="),
     "steady_state_deviation.sum": (  # -0.0 terms keep the sum's sign of zero
         lambda v: steady_state_deviation(0.05, v, -0.0, -0.0),
         "aggregate inverse droop",

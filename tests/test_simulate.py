@@ -1380,15 +1380,16 @@ def _hand_trajectory(omega, step=DP, p_b=None, omega_dot=None, step_time=0.0):
     sc = Scenario(GB, NoStorage(), Disturbance(step_pu=step, step_time=step_time), sim)
     p_b = zeros if p_b is None else np.asarray(p_b, dtype=float)
     omega_dot = zeros if omega_dot is None else np.asarray(omega_dot, dtype=float)
-    return Trajectory(sc, 1.0, zeros, omega, zeros, omega * 0.5, zeros, p_b, omega_dot)
+    return Trajectory(sc, 1.0, np.array([zeros, omega, zeros, omega * 0.5, zeros, p_b, omega_dot]))
 
 
 @pytest.mark.parametrize("sign", [1.0, -1.0], ids=["positive", "negative"])
 def test_metrics_match_reference_on_hand_built_trajectories(sign):
     """A rise before the global extreme (the prefix fallback), ties at the extreme, a run
-    that never settles, one that is settled throughout, p_b and omega_dot of +-0.0, and a
+    that never settles, one that is settled throughout, p_b and omega_dot of +-0.0, a
     long monotone stretch with a tie before the first rise, the only one above some
-    tolerances, mirrored for a negative step."""
+    tolerances, and a slow rise that is above them only across the blocks of the prefix
+    scan, mirrored for a negative step."""
     cases = [
         ([0.0, -1.0, -0.4, -2.0, -1.9, -1.95], {}),
         ([0.0, -1e-7, 2e-7, -3.0, -3.0, -2.0, -3.0, -2.5], {}),
@@ -1398,6 +1399,7 @@ def test_metrics_match_reference_on_hand_built_trajectories(sign):
         ([0.0] * 4, {"p_b": [0.0] * 4, "omega_dot": [0.0, -0.0, 0.0, -0.0]}),
         ([0.0, 0.0, -1.0, -1.5, -1.2], {"p_b": [0.0, 0.0, 2.0, -3.0, -1.0], "step_time": 1.5}),
         ([0.0, *np.linspace(-0.1, -4.0, 40), -4.0, -4.0 + 5e-7, -4.0 + 1e-7, -5.0, -5.0], {}),
+        ([0.0, -1.0, -3.0, *(-3.0 + 2e-10 * np.arange(1, 7201)), -5.0], {}),
     ]
     for omega, extra in cases:
         extra = {k: np.multiply(v, sign) if k != "step_time" else v for k, v in extra.items()}
@@ -1406,8 +1408,10 @@ def test_metrics_match_reference_on_hand_built_trajectories(sign):
             _assert_metrics_match_reference(traj)
     assert _rises_before_extreme(_hand_trajectory(np.multiply(cases[0][0], sign), step=sign * DP))
     assert extract_metrics(_hand_trajectory(np.multiply(cases[3][0], sign), step=sign * DP)).settling_time == 5.0
-    late = _hand_trajectory(np.multiply(cases[-1][0], sign), step=sign * DP)
+    late = _hand_trajectory(np.multiply(cases[-2][0], sign), step=sign * DP)
     assert not extract_metrics(late, 1e-7).monotone and extract_metrics(late, 1e-6).monotone
+    slow = _hand_trajectory(np.multiply(cases[-1][0], sign), step=sign * DP)
+    assert not extract_metrics(slow, 1e-6).monotone and extract_metrics(slow, 1e-5).monotone
 
 
 def test_trajectory_arrays_are_contiguous():
@@ -1438,6 +1442,50 @@ def test_time_column_is_derived_on_first_read():
         t = traj.t
         assert t.dtype == np.float64 and t.tobytes() == np.multiply(np.arange(traj.n_samples), sc.sim.dt).tobytes()
         assert traj.t is t and traj.n_samples == len(traj.omega) == int(round(sc.sim.horizon / sc.sim.dt)) + 1
+
+
+ROW_NAMES = ("theta", "omega", "p_m", "e_b", "x_c", "p_b", "omega_dot")
+
+
+def _all_rows(sc):
+    """The seven rows of ``sc`` as the sampler writes them when asked for all seven at
+    once, into a zeroed block of their own."""
+    a, n, k_on = _plan(sc)
+    block = np.zeros((7, n + 256))
+    if sc.disturbance.step_pu and k_on <= n:
+        for _ in _sample_runs(sc, a, k_on, n, block[:, k_on:], range(7)):
+            pass
+    return block[:, : n + 1]
+
+
+def test_deferred_rows_equal_the_all_rows_sampler(monkeypatch):
+    """A run without a dead-band samples omega, e_b, p_b and omega_dot, and theta, p_m
+    and x_c on their first read, from the run's own tables: every row equals, byte for
+    byte, the sampler asked for all seven at once, for each law on RK4 and on the exact
+    path, with the secondary active, a step off the sample grid and a zero step, read in
+    field order and in reverse, with no step table built after the run.  A dead-band run
+    and a zero step have every row final, and a diverging run raises from simulate
+    itself, before any row is read."""
+    module = sys.modules["gridfreq.simulate"]
+    sim = replace(FROZEN, horizon=10.0)
+    laws = (NoStorage(), Droop(alpha_b=5.0), VirtualInertia(m_v=MV_MIN, alpha_b=2.0), IDroop.nadir_tuned(GB, 2.0))
+    runs = [_scenario(law, sim=path) for law in laws for path in _both_paths(sim)]
+    runs += [_scenario(law, sim=replace(sim, freeze_secondary=False)) for law in laws[1:]]
+    runs.append(Scenario(GB, laws[3], Disturbance(step_pu=-DP, step_time=1.2345), replace(sim, dt=7e-4)))
+    runs.append(_scenario(laws[2], step=0.0, sim=sim))
+    for sc in runs:
+        want = _all_rows(sc)
+        for order in (ROW_NAMES, ROW_NAMES[::-1]):
+            traj = simulate(sc)
+            assert (traj.fill is None) == (sc.disturbance.step_pu == 0.0)
+            assert not {"theta", "p_m", "x_c"} & set(vars(traj))
+            with monkeypatch.context() as patch:
+                patch.setattr(module, "_powers", lambda *args: pytest.fail("built a step table"))
+                for name in order:
+                    assert getattr(traj, name).tobytes() == want[ROW_NAMES.index(name)].tobytes(), (name, sc)
+    assert simulate(_scenario(laws[2], grid=GB_DB, sim=sim)).fill is None
+    with pytest.raises(IntegrationError):
+        simulate(_scenario(laws[3], sim=SimOptions(dt=2.0, horizon=400.0, freeze_secondary=True)))
 
 
 def test_state_accessors():

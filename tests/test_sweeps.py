@@ -11,7 +11,8 @@ Covers:
  - dead-band comparison: nadir-free tunings stay monotone and the final
    deviation shifts by at most w_db * a_g / sigma (+10% margin)
  - sweep points of the benchmark's four shapes and capacity curves of the
-   three strategies never read the trajectory's time column
+   three strategies never read the trajectory's time column, nor sample its
+   theta, p_m and x_c rows
  - capacity curves: alpha_b = 0 start, lag droop beating virtual inertia
    on power, energy matching alpha_b / k_i; a capacity point's traced
    memory, with the energy run's window holding only the state rows
@@ -245,10 +246,8 @@ def test_capacity_curves():
             assert p.e_b_max_norm == pytest.approx(expected, rel=0.05), p
 
 
-def test_sweeps_and_capacity_curves_never_read_the_time_column(monkeypatch):
-    """A sweep point reduces its trajectory without its time column, which is built only
-    on a read: with ``Trajectory.t`` raising, a point of each benchmark sweep shape and
-    a capacity curve of each strategy complete, equal to the unpatched results."""
+def _bench_shape_results():
+    """A point of each benchmark sweep shape and a capacity curve of each strategy."""
     base = Scenario(GB, VirtualInertia(m_v=0.0, alpha_b=4.0), Disturbance(step_pu=DP), FROZEN)
     specs = [
         SweepSpec(base=base, parameter="controller.m_v", values=[40.0]),
@@ -258,17 +257,40 @@ def test_sweeps_and_capacity_curves_never_read_the_time_column(monkeypatch):
         SweepSpec(base=_base(Droop(alpha_b=0.0)), parameter="controller.alpha_b", values=[6.0]),
         SweepSpec(base=_base(IDroop.nadir_tuned(GB, 2.0)), parameter="grid.turbine_tau", values=[2.5]),
     ]
+    return [repr(sweep(spec)) for spec in specs] + [
+        repr(capacity_curve(GB, strategy, [2.5e-3], DP)) for strategy in ("droop", "vi_min", "idroop_tuned")
+    ]
 
-    def results():
-        return [repr(sweep(spec)) for spec in specs] + [
-            repr(capacity_curve(GB, strategy, [2.5e-3], DP)) for strategy in ("droop", "vi_min", "idroop_tuned")
-        ]
 
-    want = results()
+def test_sweeps_and_capacity_curves_never_read_the_time_column(monkeypatch):
+    """A sweep point reduces its trajectory without its time column, which is built only
+    on a read: with ``Trajectory.t`` raising, a point of each benchmark sweep shape and
+    a capacity curve of each strategy complete, equal to the unpatched results."""
+    want = _bench_shape_results()
     monkeypatch.setattr(sys.modules["gridfreq.simulate"].Trajectory, "t", property(lambda traj: pytest.fail("read t")))
     with pytest.raises(pytest.fail.Exception):
-        simulate(base).t
-    assert results() == want
+        simulate(_base(VirtualInertia(m_v=0.0, alpha_b=4.0))).t
+    assert _bench_shape_results() == want
+
+
+def test_sweeps_and_capacity_curves_never_sample_the_deferred_rows(monkeypatch):
+    """theta, p_m and x_c, which no metric reads, are sampled only on a read: with the
+    sampler failing whenever it is asked for one of them, a point of each benchmark sweep
+    shape and a capacity curve of each strategy complete, equal to the unpatched results."""
+    module = sys.modules["gridfreq.simulate"]
+    sample_runs = module._sample_runs
+
+    def metric_rows_only(scenario, a, k_on, n, buf, rows=range(7), regions=None):
+        if {0, 2, 4} & set(rows):
+            pytest.fail(f"sampled rows {tuple(rows)}")
+        return sample_runs(scenario, a, k_on, n, buf, rows, regions)
+
+    want = _bench_shape_results()
+    monkeypatch.setattr(module, "_sample_runs", metric_rows_only)
+    traj = simulate(_base(Droop(alpha_b=1.0)))
+    with pytest.raises(pytest.fail.Exception):
+        traj.p_m
+    assert _bench_shape_results() == want
 
 
 def test_capacity_point_working_memory_is_small():
