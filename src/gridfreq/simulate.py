@@ -54,15 +54,17 @@ doubles while the RK4 stages stay in the region, up to the largest chunk,
 and starts again at one block after each band crossing, so it discards at
 most one chunk per crossing.
 
-One sampler has two consumers.  The chunk loop is one generator that writes
-each chunk into the buffer it is given and yields each accepted run of
-samples, sampling only the rows its consumer asks for in full, plus the
-states of each chunk's last two blocks, where the next chunk starts.  Each
-row is the product of the same block starts with its own table row, alone
-or batched with the others, so a row's bits do not depend on which others
-are sampled with it.  :func:`simulate` gives it
-the trajectory's block, so every sample is written in place, and asks for
-the rows :func:`extract_metrics` reads (see below).  :func:`_storage_maxima`,
+One sampler has two consumers, and each steps a run once.  The chunk loop
+is one generator that writes each chunk into the buffer it is given and
+yields each accepted run of samples, sampling only the rows its consumer
+asks for in full, plus the states of each chunk's last two blocks, where
+the next chunk starts.  Each row is the product of the same block starts
+with its own table row, alone or batched with the others, so a row's bits
+do not depend on which others are sampled with it, or when.
+:func:`simulate` gives it the trajectory's block, so every sample is
+written in place, asks for no row in full, and has it record each chunk's
+block starts, sample table and columns, from which each row is sampled on
+its first read (see below).  :func:`_storage_maxima`,
 which sizes storage for capacity curves, gives it a window as wide as the
 largest chunk, asks for p_b or e_b alone and keeps only its running maximum
 per run, so the maxima are the trajectory's, bit for bit.  Omega is sampled
@@ -72,9 +74,10 @@ h, with reach_m = max_j |(Phi^j)[1, m]| from the region's table.  A chunk
 whose blocks all bound below half the divergence limit cannot diverge; any
 other samples omega and scans it, for both consumers, so a run raises at the
 same last valid time.  The bound holds inside each region of a dead-band
-run too, as its samples are powers of that region's Phi; such a run fills
-every row, since the rows that screen a step's region read every state, and
-each band crossing step keeps a check of its own.
+run too, as its samples are powers of that region's Phi; such a run samples
+every row in its pass and records no chunk, since the rows that screen a
+step's region read every state, and each band crossing step keeps a check
+of its own.
 
 Every path holds the imbalance at its step-start value within each step,
 exact for the piecewise-constant input; a ``step_time`` that is not a
@@ -88,17 +91,18 @@ disturbance reproduces the all-zero trajectory exactly.
 
 A run is one block of seven rows, the five states, p_b and omega_dot,
 allocated once, and each sampled array of the :class:`Trajectory` is one
-row.  Without a dead-band, :func:`simulate` samples omega, e_b, p_b and
-omega_dot, the rows the metrics read; theta, p_m and x_c are sampled into
-their rows on their first read (by the CSV writer and the trajectory
-figures), through the same sampler with the run's own tables, which no
-sweep or capacity curve makes.  Omega is sampled at once, so a diverging
-run raises from :func:`simulate`.  A dead-band run samples every row at
-once, and a run that samples nothing has every row zero.  The time column
-is not sampled either: ``Trajectory.t`` builds k dt on its first read,
-which no sweep or capacity curve makes.  The one block is for
-glibc's allocator: it raises its mmap threshold to the largest block freed
-and its trim threshold to twice that.  With three arrays, the largest
+row.  Without a dead-band, :func:`simulate` steps the run once and samples
+no row in full: each row, omega included, is sampled into its row on its
+first read, one product per chunk the pass recorded.  The metrics read
+omega, e_b, p_b and omega_dot; theta, p_m and x_c are read by the CSV
+writer and the trajectory figures, never by a sweep or capacity curve.
+Where the block bound fails the pass samples omega and scans it, so a
+diverging run raises from :func:`simulate`.  A dead-band run samples every
+row in its pass, and a run that samples nothing has every row zero.  The
+time column is no row: ``Trajectory.t`` builds k dt on its first read,
+which no sweep or capacity curve makes.  The one block is for glibc's
+allocator: it raises its mmap threshold to the largest block freed and its
+trim threshold to twice that.  With three arrays, the largest
 1.2 MB, a 30 s / 1 ms sweep point freed ~2.5 MB, over the 2.4 MB trim
 threshold, so the heap was trimmed and its pages faulted in again at the
 next point (560 minor faults per point).  The 1.69 MB block raises the trim
@@ -196,22 +200,18 @@ def deadband_response(omega: float, omega_db: float, alpha_g: float) -> float:
     return 0.0
 
 
-# The rows every run samples, those extract_metrics reads: omega, e_b, p_b and omega_dot.
-_METRIC_ROWS = (1, 3, 5, 6)
-
-
 def _row(q: int) -> cached_property:
     """Row q of a trajectory's samples, read once, and sampled first if its run deferred it."""
 
     def read(traj: Trajectory) -> np.ndarray:
-        if traj.fill is not None and q not in _METRIC_ROWS:
+        if traj.fill is not None:
             traj.fill(q)
         return traj.samples[q]
 
     return cached_property(read)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Trajectory:
     """Uniformly sampled closed-loop response.
 
@@ -224,19 +224,18 @@ class Trajectory:
     runs reuse the allocator's pages, and not zero-filled: only the samples
     before the step are zeroed.
 
-    A run without a dead-band samples only omega, e_b, p_b and omega_dot, the
-    rows :func:`extract_metrics` reads.  ``fill`` then samples row q of the
-    block in place, the same bits as sampling it with the others, and the
-    first read of ``theta``, ``p_m`` or ``x_c`` calls it.  It is None when
-    every row is final: a dead-band run samples them all, and a run that
-    samples nothing has only zeros.  The time column ``t`` is not sampled
-    either: it is k dt, built on its first read.
+    A run without a dead-band is stepped once, sampling no row in full.
+    ``fill`` then samples row q of the block in place from the chunks
+    the pass recorded, the same bits as sampling it in the pass, and the
+    first read of each row calls it.  It is None when every row is final: a
+    dead-band run samples them all in its pass, and a run that samples
+    nothing has only zeros.  The time column ``t`` is no row: it is k dt,
+    built on its first read.  A trajectory is equal only to itself.
     """
 
     scenario: Scenario
-    dt: float
     samples: np.ndarray
-    fill: Callable[..., None] | None = None
+    fill: Callable[[int], None] | None = None
 
     theta = _row(0)
     omega = _row(1)
@@ -245,6 +244,11 @@ class Trajectory:
     x_c = _row(4)
     p_b = _row(5)
     omega_dot = _row(6)
+
+    @property
+    def dt(self) -> float:
+        """The sampling step, ``scenario.sim.dt``: the step the sampler took."""
+        return self.scenario.sim.dt
 
     @property
     def n_samples(self) -> int:
@@ -422,7 +426,7 @@ def _sample_runs(
     n: int,
     buf: np.ndarray,
     rows: Sequence[int] = range(7),
-    regions: dict | None = None,
+    chunks: list | None = None,
 ) -> Iterator[np.ndarray]:
     """Sample the loop of ``a`` from sample k_on, the zero state with the imbalance just
     switched on, to sample n, chunk by chunk into the rows of ``buf``: the five states,
@@ -450,9 +454,11 @@ def _sample_runs(
     reads every state, and checks each band crossing step on its own.  A chunk's block
     starts are one product of the stacked powers Phi^(_BLOCK i) - I with its start.
 
-    ``regions`` holds each region's tables, built on first need; a dict from an earlier
-    call with the same loop, k_on and n lends its tables, so sampling more rows of a
-    run later builds none of them again.
+    ``chunks``, if given, receives (heads, table, chunk) for each chunk whose rows were
+    not all sampled: its block starts, its region's sample table and its columns of
+    ``buf``.  Row q of the chunk is then np.matmul(heads, table[q], out=chunk[q]), the
+    product this pass would take for it.  A dead-band run samples every row and
+    records no chunk.
     """
     grid, dt, d_p = scenario.grid, scenario.sim.dt, scenario.disturbance.step_pu
     w_db = grid.deadband_omega_db
@@ -463,8 +469,7 @@ def _sample_runs(
     # a band), closed at the edges since phi is continuous there.
     bounds = {-1: (-np.inf, -w_db), 0: (-w_db, w_db), 1: (w_db, np.inf)}
     most = _most_blocks(n - k_on)
-    if regions is None:
-        regions = {}  # r -> (sample table, Phi^(_BLOCK i) - I, stage rows, omega's reach)
+    regions = {}  # r -> (sample table, Phi^(_BLOCK i) - I, stage rows, omega's reach)
     z = np.array([0.0, 0.0, 0.0, 0.0, 0.0, d_p])  # p_L is not stored: d_p from k_on on
     buf[:5, 0] = 0.0
     np.add(0.0, d_p * out[: len(buf) - 5, 5], out=buf[5:, 0])
@@ -511,6 +516,8 @@ def _sample_runs(
                 # The states of the last two blocks, from which the next chunk starts: two
                 # rows, because a one-row product goes through gemv and rounds otherwise.
                 np.matmul(heads[-2:], table[:5], out=chunk[:5, -2:])
+                if chunks is not None:
+                    chunks.append((heads, table, chunk))
             size = j = min(c * _BLOCK, n - k)
             if w_db:  # keep the samples up to the first step whose stages leave the region
                 lo, hi = bounds[r]
@@ -548,11 +555,12 @@ def simulate(scenario: Scenario) -> Trajectory:
     (whatever ``exact`` says), in chunks of 1, 2, 4, ... blocks that start
     again at one block after each crossing.
     Each sampled array is one contiguous row of one block.  Without a
-    dead-band only the rows :func:`extract_metrics` reads are sampled here;
-    theta, p_m and x_c are sampled on their first read, and the time column
-    is built on its first read.  Raises :class:`IntegrationError` if omega
-    leaves the finite range (with RK4, reachable with a step size outside
-    its stability region).
+    dead-band the run is stepped once and each row, omega included, is
+    sampled on its first read from the chunks that pass recorded; the time
+    column is built on its first read.  Raises :class:`IntegrationError` if
+    omega leaves the finite range (with RK4, reachable with a step size
+    outside its stability region): the pass samples and scans omega
+    wherever a chunk's block bound does not rule that out.
     """
     a, n, k_on = _plan(scenario)
     # One block of seven rows, the five states, p_b and omega_dot: one allocation lifts
@@ -561,18 +569,17 @@ def simulate(scenario: Scenario) -> Trajectory:
     block = np.empty((7, n + _BLOCK))
     sampled = bool(scenario.disturbance.step_pu) and k_on <= n
     block[:, : k_on if sampled else n + 1] = 0.0
-    fill = None
-    if sampled:
-        regions = {}  # the run's tables, lent to each later fill
+    chunks = []  # (block starts, table, columns) of each chunk whose rows are deferred
+    for _ in _sample_runs(scenario, a, k_on, n, block[:, k_on:], (), chunks) if sampled else ():
+        pass
 
-        def fill(*rows: int) -> None:
-            for _ in _sample_runs(scenario, a, k_on, n, block[:, k_on:], rows, regions):
-                pass
+    def fill(q: int) -> None:
+        # The last block's columns, past sample n, may overflow on an unstable step.
+        with np.errstate(over="ignore", invalid="ignore"):
+            for heads, table, chunk in chunks:
+                np.matmul(heads, table[q], out=chunk[q])
 
-        fill(*_METRIC_ROWS)
-        if scenario.grid.deadband_omega_db:  # its stage screen read every state: every row is sampled
-            fill = None
-    return Trajectory(scenario, scenario.sim.dt, block[:, : n + 1], fill)
+    return Trajectory(scenario, block[:, : n + 1], fill if chunks else None)
 
 
 def _storage_maxima(scenario: Scenario, quantity: str) -> float:

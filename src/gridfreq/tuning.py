@@ -39,9 +39,6 @@ __all__ = [
     "energy_capacity_estimate",
 ]
 
-# Equality checks against the nadir-elimination boundary use this absolute
-# tolerance, in pu units.
-BOUNDARY_TOL = 1e-9
 # A droop excess |delta_p/delta_omega| - alpha_g this many ulps of alpha_g or
 # less is rounding: the inputs and the division each round once.
 _ROUNDING_ULPS = 4

@@ -19,6 +19,9 @@ Covers:
  - ``cli._write_output`` alone opens a file in ``cli.py``
  - ``lti._modes`` alone takes derivatives of polynomials in ``lti.py``, so the
    oracle's partial fractions are written once
+ - ``simulate`` and ``simulate._storage_maxima`` alone step a run in
+   ``simulate.py``, once each, so a trajectory row is never sampled by
+   stepping its run again
 """
 
 import ast
@@ -205,3 +208,21 @@ def test_oracle_partial_fractions_are_written_once():
     modes = [func for func in tree.body if isinstance(func, ast.FunctionDef) and func.name == "_modes"]
     assert callers == {"_modes"}, callers
     assert len(polyder_calls(tree)) == len(polyder_calls(modes[0])), "np.polyder called outside any function"
+
+
+def test_each_run_is_stepped_once():
+    """One pass per run: in ``simulate.py`` only ``simulate``, whose trajectory samples
+    its deferred rows from the chunks that pass recorded, and ``_storage_maxima`` call
+    ``_sample_runs``, once each and never from a nested function."""
+    tree = ast.parse((SRC / "simulate.py").read_text(encoding="utf-8"))
+    calls = []  # (top-level function, the nested functions within it) of each call
+
+    def visit(node, path):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call) and getattr(child.func, "id", None) == "_sample_runs":
+                calls.append((path[0] if path else "", path[1:]))
+            nested = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
+            visit(child, path + (getattr(child, "name", "<lambda>"),) if nested else path)
+
+    visit(tree, ())
+    assert sorted(calls) == [("_storage_maxima", ()), ("simulate", ())], calls

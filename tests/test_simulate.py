@@ -58,6 +58,10 @@ Covers:
    states, against A's output rows applied to the sampled states, with +0.0
    at and before the step; those rows read theta and e_b only by exact +0.0
    coefficients
+ - a run stepped once: no row read by simulate, and every row sampled on its
+   first read from the recorded chunks, byte for byte the sampler asked for
+   all seven rows, in either read order, with no second pass; a trajectory
+   equal only to itself
 """
 
 import io
@@ -1380,7 +1384,7 @@ def _hand_trajectory(omega, step=DP, p_b=None, omega_dot=None, step_time=0.0):
     sc = Scenario(GB, NoStorage(), Disturbance(step_pu=step, step_time=step_time), sim)
     p_b = zeros if p_b is None else np.asarray(p_b, dtype=float)
     omega_dot = zeros if omega_dot is None else np.asarray(omega_dot, dtype=float)
-    return Trajectory(sc, 1.0, np.array([zeros, omega, zeros, omega * 0.5, zeros, p_b, omega_dot]))
+    return Trajectory(sc, np.array([zeros, omega, zeros, omega * 0.5, zeros, p_b, omega_dot]))
 
 
 @pytest.mark.parametrize("sign", [1.0, -1.0], ids=["positive", "negative"])
@@ -1459,13 +1463,14 @@ def _all_rows(sc):
 
 
 def test_deferred_rows_equal_the_all_rows_sampler(monkeypatch):
-    """A run without a dead-band samples omega, e_b, p_b and omega_dot, and theta, p_m
-    and x_c on their first read, from the run's own tables: every row equals, byte for
+    """A run without a dead-band is stepped once and records its chunks; every row,
+    omega included, is sampled on its first read from them: every row equals, byte for
     byte, the sampler asked for all seven at once, for each law on RK4 and on the exact
     path, with the secondary active, a step off the sample grid and a zero step, read in
-    field order and in reverse, with no step table built after the run.  A dead-band run
-    and a zero step have every row final, and a diverging run raises from simulate
-    itself, before any row is read."""
+    field order and in reverse, with the sampler and the step tables patched to fail
+    after the run.  No row is read by simulate itself.  A dead-band run and a zero step
+    have every row final, and a diverging run raises from simulate itself, before any
+    row is read."""
     module = sys.modules["gridfreq.simulate"]
     sim = replace(FROZEN, horizon=10.0)
     laws = (NoStorage(), Droop(alpha_b=5.0), VirtualInertia(m_v=MV_MIN, alpha_b=2.0), IDroop.nadir_tuned(GB, 2.0))
@@ -1478,9 +1483,10 @@ def test_deferred_rows_equal_the_all_rows_sampler(monkeypatch):
         for order in (ROW_NAMES, ROW_NAMES[::-1]):
             traj = simulate(sc)
             assert (traj.fill is None) == (sc.disturbance.step_pu == 0.0)
-            assert not {"theta", "p_m", "x_c"} & set(vars(traj))
+            assert not set(ROW_NAMES) & set(vars(traj))
             with monkeypatch.context() as patch:
                 patch.setattr(module, "_powers", lambda *args: pytest.fail("built a step table"))
+                patch.setattr(module, "_sample_runs", lambda *args: pytest.fail("stepped the run again"))
                 for name in order:
                     assert getattr(traj, name).tobytes() == want[ROW_NAMES.index(name)].tobytes(), (name, sc)
     assert simulate(_scenario(laws[2], grid=GB_DB, sim=sim)).fill is None
@@ -1489,7 +1495,10 @@ def test_deferred_rows_equal_the_all_rows_sampler(monkeypatch):
 
 
 def test_state_accessors():
-    traj = simulate(_scenario(IDroop.nadir_tuned(GB, 0.0), sim=SimOptions(dt=1e-3, horizon=1.0, freeze_secondary=True)))
+    sc = _scenario(IDroop.nadir_tuned(GB, 0.0), sim=SimOptions(dt=1e-3, horizon=1.0, freeze_secondary=True))
+    traj = simulate(sc)
+    # a trajectory is equal only to itself, and hashes as itself
+    assert traj == traj and traj != simulate(sc) and len({traj, simulate(sc)}) == 2
     assert (traj.theta[0], traj.omega[0], traj.p_m[0], traj.e_b[0], traj.x_c[0]) == (0.0, 0.0, 0.0, 0.0, 0.0)
     assert traj.n_samples == 1001
     # non-lag laws carry no internal state

@@ -274,19 +274,14 @@ def test_sweeps_and_capacity_curves_never_read_the_time_column(monkeypatch):
 
 
 def test_sweeps_and_capacity_curves_never_sample_the_deferred_rows(monkeypatch):
-    """theta, p_m and x_c, which no metric reads, are sampled only on a read: with the
-    sampler failing whenever it is asked for one of them, a point of each benchmark sweep
-    shape and a capacity curve of each strategy complete, equal to the unpatched results."""
-    module = sys.modules["gridfreq.simulate"]
-    sample_runs = module._sample_runs
-
-    def metric_rows_only(scenario, a, k_on, n, buf, rows=range(7), regions=None):
-        if {0, 2, 4} & set(rows):
-            pytest.fail(f"sampled rows {tuple(rows)}")
-        return sample_runs(scenario, a, k_on, n, buf, rows, regions)
-
+    """theta, p_m and x_c, which no metric reads, are sampled only on their first read,
+    and no sweep point or capacity curve reads them: with ``Trajectory.theta``, ``.p_m``
+    and ``.x_c`` raising, a point of each benchmark sweep shape and a capacity curve of
+    each strategy complete, equal to the unpatched results."""
     want = _bench_shape_results()
-    monkeypatch.setattr(module, "_sample_runs", metric_rows_only)
+    trajectory = sys.modules["gridfreq.simulate"].Trajectory
+    for name in ("theta", "p_m", "x_c"):
+        monkeypatch.setattr(trajectory, name, property(lambda traj, name=name: pytest.fail(f"read {name}")))
     traj = simulate(_base(Droop(alpha_b=1.0)))
     with pytest.raises(pytest.fail.Exception):
         traj.p_m
