@@ -174,9 +174,9 @@ class SystemState:
         return cls()
 
 
-# Most samples one run may ask for: each of the seven sampled float64 arrays
-# of a trajectory then takes 80 MB, 560 MB in all, plus 80 MB once its time
-# column is read.
+# Most samples one run may ask for: a trajectory's one block of seven float64
+# rows (five states, p_b and omega_dot) then takes 560 MB, 80 MB a row, plus
+# 80 MB once its time column is read.
 MAX_SAMPLES = 10_000_000
 
 

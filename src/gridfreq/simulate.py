@@ -54,30 +54,33 @@ doubles while the RK4 stages stay in the region, up to the largest chunk,
 and starts again at one block after each band crossing, so it discards at
 most one chunk per crossing.
 
-One sampler has two consumers, and each steps a run once.  The chunk loop
-is one generator that writes each chunk into the buffer it is given and
-yields each accepted run of samples, sampling only the rows its consumer
-asks for in full, plus the states of each chunk's last two blocks, where
-the next chunk starts.  Each row is the product of the same block starts
-with its own table row, alone or batched with the others, so a row's bits
-do not depend on which others are sampled with it, or when.
-:func:`simulate` gives it the trajectory's block, so every sample is
-written in place, asks for no row in full, and has it record each chunk's
-block starts, sample table and columns, from which each row is sampled on
-its first read (see below).  :func:`_storage_maxima`,
-which sizes storage for capacity curves, gives it a window as wide as the
-largest chunk, asks for p_b or e_b alone and keeps only its running maximum
-per run, so the maxima are the trajectory's, bit for bit.  Omega is sampled
-there only to test for divergence, and every chunk needs the test only when
-a bound fails: every |omega| of a block is at most reach . |h| for its start
-h, with reach_m = max_j |(Phi^j)[1, m]| from the region's table.  A chunk
-whose blocks all bound below half the divergence limit cannot diverge; any
-other samples omega and scans it, for both consumers, so a run raises at the
-same last valid time.  The bound holds inside each region of a dead-band
-run too, as its samples are powers of that region's Phi; such a run samples
-every row in its pass and records no chunk, since the rows that screen a
-step's region read every state, and each band crossing step keeps a check
-of its own.
+One sampler has two consumers, and each steps a run once, by one rule:
+the pass samples what it must, records every linear chunk, and each
+consumer samples what it reads from that record.  The chunk loop is one
+generator that writes each chunk into the buffer it is given and yields
+each accepted run of samples.  A linear chunk samples only the states of
+its last two blocks, where the next chunk starts, and omega where the
+divergence test needs it, and records its block starts, sample table and
+columns.  Omega is needed only where a bound fails: every |omega| of a
+block is at most reach . |h| for its start h, with reach_m = max_j
+|(Phi^j)[1, m]| from the region's table.  A chunk whose blocks all bound
+below half the divergence limit cannot diverge; any other samples omega and
+scans it, for both consumers, so a run raises at the same last valid time.
+Each row of a chunk is one product of the chunk's block starts with the
+row's table (:func:`_sample_rows`), so its bits do not depend on which
+other rows are sampled, or when.  :func:`simulate` gives the generator the
+trajectory's block, so every sample is written in place, and the
+:class:`Trajectory` keeps the record and samples each row on its first
+read.  :func:`_storage_maxima`, which sizes storage for capacity curves,
+gives it a window as wide as the largest chunk, samples p_b or e_b alone
+from each run's chunk before the window moves, and keeps only its running
+maximum, so the maxima are the trajectory's, bit for bit.  The bound holds
+inside each region of a dead-band run too, as its samples are powers of
+that region's Phi; such a run samples every row in its pass and records no
+chunk, since the rows that screen a step's region read every state, and
+each band crossing step keeps a check of its own.  The number of states
+comes from A alone: a block has a row per state of A but the held p_L, and
+two for the outputs, and only :func:`_assemble` knows what the states are.
 
 Every path holds the imbalance at its step-start value within each step,
 exact for the piecewise-constant input; a ``step_time`` that is not a
@@ -89,27 +92,22 @@ the disturbance already applied for t >= step_time.  The first sample is
 the pre-disturbance equilibrium state (all zeros), and a zero-magnitude
 disturbance reproduces the all-zero trajectory exactly.
 
-A run is one block of seven rows, the five states, p_b and omega_dot,
+A run is one block, a row per state and the outputs p_b and omega_dot,
 allocated once, and each sampled array of the :class:`Trajectory` is one
-row.  Without a dead-band, :func:`simulate` steps the run once and samples
-no row in full: each row, omega included, is sampled into its row on its
-first read, one product per chunk the pass recorded.  The metrics read
-omega, e_b, p_b and omega_dot; theta, p_m and x_c are read by the CSV
-writer and the trajectory figures, never by a sweep or capacity curve.
-Where the block bound fails the pass samples omega and scans it, so a
-diverging run raises from :func:`simulate`.  A dead-band run samples every
-row in its pass, and a run that samples nothing has every row zero.  The
-time column is no row: ``Trajectory.t`` builds k dt on its first read,
-which no sweep or capacity curve makes.  The one block is for glibc's
-allocator: it raises its mmap threshold to the largest block freed and its
-trim threshold to twice that.  With three arrays, the largest
-1.2 MB, a 30 s / 1 ms sweep point freed ~2.5 MB, over the 2.4 MB trim
-threshold, so the heap was trimmed and its pages faulted in again at the
-next point (560 minor faults per point).  The 1.69 MB block raises the trim
-threshold to 3.4 MB, and the pages are reused (0 faults).  The block is not
-zero-filled: the sampler writes every column of a row it samples from the
-step's first sample on, and only the columns before it are zeroed (every
-column when nothing is sampled).
+row.  The metrics read omega, e_b, p_b and omega_dot; theta, p_m and x_c
+are read by the CSV writer and the trajectory figures, never by a sweep or
+capacity curve.  A diverging run raises from :func:`simulate`, and a run
+that samples nothing has every row zero.  The time column is no row:
+``Trajectory.t`` builds k dt on its first read, which no sweep or capacity
+curve makes.  The one block is for glibc's allocator: it raises its mmap
+threshold to the largest block freed and its trim threshold to twice that.
+With three arrays, the largest 1.2 MB, a 30 s / 1 ms sweep point freed
+~2.5 MB, over the 2.4 MB trim threshold, so the heap was trimmed and its
+pages faulted in again at the next point (560 minor faults per point).  The
+1.69 MB block raises the trim threshold to 3.4 MB, and the pages are reused
+(0 faults).  The block is not zero-filled: the sampler writes every column
+of a row it samples from the step's first sample on, and only the columns
+before it are zeroed (every column when nothing is sampled).
 
 :func:`extract_metrics` reduces a trajectory with whole-array min, max,
 argmin and argmax, bit for bit what the running-extreme scans of the
@@ -134,7 +132,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 from functools import cache, cached_property
-from typing import Callable, Iterator, Sequence, TextIO
+from typing import Iterator, Sequence, TextIO
 
 import numpy as np
 
@@ -200,12 +198,20 @@ def deadband_response(omega: float, omega_db: float, alpha_g: float) -> float:
     return 0.0
 
 
+def _sample_rows(chunks: Sequence[tuple], q: int) -> None:
+    """Sample row q of each recorded chunk (heads, table, chunk) in place: the product of
+    the chunk's block starts with the row's table, the same bits whenever it is taken.
+    A chunk's last block may run past sample n and overflow on an unstable step."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        for heads, table, chunk in chunks:
+            np.matmul(heads, table[q], out=chunk[q])
+
+
 def _row(q: int) -> cached_property:
-    """Row q of a trajectory's samples, read once, and sampled first if its run deferred it."""
+    """Row q of a trajectory's samples, sampled from its recorded chunks on its first read."""
 
     def read(traj: Trajectory) -> np.ndarray:
-        if traj.fill is not None:
-            traj.fill(q)
+        _sample_rows(traj.chunks, q)
         return traj.samples[q]
 
     return cached_property(read)
@@ -215,8 +221,9 @@ def _row(q: int) -> cached_property:
 class Trajectory:
     """Uniformly sampled closed-loop response.
 
-    ``samples`` is a (7, n_samples) view of one block, its rows in the order
-    theta, omega, p_m, e_b, x_c, p_b, omega_dot, each read as the attribute of
+    ``samples`` is an (s + 2, n_samples) view of one block for the s states
+    of the loop: the states theta, omega, p_m, e_b, x_c in that order, then
+    p_b and omega_dot as the last two rows, each read as the attribute of
     that name; sample 0 is the pre-disturbance equilibrium.  ``p_b`` and
     ``omega_dot`` are evaluated at the sample instants (disturbance active for
     t >= step_time), sampled with the states from the same tables, never from
@@ -224,26 +231,26 @@ class Trajectory:
     runs reuse the allocator's pages, and not zero-filled: only the samples
     before the step are zeroed.
 
-    A run without a dead-band is stepped once, sampling no row in full.
-    ``fill`` then samples row q of the block in place from the chunks
-    the pass recorded, the same bits as sampling it in the pass, and the
-    first read of each row calls it.  It is None when every row is final: a
-    dead-band run samples them all in its pass, and a run that samples
-    nothing has only zeros.  The time column ``t`` is no row: it is k dt,
-    built on its first read.  A trajectory is equal only to itself.
+    ``chunks`` is the record of the run's one pass: (block starts, sample
+    table, columns) of each linear chunk.  The first read of a row samples it
+    from that record (:func:`_sample_rows`), the same bits as sampling it in
+    the pass.  It is empty when every row is final: a dead-band run samples
+    them all in its pass, and a run that samples nothing has only zeros.  The
+    time column ``t`` is no row: it is k dt, built on its first read.  A
+    trajectory is equal only to itself.
     """
 
     scenario: Scenario
     samples: np.ndarray
-    fill: Callable[[int], None] | None = None
+    chunks: tuple = ()
 
     theta = _row(0)
     omega = _row(1)
     p_m = _row(2)
     e_b = _row(3)
     x_c = _row(4)
-    p_b = _row(5)
-    omega_dot = _row(6)
+    p_b = _row(-2)
+    omega_dot = _row(-1)
 
     @property
     def dt(self) -> float:
@@ -360,18 +367,20 @@ def _stage_rows(m: np.ndarray) -> np.ndarray:
     RK4's four stages of one step from (x, p_L)."""
     half = m / 2.0
     third = half + half @ half  # stages: x, (I + m/2) x, (I + m/2 + m^2/4) x, (I + m + m^2/2 + m^3/4) x
-    return np.array([np.zeros(6), half[1], third[1], m[1] + m[1] @ third]) + np.eye(6)[1]
+    return np.array([np.zeros(len(m)), half[1], third[1], m[1] + m[1] @ third]) + np.eye(len(m))[1]
 
 
 def _sample_table(p: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """The (7, 6, _BLOCK) table of a block's samples from its start (x, p_L), from p =
-    P_1 .. P_256, P_j = Phi^j - I, and the output rows c of A: rows 0-4 are the state
-    rows of Phi^j = P_j + I, rows 5-6 the outputs (p_b, omega_dot) c Phi^j as c + c P_j."""
-    table = np.empty((7, 6, _BLOCK))
-    table[:5] = p[:, :5].transpose(1, 2, 0)
-    np.matmul(out[:, :5], table[:5].reshape(5, -1), out=table[5:].reshape(2, -1))  # c P_j: its p_L row is 0
-    table[5:] += out[:, :, None]
-    table[range(5), range(5)] += 1.0
+    """The (s + 2, s + 1, _BLOCK) table of a block's samples from its start (x, p_L), for
+    s states, from p = P_1 .. P_256, P_j = Phi^j - I, and the output rows c of A: rows
+    0 .. s - 1 are the state rows of Phi^j = P_j + I, the last two the outputs (p_b,
+    omega_dot) c Phi^j as c + c P_j."""
+    s = p.shape[1] - 1
+    table = np.empty((s + 2, s + 1, _BLOCK))
+    table[:s] = p[:, :s].transpose(1, 2, 0)
+    np.matmul(out[:, :s], table[:s].reshape(s, -1), out=table[s:].reshape(2, -1))  # c P_j: its p_L row is 0
+    table[s:] += out[:, :, None]
+    table[range(s), range(s)] += 1.0
     return table
 
 
@@ -405,9 +414,16 @@ def _first_sample(step_time: float, dt: float, n: int) -> int:
 
 def _plan(scenario: Scenario) -> tuple[np.ndarray, int, int]:
     """A of the scenario's loop (secondary frozen if ``scenario.sim`` says so), the step
-    count n, and k_on, the :func:`_first_sample` of the step."""
+    count n, and k_on, the :func:`_first_sample` of the step.  Raises ``ValueError`` if
+    A is not finite: an inertia or time constant so small, or a gain so large, that a
+    coefficient overflows."""
     opts = scenario.sim
-    a = _assemble(scenario, 0.0 if opts.freeze_secondary else scenario.grid.secondary_gain_k_i)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        a = _assemble(scenario, 0.0 if opts.freeze_secondary else scenario.grid.secondary_gain_k_i)
+    if not np.isfinite(a).all():
+        raise ValueError(
+            "the loop's coefficients are not finite: an inertia or time constant is too small, or a gain too large"
+        )
     n = int(round(opts.horizon / opts.dt))
     return a, n, _first_sample(scenario.disturbance.step_time, opts.dt, n)
 
@@ -420,20 +436,15 @@ def _most_blocks(steps: int) -> int:
 
 
 def _sample_runs(
-    scenario: Scenario,
-    a: np.ndarray,
-    k_on: int,
-    n: int,
-    buf: np.ndarray,
-    rows: Sequence[int] = range(7),
-    chunks: list | None = None,
+    scenario: Scenario, a: np.ndarray, k_on: int, n: int, buf: np.ndarray, chunks: list
 ) -> Iterator[np.ndarray]:
     """Sample the loop of ``a`` from sample k_on, the zero state with the imbalance just
-    switched on, to sample n, chunk by chunk into the rows of ``buf``: the five states,
-    then the outputs p_b and omega_dot, as many of the two as ``buf`` has rows for.
+    switched on, to sample n, chunk by chunk into the rows of ``buf``: the states, as
+    many as ``a`` has but the held p_L, then the outputs p_b and omega_dot, as many of
+    the two as ``buf`` has rows for.
 
     Column 0 of ``buf`` holds sample k_on, which the sampler writes, its outputs as
-    0.0 + d_p A[[3, 1], 5] (never -0.0).  With n - k_on + _BLOCK columns every sample
+    0.0 + d_p A[[3, 1], -1] (never -0.0).  With n - k_on + _BLOCK columns every sample
     stays in place.  A window of 1 + _most_blocks(n - k_on) _BLOCK columns also does:
     before a chunk that would overrun it, the chunk's first sample moves to column 0.
     After each accepted run of samples, and the band crossing behind it, yields the
@@ -445,34 +456,30 @@ def _sample_runs(
     blocks, so at most two.  With one, chunks start at one block, double up to that
     size, and start again at one block after each band crossing.
 
-    Only the ``rows`` the consumer reads are computed in full.  The others are written
-    only at column 0 and, for the states, in the last two blocks of each chunk, where
-    the next chunk starts.  The divergence test scans omega (row 1), computed in full
-    for it, only in a chunk whose block bound, reach . |h| for a block's start h, with
-    the reach of the chunk's region, reaches half the divergence limit; elsewhere no
-    sample can diverge.  A dead-band run computes every row, since its stage screen
-    reads every state, and checks each band crossing step on its own.  A chunk's block
-    starts are one product of the stacked powers Phi^(_BLOCK i) - I with its start.
-
-    ``chunks``, if given, receives (heads, table, chunk) for each chunk whose rows were
-    not all sampled: its block starts, its region's sample table and its columns of
-    ``buf``.  Row q of the chunk is then np.matmul(heads, table[q], out=chunk[q]), the
-    product this pass would take for it.  A dead-band run samples every row and
-    records no chunk.
+    A linear chunk samples only what the pass must: the states of its last two blocks,
+    where the next chunk starts, and omega, for the divergence test, where the block
+    bound, reach . |h| for a block's start h with the reach of the chunk's region,
+    reaches half the divergence limit; elsewhere no sample can diverge.  It appends
+    (heads, table, chunk) to ``chunks`` before its run is yielded: its block starts, one
+    product of the stacked powers Phi^(_BLOCK i) - I with its start, its region's sample
+    table and its columns of ``buf``.  Every other row is left to the consumer, which
+    samples it from that record with :func:`_sample_rows`.  A dead-band run samples
+    every row in its pass, since its stage screen reads every state, records no chunk,
+    and checks each band crossing step on its own.
     """
     grid, dt, d_p = scenario.grid, scenario.sim.dt, scenario.disturbance.step_pu
     w_db = grid.deadband_omega_db
     step1 = _expm1 if scenario.sim.exact and not w_db else _rk4_step1
-    every_row = bool(w_db) or len(rows) == 7
+    states = len(a) - 1  # p_L is held: d_p from k_on on, never stored
     out = a[[3, 1]]  # p_b and omega_dot of (x, p_L)
     # Region r is -1 below the band, 0 inside it, +1 above it (the one region without
     # a band), closed at the edges since phi is continuous there.
     bounds = {-1: (-np.inf, -w_db), 0: (-w_db, w_db), 1: (w_db, np.inf)}
     most = _most_blocks(n - k_on)
     regions = {}  # r -> (sample table, Phi^(_BLOCK i) - I, stage rows, omega's reach)
-    z = np.array([0.0, 0.0, 0.0, 0.0, 0.0, d_p])  # p_L is not stored: d_p from k_on on
-    buf[:5, 0] = 0.0
-    np.add(0.0, d_p * out[: len(buf) - 5, 5], out=buf[5:, 0])
+    z = np.array([0.0] * states + [d_p])
+    buf[:states, 0] = 0.0
+    np.add(0.0, d_p * out[: len(buf) - states, -1], out=buf[states:, 0])
     if k_on == n:
         yield buf[:, :1]
     k, i, c = k_on, 0, 1 if w_db else most  # sample k sits in column i
@@ -484,44 +491,43 @@ def _sample_runs(
             if r not in regions:
                 m = a.copy()
                 if w_db and r:  # phi = -alpha_g (omega - r omega_db); the offset rides on p_L = d_p
-                    m[2, 5] += r * grid.gen_inv_droop_alpha_g * w_db / (grid.turbine_tau * d_p)
+                    m[2, -1] += r * grid.gen_inv_droop_alpha_g * w_db / (grid.turbine_tau * d_p)
                 elif w_db:  # inside the band the governor is idle
                     m[2, 1] = 0.0
                 m *= dt
                 powers = _powers(step1(m), _BLOCK)
-                starts = np.concatenate([np.zeros((1, 6, 6)), _powers(powers[-1], most - 1)])
+                starts = np.concatenate([np.zeros((1, *a.shape)), _powers(powers[-1], most - 1)])
                 table = _sample_table(powers, out)
                 reach = np.abs(table[1]).max(axis=1)  # max_j |(Phi^j)[1, m]|
                 regions[r] = table, starts, _stage_rows(m) if w_db else None, reach
             table, starts, stages, reach = regions[r]
             # A chunk of c blocks: block i starts at Phi^(_BLOCK i) z, and one product
-            # takes every block's samples from its start, for all rows or row by row.
+            # takes every block's samples of a row from its start.
             c = min(c, -(-(n - k) // _BLOCK))
             if i + 1 + c * _BLOCK > buf.shape[1]:  # a window: the chunk starts again at column 0
                 buf[:, 0] = buf[:, i]
                 i = 0
-            z[:5] = buf[:5, i]
-            heads = (starts[:c].reshape(-1, 6) @ z).reshape(c, 6) + z  # one gemv, the fastest form
+            z[:states] = buf[:states, i]
+            heads = (starts[:c].reshape(-1, len(z)) @ z).reshape(c, len(z)) + z  # one gemv, the fastest form
             chunk = buf[:, i + 1 : i + 1 + c * _BLOCK].reshape(len(buf), c, _BLOCK)
             # Every |omega| of block b is at most reach . |h_b|, for its start h_b.  Below
             # half the limit, rounding included, no sample of the chunk diverges, and omega
-            # is neither scanned nor, unless the consumer reads it, sampled.  A chunk that
-            # fails the test (a NaN or inf start does) samples omega and scans it.
+            # is neither sampled nor scanned.  A chunk that fails the test (a NaN or inf
+            # start does) samples omega and scans it.
             scan = not (np.abs(heads) @ reach < _DIVERGENCE_LIMIT / 2).all()
-            if every_row:
+            if w_db:
                 np.matmul(heads, table[: len(buf)], out=chunk)
             else:
-                for q in (1, *rows) if scan and 1 not in rows else rows:
-                    np.matmul(heads, table[q], out=chunk[q])
+                chunks.append((heads, table, chunk))
+                if scan:
+                    _sample_rows(chunks[-1:], 1)
                 # The states of the last two blocks, from which the next chunk starts: two
                 # rows, because a one-row product goes through gemv and rounds otherwise.
-                np.matmul(heads[-2:], table[:5], out=chunk[:5, -2:])
-                if chunks is not None:
-                    chunks.append((heads, table, chunk))
+                np.matmul(heads[-2:], table[:states], out=chunk[:states, -2:])
             size = j = min(c * _BLOCK, n - k)
             if w_db:  # keep the samples up to the first step whose stages leave the region
                 lo, hi = bounds[r]
-                stage_om = stages[:, :5] @ buf[:5, i : i + j] + d_p * stages[:, 5:]
+                stage_om = stages[:, :-1] @ buf[:states, i : i + j] + d_p * stages[:, -1:]
                 left = ~((lo <= stage_om.min(axis=0)) & (stage_om.max(axis=0) <= hi))
                 if left.any():
                     j = int(left.argmax())
@@ -533,9 +539,9 @@ def _sample_runs(
             first = i
             k, i, c = k + j, i + j, min(2 * c, most)
             if j < size:  # a band crossing: one RK4 step over A, then chunks start again at 1 block
-                z[:5] = buf[:5, i]
-                z[:5] = _crossing_step(a, z, dt, grid)[:5]
-                buf[:, i + 1] = np.concatenate([z[:5], out @ z])[: len(buf)]
+                z[:states] = buf[:states, i]
+                z[:states] = _crossing_step(a, z, dt, grid)[:states]
+                buf[:, i + 1] = np.concatenate([z[:states], out @ z])[: len(buf)]
                 if not abs(z[1]) < _DIVERGENCE_LIMIT:
                     raise IntegrationError(last_valid_time=k * dt)
                 k, i, c = k + 1, i + 1, 1
@@ -554,49 +560,47 @@ def simulate(scenario: Scenario) -> Trajectory:
     region's step matrix, with one RK4 step over A at each band crossing
     (whatever ``exact`` says), in chunks of 1, 2, 4, ... blocks that start
     again at one block after each crossing.
-    Each sampled array is one contiguous row of one block.  Without a
-    dead-band the run is stepped once and each row, omega included, is
-    sampled on its first read from the chunks that pass recorded; the time
-    column is built on its first read.  Raises :class:`IntegrationError` if
-    omega leaves the finite range (with RK4, reachable with a step size
-    outside its stability region): the pass samples and scans omega
-    wherever a chunk's block bound does not rule that out.
+    The run is stepped once into one block, a row per state of A and two
+    for the outputs.  The pass samples what it must and records every
+    linear chunk, and each sampled array is one contiguous row of the
+    block, sampled from that record on its first read; the time column is
+    built on its first read.  Raises :class:`IntegrationError` if omega
+    leaves the finite range (with RK4, reachable with a step size outside
+    its stability region): the pass samples and scans omega wherever a
+    chunk's block bound does not rule that out.  Raises ``ValueError`` if
+    the loop's coefficients are not finite.
     """
     a, n, k_on = _plan(scenario)
-    # One block of seven rows, the five states, p_b and omega_dot: one allocation lifts
+    # One block, a row per state and two for p_b and omega_dot: one allocation lifts
     # glibc's trim threshold above a sweep point's churn (560 -> 0 page faults per point).
     # The last chunk's last block may run past n.  Only the columns before k_on are zeroed.
-    block = np.empty((7, n + _BLOCK))
+    block = np.empty((len(a) + 1, n + _BLOCK))
     sampled = bool(scenario.disturbance.step_pu) and k_on <= n
     block[:, : k_on if sampled else n + 1] = 0.0
-    chunks = []  # (block starts, table, columns) of each chunk whose rows are deferred
-    for _ in _sample_runs(scenario, a, k_on, n, block[:, k_on:], (), chunks) if sampled else ():
+    chunks = []  # (block starts, table, columns) of each linear chunk
+    for _ in _sample_runs(scenario, a, k_on, n, block[:, k_on:], chunks) if sampled else ():
         pass
-
-    def fill(q: int) -> None:
-        # The last block's columns, past sample n, may overflow on an unstable step.
-        with np.errstate(over="ignore", invalid="ignore"):
-            for heads, table, chunk in chunks:
-                np.matmul(heads, table[q], out=chunk[q])
-
-    return Trajectory(scenario, block[:, : n + 1], fill if chunks else None)
+    return Trajectory(scenario, block[:, : n + 1], tuple(chunks))
 
 
 def _storage_maxima(scenario: Scenario, quantity: str) -> float:
     """``p_b_max_norm`` or ``e_b_max_norm``, as ``quantity`` is "p_b" or "e_b", of
     ``extract_metrics(simulate(scenario))``, bit for bit, without a trajectory: the
     same samples of the quantity's row, taken by the same products in a window of the
-    largest chunk and reduced run by run, with omega sampled only where a chunk's block
-    bound does not rule out divergence.  The window holds the rows up to the quantity's:
+    largest chunk and reduced run by run.  The pass samples what it must, and the
+    quantity's row is sampled from the run's recorded chunk right after the run is
+    yielded, before the window moves.  The window holds the rows up to the quantity's:
     the states the chunks start from, and p_b for p_b alone."""
-    row = {"p_b": 5, "e_b": 3}[quantity]  # the sampler's row
+    a, n, k_on = _plan(scenario)
+    row = {"p_b": len(a) - 1, "e_b": 3}[quantity]  # p_b is the first row past the states
     d_p = scenario.disturbance.step_pu
     if d_p == 0:
         return 0.0
-    a, n, k_on = _plan(scenario)
-    window = np.empty((max(row + 1, 5), 1 + _most_blocks(n - k_on) * _BLOCK))
+    window = np.empty((max(row + 1, len(a) - 1), 1 + _most_blocks(n - k_on) * _BLOCK))
     peak = 0.0 if k_on else -np.inf  # the zero samples before the step count
-    for run in _sample_runs(scenario, a, k_on, n, window, (row,)) if k_on <= n else ():
+    chunks = []
+    for run in _sample_runs(scenario, a, k_on, n, window, chunks) if k_on <= n else ():
+        _sample_rows(chunks[-1:], row)  # the chunk of this run; none on a dead-band run
         peak = max(peak, run[row].max())
     return float(peak / d_p)
 

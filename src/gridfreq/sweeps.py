@@ -11,9 +11,11 @@ of the controller from the chosen strategy, the power requirement from a
 frozen-secondary transient run, and the energy requirement from a long run
 with the secondary loop active (the two quantities live on different
 timescales, ~seconds versus ~minutes).  Each run is reduced to the one
-maximum it is for, chunk by chunk as the sampler takes it, which computes
-only that maximum's row, p_b or e_b, and omega only where a bound does not
-rule out divergence; no trajectory is built.
+maximum it is for, chunk by chunk, with no trajectory built.  The sampler's
+pass samples only what it must, the states the next chunk starts from and
+omega where a bound does not rule out divergence, and the reducer samples
+the one row it reads, p_b or e_b, from each chunk the pass records.  A sweep
+point reads its metrics' rows from the trajectory's record the same way.
 """
 
 from __future__ import annotations
@@ -162,9 +164,11 @@ def capacity_curve(
     the controller completed per ``strategy``, p_b,max from a 30 s
     frozen-secondary run, e_b,max from a 1200 s run with the secondary loop
     active.  Each run keeps one maximum, reduced chunk by chunk in one window
-    of the sampler from the one row it reads, with no trajectory built and
-    omega sampled only where a per-block bound does not rule out divergence,
-    and equals ``extract_metrics`` on the full trajectory bit for bit.  The
+    of the sampler: the pass samples only what it must, and the one row the
+    maximum reads is sampled from each recorded chunk.  No trajectory is
+    built, and the maximum equals ``extract_metrics`` on the full trajectory
+    bit for bit.  Raises ``ValueError`` where a run's loop coefficients are
+    not finite.  The
     energy approaches its limit alpha_b/k_i along the secondary slow mode,
     tau_s = (alpha_l + alpha_g + alpha_b)/k_i, so the 1200 s run captures
     about 1 - e^(-1200/tau_s) of it: 86-97% on the GB grid (alpha_b in

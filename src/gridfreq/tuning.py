@@ -116,7 +116,13 @@ def design_droop_from_target(
         raise ValueError("delta_omega_target must be nonzero")
     if not math.isfinite(delta_omega_target):
         raise ValueError(f"delta_omega_target must be finite, got {delta_omega_target}")
-    excess = abs(delta_p / delta_omega_target) - alpha_g
+    ratio = abs(delta_p / delta_omega_target)
+    if not math.isfinite(ratio):
+        raise ValueError(
+            f"|delta_p/delta_omega_target| must be finite, got {ratio} for delta_p={delta_p}, "
+            f"delta_omega_target={delta_omega_target}"
+        )
+    excess = ratio - alpha_g
     return excess if excess > _ROUNDING_ULPS * math.ulp(alpha_g) else 0.0
 
 

@@ -196,11 +196,13 @@ def test_simulate_numerical_failure(tmp_path, capsys):
         ["--step-pu", "nan"],
         ["--horizon", "1e9"],
         ["--step-gw", "1e306"],
+        ["--inertia-h", "1e-320"],
     ],
 )
 def test_simulate_rejected_override_is_usage_error(tmp_path, capsys, flags):
     """An override the value types reject is a usage error, not a crash or a divergence
-    (a finite step past one system base was run into the divergence limit, exit 3)."""
+    (a finite step past one system base was run into the divergence limit, exit 3, and
+    an inertia whose reciprocal overflows the loop's coefficients was too)."""
     argv = ["simulate", str(SCENARIO_DIR / "gb-idroop.scn"), "--out", str(tmp_path / "o.csv")]
     assert main(argv + flags) == 2
     assert "error:" in capsys.readouterr().err
@@ -322,10 +324,13 @@ def test_tune_zero_target_is_usage_error(capsys):
     ],
 )
 def test_tune_rejected_value_is_usage_error(capsys, flags):
-    """A design input that is not finite, or yields a non-finite design, is a usage error."""
+    """A design input that is not finite, or yields a non-finite design, is a usage error.
+    The overflowing droop gain names the target it came from, not a controller field."""
     assert main(["tune"] + flags) == 2
     captured = capsys.readouterr()
     assert "error:" in captured.err and captured.out == ""
+    if flags == ["--target-hz", "1e-320"]:
+        assert "delta_omega_target" in captured.err and "nu " not in captured.err, captured.err
 
 
 # ------------------------------------------------------------------ figure

@@ -22,6 +22,8 @@ Covers:
  - ``simulate`` and ``simulate._storage_maxima`` alone step a run in
    ``simulate.py``, once each, so a trajectory row is never sampled by
    stepping its run again
+ - ``_sample_runs`` takes no rows to sample, and outside it one helper,
+   ``_sample_rows``, alone writes the row product over recorded chunks
 """
 
 import ast
@@ -226,3 +228,37 @@ def test_each_run_is_stepped_once():
 
     visit(tree, ())
     assert sorted(calls) == [("_storage_maxima", ()), ("simulate", ())], calls
+
+
+def test_rows_are_sampled_by_one_rule():
+    """One way to read a row: ``_sample_runs`` takes no ``rows`` to sample in its pass,
+    and outside it the row product over recorded chunks, ``np.matmul(heads, table[q],
+    out=chunk[q])``, is written only in ``_sample_rows``, which the trajectory's rows
+    and ``_storage_maxima`` both call."""
+    tree = ast.parse((SRC / "simulate.py").read_text(encoding="utf-8"))
+    funcs = {func.name: func for func in tree.body if isinstance(func, ast.FunctionDef)}
+    args = funcs["_sample_runs"].args
+    params = [arg.arg for arg in (*args.posonlyargs, *args.args, *args.kwonlyargs)]
+    assert "rows" not in params, params
+
+    def row_products(root):
+        return [
+            node
+            for node in ast.walk(root)
+            if isinstance(node, ast.Call)
+            and getattr(node.func, "attr", None) == "matmul"
+            and any(
+                kw.arg == "out" and isinstance(kw.value, ast.Subscript) and isinstance(kw.value.slice, ast.Name)
+                for kw in node.keywords
+            )
+        ]
+
+    def calls(root, name):
+        return [node for node in ast.walk(root) if isinstance(node, ast.Call) and getattr(node.func, "id", None) == name]
+
+    writers = {name for name, func in funcs.items() if name != "_sample_runs" and row_products(func)}
+    assert writers == {"_sample_rows"}, writers
+    # counted over the whole module, so classes and module-level code count too
+    outside = len(row_products(tree)) - len(row_products(funcs["_sample_runs"]))
+    assert outside == len(row_products(funcs["_sample_rows"])) == 1, outside
+    assert {name for name, func in funcs.items() if calls(func, "_sample_rows")} >= {"_row", "_storage_maxima"}

@@ -106,13 +106,14 @@ from gridfreq.simulate import (
     _powers,
     _rk4_step1,
     _round12,
+    _sample_rows,
     _sample_runs,
     _sample_table,
     _stage_rows,
     _storage_maxima,
     write_csv_rows,
 )
-from gridfreq.sweeps import ENERGY_RUN_DT, ENERGY_RUN_HORIZON, TRANSIENT_OPTIONS, _CAPACITY_CONTROLLERS
+from gridfreq.sweeps import ENERGY_RUN_DT, ENERGY_RUN_HORIZON, TRANSIENT_OPTIONS, _CAPACITY_CONTROLLERS, capacity_curve
 from gridfreq.tuning import design_droop_from_target, mv_min_exact
 
 GB = gb_reference_params()
@@ -546,8 +547,8 @@ def _run_lengths(sc):
     crossing step included, in a trajectory's buffer; the steps of the whole run; and
     its largest chunk in steps."""
     a, n, k_on = _plan(sc)
-    buf = np.empty((7, n - k_on + 256))
-    return [run.shape[1] - 1 for run in _sample_runs(sc, a, k_on, n, buf)], n - k_on, _most_blocks(n - k_on) * 256
+    buf = np.empty((len(a) + 1, n - k_on + 256))
+    return [run.shape[1] - 1 for run in _sample_runs(sc, a, k_on, n, buf, [])], n - k_on, _most_blocks(n - k_on) * 256
 
 
 @pytest.mark.parametrize("freeze", [True, False], ids=["frozen", "secondary"])
@@ -787,7 +788,7 @@ def test_storage_maxima_fall_back_to_the_scan(monkeypatch, sim):
     a, n, k_on = _plan(sc)
     window = np.full((5, 1 + _most_blocks(n - k_on) * 256), np.nan)
     done = k_on
-    for run in _sample_runs(sc, a, k_on, n, window, (3,)):
+    for run in _sample_runs(sc, a, k_on, n, window, []):
         steps = run.shape[1] - 1
         if done < k_peak <= done + steps:
             assert run[1].tobytes() == omega[done : done + steps + 1].tobytes()
@@ -805,11 +806,11 @@ def test_storage_maxima_fall_back_to_the_scan(monkeypatch, sim):
 @pytest.mark.parametrize("quantity", ["p_b", "e_b"])
 @pytest.mark.parametrize("sim", CAPACITY_RUNS, ids=["power", "energy"])
 def test_capacity_runs_sample_no_omega(monkeypatch, sim, quantity):
-    """A capacity run asks the sampler for its own row alone, and its chunks of more
-    than two blocks, whose block bounds rule out divergence, leave omega unsampled:
-    in a NaN-filled window omega stays NaN but in column 0 and in each chunk's last
-    two blocks, where the next chunk starts, and the quantity's row equals simulate's
-    bit for bit in every run."""
+    """A capacity run samples its own row alone from each run's recorded chunk, and its
+    chunks of more than two blocks, whose block bounds rule out divergence, leave omega
+    unsampled: in a NaN-filled window omega stays NaN but in column 0 and in each
+    chunk's last two blocks, where the next chunk starts, and once the consumer has
+    sampled it, the quantity's row equals simulate's bit for bit in every run."""
     module = sys.modules["gridfreq.simulate"]
     sample_runs, row = module._sample_runs, {"p_b": 5, "e_b": 3}[quantity]
     sc = _scenario(VirtualInertia(m_v=MV_MIN, alpha_b=2.0), sim=sim)
@@ -817,19 +818,18 @@ def test_capacity_runs_sample_no_omega(monkeypatch, sim, quantity):
     want = getattr(traj, quantity)
     lengths = []
 
-    def spy(scenario, a, k_on, n, buf, rows):
-        assert tuple(rows) == (row,)
+    def spy(scenario, a, k_on, n, buf, chunks):
         buf.fill(np.nan)
         done = k_on
-        for run in sample_runs(scenario, a, k_on, n, buf, rows):
+        for run in sample_runs(scenario, a, k_on, n, buf, chunks):
             steps = run.shape[1] - 1
             unsampled = 256 * (-(-steps // 256) - 2)  # the chunk's blocks but its last two
-            assert run[row].tobytes() == want[done : done + steps + 1].tobytes()
             assert np.all(np.isnan(run[1, 1 : 1 + unsampled])) and not np.any(np.isnan(run[1, 1 + unsampled :]))
             assert not np.isnan(run[1, 0])
+            yield run
+            assert run[row].tobytes() == want[done : done + steps + 1].tobytes()  # sampled by the consumer
             lengths.append(steps)
             done += steps
-            yield run
 
     monkeypatch.setattr(module, "_sample_runs", spy)
     assert _storage_maxima(sc, quantity).hex() == getattr(extract_metrics(traj), f"{quantity}_max_norm").hex()
@@ -1049,6 +1049,28 @@ def test_divergence_reports_last_valid_time():
         simulate(sc)
     assert excinfo.value.last_valid_time >= 0.0
     assert "last valid time" in str(excinfo.value)
+
+
+def test_non_finite_loop_coefficients_are_rejected():
+    """An inertia, a turbine time constant or a lag time constant of 1e-320 is finite
+    and positive, but its reciprocal overflows A: simulate and capacity_curve raise a
+    ValueError for it, with no numpy warning (the suite raises those as errors) and no
+    IntegrationError, on both paths and with a dead-band."""
+    tiny = 1e-320
+    runs = [
+        (gb_reference_params(inertia_h=tiny), Droop(alpha_b=1.0)),
+        (gb_reference_params(turbine_tau=tiny), Droop(alpha_b=1.0)),
+        (GB, IDroop(nu=15.0, tau_i=tiny)),
+    ]
+    for grid, controller in runs:
+        for db_grid in (grid, replace(grid, deadband_omega_db=0.0006)):
+            for sim in _both_paths(FROZEN):
+                with pytest.raises(ValueError, match="coefficients are not finite"):
+                    simulate(_scenario(controller, grid=db_grid, sim=sim))
+    for grid, _ in runs[:2]:  # idroop_tuned takes tau_i = turbine_tau
+        for strategy in ("droop", "idroop_tuned"):
+            with pytest.raises(ValueError, match="coefficients are not finite"):
+                capacity_curve(grid, strategy, [2.5e-3], DP)
 
 
 # -------------------------------------------------------------------- CSV
@@ -1452,20 +1474,23 @@ ROW_NAMES = ("theta", "omega", "p_m", "e_b", "x_c", "p_b", "omega_dot")
 
 
 def _all_rows(sc):
-    """The seven rows of ``sc`` as the sampler writes them when asked for all seven at
-    once, into a zeroed block of their own."""
+    """The seven rows of ``sc`` sampled all at once, one batched product of each chunk
+    the pass records with its whole table, into a zeroed block of their own."""
     a, n, k_on = _plan(sc)
     block = np.zeros((7, n + 256))
+    chunks = []
     if sc.disturbance.step_pu and k_on <= n:
-        for _ in _sample_runs(sc, a, k_on, n, block[:, k_on:], range(7)):
+        for _ in _sample_runs(sc, a, k_on, n, block[:, k_on:], chunks):
             pass
+    for heads, table, chunk in chunks:
+        np.matmul(heads, table, out=chunk)
     return block[:, : n + 1]
 
 
 def test_deferred_rows_equal_the_all_rows_sampler(monkeypatch):
     """A run without a dead-band is stepped once and records its chunks; every row,
     omega included, is sampled on its first read from them: every row equals, byte for
-    byte, the sampler asked for all seven at once, for each law on RK4 and on the exact
+    byte, all seven sampled at once from the same record, for each law on RK4 and on the exact
     path, with the secondary active, a step off the sample grid and a zero step, read in
     field order and in reverse, with the sampler and the step tables patched to fail
     after the run.  No row is read by simulate itself.  A dead-band run and a zero step
@@ -1482,16 +1507,57 @@ def test_deferred_rows_equal_the_all_rows_sampler(monkeypatch):
         want = _all_rows(sc)
         for order in (ROW_NAMES, ROW_NAMES[::-1]):
             traj = simulate(sc)
-            assert (traj.fill is None) == (sc.disturbance.step_pu == 0.0)
+            assert bool(traj.chunks) == (sc.disturbance.step_pu != 0.0)
             assert not set(ROW_NAMES) & set(vars(traj))
             with monkeypatch.context() as patch:
                 patch.setattr(module, "_powers", lambda *args: pytest.fail("built a step table"))
                 patch.setattr(module, "_sample_runs", lambda *args: pytest.fail("stepped the run again"))
                 for name in order:
                     assert getattr(traj, name).tobytes() == want[ROW_NAMES.index(name)].tobytes(), (name, sc)
-    assert simulate(_scenario(laws[2], grid=GB_DB, sim=sim)).fill is None
+    assert simulate(_scenario(laws[2], grid=GB_DB, sim=sim)).chunks == ()
     with pytest.raises(IntegrationError):
         simulate(_scenario(laws[3], sim=SimOptions(dt=2.0, horizon=400.0, freeze_secondary=True)))
+
+
+def _with_second_theta(assemble):
+    """``_assemble`` with a seventh state y, y' = omega (a second theta), between x_c and
+    the held p_L, read by no other state."""
+
+    def seven(scenario, k_i):
+        a = np.zeros((7, 7))
+        keep = [0, 1, 2, 3, 4, 6]
+        a[np.ix_(keep, keep)] = assemble(scenario, k_i)
+        a[5, 1] = 1.0
+        return a
+
+    return seven
+
+
+@pytest.mark.parametrize("grid", [GB, GB_DB], ids=["linear", "deadband"])
+@pytest.mark.parametrize("freeze", [True, False], ids=["frozen", "secondary"])
+@pytest.mark.parametrize("exact", [False, True], ids=["rk4", "exact"])
+def test_sampler_takes_its_state_count_from_a(monkeypatch, exact, freeze, grid):
+    """The sampler reads its state count from A alone.  With a seventh state y' = omega
+    the trajectory has eight rows; y, sampled from the record, matches theta, and every named row matches the
+    six-state run, both to 1e-13 of each row's maximum: on RK4 and on the exact path,
+    frozen and with k_i, with and without the +-36 mHz dead-band (crossed here).  The
+    storage maxima equal the seven-state trajectory's by ``hex``."""
+    module = sys.modules["gridfreq.simulate"]
+    sim = SimOptions(dt=1e-2, horizon=60.0, freeze_secondary=freeze, exact=exact)
+    sc = _scenario(IDroop(nu=10.0, tau_i=1.0, alpha_b=3.0), grid=grid, sim=sim)
+    want = simulate(sc)
+    if grid is GB_DB:
+        assert np.any(np.abs(want.omega) >= grid.deadband_omega_db)
+    monkeypatch.setattr(module, "_assemble", _with_second_theta(module._assemble))
+    traj = simulate(sc)
+    assert traj.samples.shape == (8, want.n_samples)
+    _sample_rows(traj.chunks, 5)  # a row no attribute names is sampled from the record too
+    pairs = [(traj.samples[5], want.theta)] + [(getattr(traj, name), getattr(want, name)) for name in ROW_NAMES]
+    for (got, ref), name in zip(pairs, ("y", *ROW_NAMES)):
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref)), name
+    metrics = extract_metrics(traj)
+    for quantity in ("p_b", "e_b"):
+        assert _storage_maxima(sc, quantity).hex() == getattr(metrics, f"{quantity}_max_norm").hex(), quantity
 
 
 def test_state_accessors():

@@ -185,6 +185,10 @@ def test_design_droop_from_target():
     for bad in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError, match="finite"):
             design_droop_from_target(DP, bad, 15.0)
+    # a finite target whose droop gain overflows is rejected by name
+    for tiny in (1e-320, -1e-320):
+        with pytest.raises(ValueError, match=r"\|delta_p/delta_omega_target\| must be finite"):
+            design_droop_from_target(DP, tiny, 15.0)
 
 
 def test_mv_min_from_target():
